@@ -60,7 +60,9 @@ class ExecutionPlan(NamedTuple):
     :mod:`repro.arch.vector`, which gathers from them directly) and as plain
     Python lists (bound by the scalar hot loop of
     :meth:`BatchedCoreExecutor.execute`, where list indexing beats NumPy
-    scalar indexing).
+    scalar indexing).  Every field is built with the plan except the
+    per-record walk streams of ``record_blocks``, which are compiled on a
+    record's first detailed execution.
     """
 
     #: Per-block dispatch cycles, ``instructions * base_cpi / issue_width``.
@@ -117,8 +119,61 @@ class ExecutionPlan(NamedTuple):
     #: ``block_offsets``/``block_dispatch``/``block_repeat`` index lookups
     #: and the three parallel event-column lookups of the naive loop.  The
     #: ``coherent_write`` flag pre-evaluates ``is_write and shared`` so the
-    #: hot loop's coherence gate is a single truth test.
-    record_blocks: list
+    #: hot loop's coherence gate is a single truth test.  Indexed by record;
+    #: each record's tuple is compiled on its first lookup (see
+    #: :class:`RecordBlocks`).
+    record_blocks: "RecordBlocks"
+
+
+class RecordBlocks(dict):
+    """Per-record walk streams, compiled on first detailed execution.
+
+    ``blocks[index]`` is record ``index``'s tuple of ``(l1_events,
+    dispatch, repeat)`` triples (see :attr:`ExecutionPlan.record_blocks`).
+    Compiling them for every record was most of the cost of building a plan,
+    yet a sampled run executes only a few percent of the records in detail.
+    So a lookup that misses compiles the :attr:`CHUNK` records around it,
+    and every later lookup is a plain dict hit.  The detailed instances of a
+    sampled run cluster (warm-up and history windows of one task type), and
+    one comprehension over a run of records costs far less per record than
+    a call per record, so a detailed run compiles the whole trace at about
+    the cost of building it eagerly.
+    """
+
+    #: Records compiled together on a miss.
+    CHUNK = 16
+
+    __slots__ = ("_streams", "_dispatch", "_repeat", "_block_offsets", "_event_offsets")
+
+    def __init__(self, streams: tuple, dispatch: list, repeat: list,
+                 block_offsets: list, event_offsets: list) -> None:
+        super().__init__()
+        #: Per-event ``(l1_set, l1_tag, is_write, coherent_write)`` lists.
+        self._streams = streams
+        self._dispatch = dispatch
+        self._repeat = repeat
+        self._block_offsets = block_offsets
+        self._event_offsets = event_offsets
+
+    def __missing__(self, record: int) -> tuple:
+        block_offsets = self._block_offsets
+        event_offsets = self._event_offsets
+        first = record - record % self.CHUNK
+        last = min(first + self.CHUNK, len(block_offsets) - 1)
+        if not 0 <= record < last:
+            raise KeyError(record)
+        b0, b1 = block_offsets[first], block_offsets[last]
+        l1_set, l1_tag, is_write, coherent = self._streams
+        block_events = [
+            tuple(zip(l1_set[s:e], l1_tag[s:e], is_write[s:e], coherent[s:e], range(s, e)))
+            for s, e in zip(event_offsets[b0:b1], event_offsets[b0 + 1:b1 + 1])
+        ]
+        triples = list(zip(block_events, self._dispatch[b0:b1], self._repeat[b0:b1]))
+        for index in range(first, last):
+            self[index] = tuple(
+                triples[block_offsets[index] - b0:block_offsets[index + 1] - b0]
+            )
+        return self[record]
 
 
 def _plan_key(columns: TraceColumns, caches: list, core, rob_model: RobModel) -> tuple:
@@ -240,34 +295,17 @@ def build_execution_plan(
             total += bd_list[block]
         static_cycles.append(total)
 
-    # Pre-zipped per-block L1 walk streams and the per-record block
-    # structure for the scalar group executor.
+    # Per-record block structure for the scalar group executor, compiled
+    # lazily from the per-event L1 columns.
     l1_set_list = level_set[0].tolist()
     l1_tag_list = level_tag[0].tolist()
     ev_write_list = columns.event_is_write.tolist()
-    coh_list = shared_write.tolist()
     eo_list = offsets.tolist()
-    event_ids = range(columns.num_events)
-    l1_block_events = [
-        tuple(
-            zip(
-                l1_set_list[start:end],
-                l1_tag_list[start:end],
-                ev_write_list[start:end],
-                coh_list[start:end],
-                event_ids[start:end],
-            )
-        )
-        for start, end in zip(eo_list[:-1], eo_list[1:])
-    ]
     br_list = block_repeat.tolist()
-    record_blocks = [
-        tuple(
-            (l1_block_events[block], bd_list[block], br_list[block])
-            for block in range(bo_list[record], bo_list[record + 1])
-        )
-        for record in range(num_records)
-    ]
+    record_blocks = RecordBlocks(
+        (l1_set_list, l1_tag_list, ev_write_list, shared_write.tolist()),
+        bd_list, br_list, bo_list, eo_list,
+    )
 
     plan = ExecutionPlan(
         block_dispatch=block_dispatch,
@@ -413,10 +451,14 @@ class BatchedCoreExecutor:
 
         # Specialised grouped walks for the two concrete hierarchy shapes
         # (see module docstring); the generic loop covers everything else.
+        # Kept as a plain function: a bound method stored on the instance
+        # would be a reference cycle holding the whole machine state until
+        # the cyclic garbage collector ran.
+        self._walk = BatchedCoreExecutor._execute_many_generic
         if self._have_shared and self._num_private == 2 and self._num_levels == 3:
-            self.execute_many = self._execute_many_p2s1
+            self._walk = BatchedCoreExecutor._execute_many_p2s1
         elif self._have_shared and self._num_private == 1 and self._num_levels == 2:
-            self.execute_many = self._execute_many_p1s1
+            self._walk = BatchedCoreExecutor._execute_many_p1s1
 
     # ------------------------------------------------------------------
     def detail_events(self, index: int) -> int:
@@ -678,6 +720,10 @@ class BatchedCoreExecutor:
         The grouped-dispatch engine flushes whole deferred groups through
         this entry point when the vector kernel is not engaged.
         """
+        return self._walk(self, entries)
+
+    def _execute_many_generic(self, entries: Sequence[tuple]) -> List[Tuple[float, float]]:
+        """:meth:`execute_many` for any hierarchy shape (the reference walk)."""
         memory = self.memory_system
         interconnect = memory.interconnect
         dram = memory.dram

@@ -33,7 +33,10 @@ of connect-back workers (local subprocesses or SSH),
 (amortising per-spec round-trips for sub-second experiments), and
 ``--cache-dir DIR`` to persist every result on disk, keyed by experiment
 content hash — re-running an unchanged grid is then a pure cache hit.
-``$REPRO_CACHE_DIR`` provides a default cache directory.
+``$REPRO_CACHE_DIR`` provides a default cache directory.  The directory also
+caches the generated traces (``DIR/traces``), so a later call on the same
+store — another sampling engine over the same benchmarks, say — loads
+them instead of generating them again.
 
 ``compare``, ``grid`` and ``sweep`` also accept ``--profile FILE`` (or the
 ``$REPRO_PROFILE`` environment variable) to run the simulation phase under
@@ -75,6 +78,7 @@ from repro.exp import (
     run_experiments,
 )
 from repro.exp.hosts import parse_listen
+from repro.exp.runner import use_trace_cache
 from repro.serve import ServiceClient, ServiceError, SimulationService
 from repro.sim.simulator import simulate
 from repro.workloads.registry import SENSITIVITY_SUBSET, get_workload, list_workloads
@@ -316,7 +320,8 @@ def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
                         help="worker count, only valid with --backend "
                              "pool/async (default: --jobs)")
     parser.add_argument("--cache-dir", default=None,
-                        help="persistent experiment result store "
+                        help="persistent experiment result store, which "
+                             "also caches the generated traces in DIR/traces "
                              "(default: $REPRO_CACHE_DIR if set)")
     parser.add_argument("--hosts", default=None,
                         help="multi-host worker budgets, e.g. "
@@ -432,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "'adaptive:N'")
     serve.add_argument("--cache-dir", default=None,
                        help="result store directory — enables warm serving, "
-                            "write-ahead durability and restart recovery "
+                            "write-ahead durability, restart recovery and "
+                            "the workers' shared trace cache "
                             "(default: $REPRO_CACHE_DIR if set)")
     serve.add_argument("--store-layout", choices=list(LAYOUT_NAMES),
                        default="directory",
@@ -441,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "keyspace)")
     serve.add_argument("--store-max-bytes",
                        type=_bounded_int("--store-max-bytes", 1), default=None,
-                       help="LRU byte budget of the store; compaction evicts "
-                            "cold entries past it (in-flight and failure "
-                            "entries are never evicted)")
+                       help="LRU byte budget of the store, its cached traces "
+                            "included; compaction evicts cold entries past it "
+                            "(in-flight and failure entries are never evicted)")
     serve.add_argument("--fair-cap", type=_bounded_int("--fair-cap", 1),
                        default=None,
                        help="default per-tenant in-flight cap (default: "
@@ -766,14 +772,17 @@ async def _serve_async(args: argparse.Namespace) -> int:
     for signum in (signal.SIGINT, signal.SIGTERM):
         with contextlib.suppress(ValueError, NotImplementedError, RuntimeError):
             loop.add_signal_handler(signum, service.request_stop)
-    await service.start(host, port)
-    pool = args.hosts if args.hosts else f"{args.workers} local workers"
-    print(
-        f"repro serve: listening on {service.host}:{service.port} "
-        f"({pool}, store={cache_dir or 'none'})",
-        flush=True,
-    )
-    await service.serve_until_stopped()
+    # Local workers are spawned (and respawned) for the daemon's whole life;
+    # each inherits the store's trace cache while it is set here.
+    with use_trace_cache(store.traces if store is not None else None):
+        await service.start(host, port)
+        pool = args.hosts if args.hosts else f"{args.workers} local workers"
+        print(
+            f"repro serve: listening on {service.host}:{service.port} "
+            f"({pool}, store={cache_dir or 'none'})",
+            flush=True,
+        )
+        await service.serve_until_stopped()
     print("repro serve: stopped", flush=True)
     return 0
 

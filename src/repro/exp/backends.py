@@ -34,7 +34,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Union
 
-from repro.exp.runner import run_spec
+from repro.exp.runner import active_trace_cache, run_spec, use_trace_cache
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
 from repro.exp.store import MemoryResultStore, ResultStore
 
@@ -286,7 +286,9 @@ def run_experiments(
         Optional result store consulted before execution and updated after;
         a warm store turns an unchanged grid into a pure cache hit.  Failed
         specs are recorded as ``<key>.error.json`` diagnostics (never served
-        as cached results, so a re-run retries them).
+        as cached results, so a re-run retries them).  An on-disk store's
+        trace cache serves the traces of the executed specs, here and in
+        the backend's worker processes.
     on_error:
         ``"raise"`` (default) raises one :class:`ExperimentExecutionError`
         aggregating every failure — after all other specs completed and were
@@ -312,7 +314,9 @@ def run_experiments(
 
     failures: List[ExperimentFailure] = []
     if missing:
-        outcomes = _backend_outcomes(backend, missing)
+        traces = store.traces if isinstance(store, ResultStore) else active_trace_cache()
+        with use_trace_cache(traces):
+            outcomes = _backend_outcomes(backend, missing)
         # A backend with this store attached (e.g. a streaming
         # AsyncWorkerBackend) already persisted each outcome on completion;
         # put_if_absent then only pays a validation read instead of

@@ -28,18 +28,33 @@ behaviour.  Set ``REPRO_EXP_TRACE_MEMO=0`` to disable the memo — every
 spec then regenerates (and re-warms) its trace from scratch, which is how
 ``scripts/dispatch_bench.py`` measures the per-spec warm-up cost the memo
 removes.
+
+Below the memo sits an optional on-disk tier, the process's trace cache
+(:class:`~repro.exp.tracecache.TraceCache`): a memo miss loads the trace
+from it, and only a cache miss generates the trace (and writes it back).
+The memo serves one process; the cache serves every process that shares
+the directory — successive ``repro grid`` calls on one result store, the
+workers of a pool or of the service daemon.  :func:`use_trace_cache` sets
+it for a scope (``run_experiments`` does so with its store's cache) and
+names its directory in ``REPRO_TRACE_CACHE``, so every worker process
+started inside the scope inherits it with the environment.  Like the memo
+it is per-process state rather than an argument: every backend keeps
+calling ``run_spec(spec)`` alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from collections import OrderedDict
-from typing import Dict, Tuple
+from pathlib import Path
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.controller import TaskPointController
 from repro.core.fidelity import FidelityConfig, FidelityController
 from repro.core.stratified import StratifiedConfig, StratifiedController
 from repro.exp.spec import ExperimentResult, ExperimentSpec
+from repro.exp.tracecache import TraceCache
 from repro.sim.simulator import TaskSimSimulator
 from repro.trace.trace import ApplicationTrace
 from repro.workloads.registry import get_workload
@@ -50,6 +65,10 @@ _TRACE_CACHE_SIZE = 64
 #: Set to ``0`` to disable the per-process warmed-trace memo (measurement
 #: hook for the dispatch benchmark; the default is always-on).
 TRACE_MEMO_ENV = "REPRO_EXP_TRACE_MEMO"
+
+#: Directory of the process's trace cache.  :func:`use_trace_cache` sets it,
+#: and child processes inherit it with the environment.
+TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 
 
 class TraceMemo:
@@ -73,7 +92,7 @@ class TraceMemo:
         self.evictions = 0
 
     def get(self, benchmark: str, scale: float, seed: int) -> ApplicationTrace:
-        """Return the memoised trace, generating (and possibly evicting)."""
+        """Return the memoised trace, loading or generating (and possibly evicting)."""
         key = (benchmark, scale, seed)
         trace = self._traces.get(key)
         if trace is not None:
@@ -81,7 +100,7 @@ class TraceMemo:
             self._traces.move_to_end(key)
             return trace
         self.misses += 1
-        trace = get_workload(benchmark).generate(scale=scale, seed=seed)
+        trace = _load_or_generate(benchmark, scale, seed)
         self._traces[key] = trace
         if len(self._traces) > self.capacity:
             self._traces.popitem(last=False)
@@ -109,6 +128,55 @@ class TraceMemo:
 #: The per-process memo instance behind :func:`get_trace`.
 _TRACE_MEMO = TraceMemo()
 
+#: The cache object of the directory in ``REPRO_TRACE_CACHE``, kept so that
+#: its counters accumulate across memo misses.
+_TRACE_CACHE: Optional[TraceCache] = None
+
+
+def active_trace_cache() -> Optional[TraceCache]:
+    """The trace cache memo misses go through: the one ``REPRO_TRACE_CACHE`` names."""
+    global _TRACE_CACHE
+    directory = os.environ.get(TRACE_CACHE_ENV)
+    if not directory:
+        return None
+    if _TRACE_CACHE is None or _TRACE_CACHE.directory != Path(directory).expanduser():
+        _TRACE_CACHE = TraceCache(directory)
+    return _TRACE_CACHE
+
+
+@contextlib.contextmanager
+def use_trace_cache(cache: Optional[TraceCache]) -> Iterator[Optional[TraceCache]]:
+    """Route trace generation through ``cache`` (``None``: generate) for the body.
+
+    The directory is exported in ``REPRO_TRACE_CACHE`` meanwhile, so worker
+    processes started in the body use the same cache.
+    """
+    global _TRACE_CACHE
+    previous_cache, previous_directory = _TRACE_CACHE, os.environ.get(TRACE_CACHE_ENV)
+    _TRACE_CACHE = cache
+    if cache is None:
+        os.environ.pop(TRACE_CACHE_ENV, None)
+    else:
+        os.environ[TRACE_CACHE_ENV] = str(cache.directory)
+    try:
+        yield cache
+    finally:
+        _TRACE_CACHE = previous_cache
+        if previous_directory is None:
+            os.environ.pop(TRACE_CACHE_ENV, None)
+        else:
+            os.environ[TRACE_CACHE_ENV] = previous_directory
+
+
+def _load_or_generate(benchmark: str, scale: float, seed: int) -> ApplicationTrace:
+    cache = active_trace_cache()
+    trace = cache.load(benchmark, scale, seed) if cache is not None else None
+    if trace is None:
+        trace = get_workload(benchmark).generate(scale=scale, seed=seed)
+        if cache is not None:
+            cache.save(trace, benchmark, scale, seed)
+    return trace
+
 
 def trace_memo_stats() -> Dict[str, int]:
     """Counters of the per-process trace memo (for worker status frames)."""
@@ -123,10 +191,11 @@ def get_trace(benchmark: str, scale: float, seed: int) -> ApplicationTrace:
     the trace the submitting process described.  The returned object is the
     process-wide memoised instance (see the module docstring for why that
     also carries warmed plan-cache state) unless ``REPRO_EXP_TRACE_MEMO=0``
-    opts out.
+    opts out.  A memo miss loads from the process's trace cache, if one is
+    set, before it generates.
     """
     if os.environ.get(TRACE_MEMO_ENV, "") == "0":
-        return get_workload(benchmark).generate(scale=scale, seed=seed)
+        return _load_or_generate(benchmark, scale, seed)
     return _TRACE_MEMO.get(benchmark, scale, seed)
 
 

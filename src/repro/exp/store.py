@@ -51,6 +51,16 @@ entry (:meth:`pin`/:meth:`unpin`, refcounted) — the daemon pins every key of
 an in-flight job, so a result an active job is about to serve cannot vanish
 between its write and its read.
 
+Trace cache
+-----------
+Beside its results, an on-disk store keeps the traces its specs were run on:
+``<dir>/traces/`` is a :class:`~repro.exp.tracecache.TraceCache`
+(``ResultStore.traces``), which :func:`repro.exp.run_experiments` routes
+trace generation through.  Result entries never depend on it; it only
+spares later runs on the same store the trace generation.  The ``max_bytes``
+budget covers the cached traces too: compaction evicts least recently used
+traces and results alike, so the budget bounds the whole directory.
+
 :class:`MemoryResultStore` implements the same interface in memory; the
 benchmark harnesses use it to share detailed baselines between figures within
 one pytest session without persisting anything.
@@ -72,6 +82,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
+from repro.exp.tracecache import TRACE_SUBDIR, TraceCache
 
 #: Environment variable selecting a default on-disk cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -304,6 +315,7 @@ class ResultStore:
         refreshes recency (mtime), :meth:`compact` evicts least recently
         used unpinned entries until the budget holds, and puts trigger
         compaction automatically once the accumulated writes overflow it.
+        The budget covers the cached traces in ``traces/`` as well.
         Failure diagnostics and pinned keys are never evicted.
     """
 
@@ -319,6 +331,8 @@ class ResultStore:
         self.directory = Path(directory).expanduser()
         self.layout = make_layout(layout)
         self.max_bytes = max_bytes
+        #: Generated traces of this store's specs (see the module docstring).
+        self.traces = TraceCache(self.directory / TRACE_SUBDIR)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -542,7 +556,11 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def _note_written(self, size: int) -> None:
-        """Account one entry write towards the auto-compaction trigger."""
+        """Account one entry write towards the auto-compaction trigger.
+
+        Result bytes are accumulated; trace bytes are measured, because
+        worker processes write the traces without this object seeing it.
+        """
         if self.max_bytes is None:
             return
         if self._approx_bytes is None:
@@ -551,7 +569,7 @@ class ResultStore:
             )
         else:
             self._approx_bytes += size
-        if self._approx_bytes > self.max_bytes:
+        if self._approx_bytes + self.traces.total_bytes() > self.max_bytes:
             self.compact()
 
     @staticmethod
@@ -568,53 +586,63 @@ class ResultStore:
     def compact(self, max_bytes: Optional[int] = None) -> int:
         """Evict least-recently-used entries until the byte budget holds.
 
-        Returns the number of evicted entries.  Entries are ordered by mtime
-        (which :meth:`get` refreshes under a budget, making this an LRU);
-        pinned keys and failure diagnostics are never candidates, so the
-        budget yields when only pinned entries remain.  Each eviction
-        re-checks the victim's mtime under the shard lock — an entry a
-        concurrent reader just refreshed (or a writer just replaced) is
-        spared this round rather than dropped on stale information.
+        Returns the number of evicted entries.  Result entries and cached
+        traces are ordered together by mtime (which :meth:`get` and trace
+        loads refresh, making this an LRU); pinned keys and failure
+        diagnostics are never candidates, so the budget yields when only
+        pinned entries remain.  Each eviction re-checks the victim's mtime
+        (a result under its shard lock) — an entry a concurrent reader just
+        refreshed (or a writer just replaced) is spared this round rather
+        than dropped on stale information.
         """
         budget = self.max_bytes if max_bytes is None else max_bytes
         if budget is None:
             return 0
         entries = []
-        total = 0
+        result_bytes = 0
         for path in self._entry_files():
             try:
                 stat = path.stat()
             except OSError:
                 continue
-            total += stat.st_size
+            result_bytes += stat.st_size
             key = path.name[: -len(".json")]
             if key in self._pins:
                 continue
             entries.append((stat.st_mtime, stat.st_size, path, key))
+        trace_bytes = 0
+        for mtime, path, size in self.traces.scan():
+            trace_bytes += size
+            entries.append((mtime, size, path, None))
         entries.sort(key=lambda item: (item[0], item[2].name))
         evicted = 0
         for mtime, size, path, key in entries:
-            if total <= budget:
+            if result_bytes + trace_bytes <= budget:
                 break
-            with self.lock(key):
+            with self.lock(key) if key is not None else contextlib.nullcontext():
                 try:
                     if path.stat().st_mtime > mtime:
                         continue  # refreshed since the scan: spare it
                     path.unlink()
                 except OSError:
                     continue  # already gone (racing compactor or clear)
-            total -= size
+            if key is None:
+                trace_bytes -= size
+            else:
+                result_bytes -= size
             evicted += 1
         self.evictions += evicted
         self.compactions += 1
-        self._approx_bytes = total
+        self._approx_bytes = result_bytes
         return evicted
 
     def stats(self) -> Dict[str, object]:
         """JSON-friendly counter snapshot (the daemon's ``stats`` frame).
 
         ``entries``/``bytes`` scan the directory, so this is a monitoring
-        call, not a hot-path one.
+        call, not a hot-path one.  ``traces`` is the trace cache's snapshot;
+        its hit/miss counters are this process's (the daemon's workers
+        load traces in their own processes).
         """
         entries = 0
         total = 0
@@ -631,15 +659,17 @@ class ResultStore:
             "evictions": self.evictions,
             "compactions": self.compactions,
             "max_bytes": self.max_bytes,
+            "traces": self.traces.stats(),
         }
 
     # ------------------------------------------------------------------
     def clear(self) -> int:
         """Delete all cache entries; return how many results were removed.
 
-        Failure diagnostics and leftover temp files are removed as well but
-        not counted.
+        Failure diagnostics, cached traces and leftover temp files are
+        removed as well but not counted.
         """
+        self.traces.clear()
         removed = 0
         if not self.directory.is_dir():
             return 0

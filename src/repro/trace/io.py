@@ -10,8 +10,10 @@ Two on-disk formats are supported, selected by file suffix:
   (format version 1), readable by any tool;
 * ``.npz`` — the columnar format: the NumPy arrays of
   :class:`~repro.trace.columns.TraceColumns` written with
-  :func:`numpy.savez_compressed`.  This is both smaller and much faster to
-  load because no record objects are materialised.
+  :func:`numpy.savez_compressed` (or uncompressed, ``compress=False`` —
+  about ten times faster to write, the choice of the experiment layer's
+  trace cache).  This is both smaller and much faster to load because no
+  record objects are materialised.
 
 Trace files are untrusted input (hand-edited, truncated, or produced by
 other tools), so :func:`load_trace` still validates structure — but on the
@@ -27,6 +29,7 @@ import gzip
 import io as _io
 import json
 import os
+import uuid
 from pathlib import Path
 from typing import Union
 
@@ -114,16 +117,18 @@ def _is_npz(path: Path) -> bool:
     return path.suffix == ".npz"
 
 
-def save_trace(trace: ApplicationTrace, path: Union[str, Path]) -> Path:
+def save_trace(
+    trace: ApplicationTrace, path: Union[str, Path], compress: bool = True
+) -> Path:
     """Write ``trace`` to ``path``; the suffix selects the format.
 
-    ``.npz`` writes the compact columnar format; anything else writes JSON,
-    with a ``.gz`` suffix selecting gzip compression.  Returns the path
-    written.
+    ``.npz`` writes the compact columnar format (zip-deflated unless
+    ``compress=False``); anything else writes JSON, with a ``.gz`` suffix
+    selecting gzip compression.  Returns the path written.
     """
     path = Path(path)
     if _is_npz(path):
-        return _save_npz(trace, path)
+        return _save_npz(trace, path, compress)
     payload = {
         "format_version": FORMAT_VERSION,
         "name": trace.name,
@@ -178,7 +183,7 @@ def load_trace(path: Union[str, Path]) -> ApplicationTrace:
 # ----------------------------------------------------------------------
 # Columnar (NPZ) format
 # ----------------------------------------------------------------------
-def _save_npz(trace: ApplicationTrace, path: Path) -> Path:
+def _save_npz(trace: ApplicationTrace, path: Path, compress: bool) -> Path:
     columns = trace.columns
     header = json.dumps(
         {
@@ -191,17 +196,27 @@ def _save_npz(trace: ApplicationTrace, path: Path) -> Path:
     arrays = {key: getattr(columns, key) for key in _COLUMN_KEYS}
     arrays["header"] = np.frombuffer(header.encode("utf-8"), dtype=np.uint8)
     # Assemble in memory and publish with an atomic rename so a torn write
-    # cannot leave a half archive behind under the final name.
+    # cannot leave a half archive behind under the final name.  The scratch
+    # name is unique: concurrent writers of one path (two workers caching
+    # the same trace) each rename a complete archive of their own.  It is
+    # created by open(), not mkstemp, so the umask sets the file's mode.
     buffer = _io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    scratch = path.with_name(path.name + ".tmp")
-    scratch.write_bytes(buffer.getvalue())
-    os.replace(scratch, path)
+    (np.savez_compressed if compress else np.savez)(buffer, **arrays)
+    scratch = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(scratch, "xb") as handle:
+            handle.write(buffer.getbuffer())
+        os.replace(scratch, path)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
     return path
 
 
 def _load_npz(path: Path) -> ApplicationTrace:
-    with np.load(path, allow_pickle=False) as archive:
+    # Opened here, not by np.load: np.load leaks its own handle when the
+    # file is not a readable archive.
+    with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
         header = json.loads(bytes(archive["header"]).decode("utf-8"))
         version = header.get("format_version")
         if version != NPZ_FORMAT_VERSION:

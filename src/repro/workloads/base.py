@@ -39,6 +39,12 @@ from repro.trace.patterns import (
 from repro.trace.records import MemoryEvent
 from repro.trace.trace import ApplicationTrace
 
+#: Version of the trace generators.  On-disk trace caches key entries on it
+#: (:mod:`repro.exp.tracecache`), so bump it with any change that alters a
+#: generated trace; ``tests/test_trace_cache.py`` pins a digest of every
+#: workload's trace to this number and fails until both are updated.
+GENERATOR_VERSION = 1
+
 
 @dataclass(frozen=True)
 class WorkloadInfo:

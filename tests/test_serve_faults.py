@@ -12,6 +12,8 @@ deployments break:
 * A client that disconnects mid-``watch`` leaves the job running and can
   re-attach later for the full ``job_done`` frame.
 * SIGTERM shuts the daemon down gracefully with exit code 0.
+* ``--store-max-bytes`` bounds the store's results and the workers' cached
+  traces together.
 """
 
 import json
@@ -55,13 +57,14 @@ def subprocess_env(**overrides):
 class Daemon:
     """One ``repro serve`` subprocess; parses its address from stdout."""
 
-    def __init__(self, cache_dir, *, workers=2, env=None):
+    def __init__(self, cache_dir, *, workers=2, env=None, args=()):
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
                 "--listen", "127.0.0.1:0",
                 "--workers", str(workers),
                 "--cache-dir", str(cache_dir),
+                *args,
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -196,6 +199,8 @@ class TestSigkillRecovery:
             (cache / ".serve" / "jobs" / f"{job_id}.json").read_text()
         )
         assert journal["state"] == "done"
+        # The worker cached the job's trace beside the store.
+        assert len(list((cache / "traces").glob("*.npz"))) == 1
 
         # A fresh daemon does not resurrect terminal jobs.
         daemon = Daemon(cache)
@@ -253,3 +258,27 @@ class TestGracefulShutdown:
         reply = daemon.client().stop()
         assert reply["type"] == "stopping"
         assert daemon.proc.wait(timeout=30) == 0
+
+
+class TestStoreBudget:
+    def test_store_max_bytes_bounds_results_and_traces(self, tmp_path):
+        cache = tmp_path / "cache"
+        # A swaptions trace at this scale is ~27 KB and a result ~2.5 KB, so
+        # eight fresh seeds (~240 KB) overflow the budget several times.
+        budget = 100_000
+        daemon = Daemon(
+            cache, workers=1, args=("--store-max-bytes", str(budget))
+        )
+        try:
+            client = daemon.client()
+            for seed in range(4000, 4008):
+                spec = small_spec(seed=seed)
+                job_id = client.submit([spec, spec.baseline()], tenant="t")["job"]
+                assert client.wait(job_id)["status"] == "done"
+            store_stats = client.stats()["store"]
+        finally:
+            assert daemon.terminate() == 0
+        assert store_stats["evictions"] > 0
+        assert store_stats["traces"]["entries"] >= 1
+        store = ResultStore(cache)
+        assert store.total_bytes() + store.traces.total_bytes() <= budget
