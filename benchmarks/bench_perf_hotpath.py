@@ -3,10 +3,10 @@
 Unlike the figure harnesses, this benchmark measures the *simulator itself*:
 wall-clock throughput (task instances per second) of
 
-* **detailed simulation** on the batched columnar executor versus the
-  per-record ``DetailedCoreModel`` baseline (the pre-refactor hot path, kept
-  in-tree behind ``use_batched=False``), and
-* **TaskPoint sampled simulation** (lazy policy) on the batched path.
+* **detailed simulation** on :class:`~repro.sim.engine.SimulationEngine`
+  versus the per-record :class:`~repro.sim.reference.ReferenceEngine` (the
+  pre-refactor hot path, kept in-tree as the oracle), and
+* **TaskPoint sampled simulation** (lazy policy) on the production engine.
 
 Both variants are bit-identical in results (asserted here on the makespan),
 so the ratio is a pure implementation speedup.  The measurements are written
@@ -16,9 +16,11 @@ repository-root ``BENCH_hotpath.json`` trajectory file (the committed record
 of simulator performance across PRs).
 
 Each configuration also records the grouped-dispatch coverage of the run:
-which fraction of detailed instances went through the deferred group path's
-vector kernel versus the scalar grouped executor (the measured adaptive
-backend picks per run; both are bit-identical).
+which fraction of detailed instances went through the vector kernel versus
+the scalar walks.  The engine switches to the kernel at the first group that
+clears its width and event floors, so the coverage is a property of the
+configuration and is the same on every run; both backends are
+bit-identical.
 
 Environment knobs: ``REPRO_BENCH_SMOKE=1`` shrinks the workload and skips
 the speedup threshold (CI containers are too noisy for timing assertions);
@@ -51,6 +53,7 @@ from common import (
 from repro.core.config import lazy_config
 from repro.core.controller import TaskPointController
 from repro.sim.engine import SimulationEngine
+from repro.sim.reference import ReferenceEngine
 from repro.workloads.registry import get_workload
 
 #: Measured configurations ``(workload, architecture, num_threads)``: two
@@ -59,9 +62,9 @@ from repro.workloads.registry import get_workload
 #: at 8 simulated threads, plus 32/64-thread configurations where dispatch
 #: groups widen past the vector kernel's amortisation point — the committed
 #: record of the kernel's engagement region (``vector_coverage`` > 0 on the
-#: high-performance configs; the low-power hierarchy's shorter latencies
-#: stagger completions, so its groups stay narrow and the 64-thread config
-#: records the p1s1 scalar walk at scale instead).  Cholesky appears only
+#: high-performance configs; on the low-power hierarchy the kernel gains
+#: less over the cheaper p1s1 scalar walk, and the 64-thread config records
+#: where that balance lies).  Cholesky appears only
 #: at 8 threads: its wavefront parallelism saturates below 32 workers at
 #: the bench scale, so wider configs would measure scheduler idle time
 #: rather than walk throughput.
@@ -116,9 +119,7 @@ def _measure_config(
     architecture = _ARCHITECTURES[arch_name]
 
     def legacy():
-        return SimulationEngine(
-            trace, architecture, num_threads=num_threads, use_batched=False
-        )
+        return ReferenceEngine(trace, architecture, num_threads=num_threads)
 
     def batched():
         return SimulationEngine(trace, architecture, num_threads=num_threads)
@@ -140,9 +141,9 @@ def _measure_config(
         f"{arch_name}: {batched_result.total_cycles!r} != {legacy_result.total_cycles!r}"
     )
 
-    # Grouped-dispatch coverage of the (deterministic) batched run: the
-    # fraction of detailed instances the adaptive backend sent through the
-    # vector kernel rather than the scalar grouped executor.
+    # Grouped-dispatch coverage of the batched run: the fraction of detailed
+    # instances the kernel rule sent through the vector kernel rather than
+    # the scalar walks (identical on every repeat).
     coverage = batched_engine.vector_stats
     detailed_total = coverage["vector_instances"] + coverage["scalar_instances"]
 

@@ -1,9 +1,11 @@
 """Batched detailed-mode execution over a columnar trace.
 
 :class:`BatchedCoreExecutor` is the hot-path replacement for calling
-:meth:`repro.arch.core.DetailedCoreModel.execute` once per task instance.  It
-exploits the columnar trace backbone (:mod:`repro.trace.columns`) to split the
-detailed cost model into
+:meth:`repro.arch.core.DetailedCoreModel.execute` once per task instance: its
+one entry point, :meth:`BatchedCoreExecutor.execute_many`, walks a group of
+instances (or a group of one) in dispatch order.  It exploits the columnar
+trace backbone (:mod:`repro.trace.columns`) to split the detailed cost model
+into
 
 * a **static part**, precomputed vectorised over the whole trace at
   construction time: per-block dispatch cycles
@@ -23,10 +25,11 @@ planes — a set the vector kernel holds plane-side is materialised on first
 scalar touch through the view's ``__missing__``) and their statistics
 counters.  Every floating-point operation replays the exact order of the
 per-record implementation, so detailed-mode cycle counts, IPCs and cache/DRAM
-statistics are bit-identical between the paths — this is asserted by the
-equivalence tests — while the batched path avoids the per-event method
-dispatch, dataclass allocation and latency-list construction that dominated
-the original profile.
+statistics are bit-identical between the paths — this is asserted against
+:class:`~repro.sim.reference.ReferenceEngine` by the equivalence tests —
+while the batched path avoids the per-event method dispatch, dataclass
+allocation and latency-list construction that dominated the original
+profile.
 
 For the two concrete hierarchy shapes the Table II architectures produce
 (two private levels over one shared, and one private level over one shared),
@@ -34,7 +37,8 @@ For the two concrete hierarchy shapes the Table II architectures produce
 with the outer-level loop unrolled, the flat counter-block writes replaced by
 local integer counters, and the per-level exposure constants hoisted into
 locals — worth ~6-12% of group-walk wall time on eviction-heavy traces.  The
-generic walk remains for any other geometry and stays the reference.
+generic walk serves every other geometry an
+:class:`~repro.arch.config.ArchitectureConfig` can describe.
 """
 
 from __future__ import annotations
@@ -56,34 +60,20 @@ class ExecutionPlan(NamedTuple):
     One plan is built per (trace columns, model geometry) pair and memoised
     in ``columns.plan_cache``, so re-simulating the same trace with a
     different thread count or controller reuses it.  The geometry columns are
-    kept both as NumPy arrays (shared with the vectorised walk engine in
-    :mod:`repro.arch.vector`, which gathers from them directly) and as plain
-    Python lists (bound by the scalar hot loop of
-    :meth:`BatchedCoreExecutor.execute`, where list indexing beats NumPy
-    scalar indexing).  Every field is built with the plan except the
-    per-record walk streams of ``record_blocks``, which are compiled on a
+    kept both as NumPy arrays (gathered from by the vectorised walk engine in
+    :mod:`repro.arch.vector`) and as plain Python lists (bound by the scalar
+    walks of :meth:`BatchedCoreExecutor.execute_many`, where list indexing
+    beats NumPy scalar indexing).  Every field is built with the plan except
+    the per-record walk streams of ``record_blocks``, which are compiled on a
     record's first detailed execution.
     """
 
-    #: Per-block dispatch cycles, ``instructions * base_cpi / issue_width``.
-    block_dispatch: np.ndarray
-    #: Per-block repeated-access serialisation term of the ROB model.
-    block_repeat: np.ndarray
     #: Per cache level, the set index of every event (NumPy int64).
     level_set: Tuple[np.ndarray, ...]
     #: Per cache level, the tag of every event (NumPy int64).
     level_tag: Tuple[np.ndarray, ...]
-    #: Block id of every event and the event's rank within its block.
+    #: Block id of every event.
     event_block: np.ndarray
-    event_rank: np.ndarray
-    #: Per-record number of events and whether the record writes shared data.
-    record_events: np.ndarray
-    has_shared_write: np.ndarray
-    #: Sound per-record lower bound on detailed cycles (pre-noise): the
-    #: contention-free dispatch time with a relative safety margin for
-    #: summation-order differences.  Used by the engine's deferred-dispatch
-    #: path to order completions without evaluating the cache walk.
-    cycles_floor: np.ndarray
     #: Per cache level, the rank of every event among the *same-record*
     #: events that map to the same set at that level (0 for the first).  At
     #: private levels two group members never share a tag-store row, so this
@@ -94,34 +84,35 @@ class ExecutionPlan(NamedTuple):
     level_rank: Tuple[np.ndarray, ...]
     level_max_rank: Tuple[list, ...]
     #: Exact contention-free detailed cycle count per record: the sequential
-    #: left fold of ``block_dispatch`` over the record's blocks, bit-equal to
-    #: the scalar loop when no event exposes stall latency.
+    #: left fold of ``block_dispatch_list`` over the record's blocks,
+    #: bit-equal to the scalar walk when no event exposes stall latency.
     static_cycles: list
-    # ------------------------------------------------------------------
-    # Python-list mirrors for the scalar hot loop.
+    #: Per-block dispatch cycles, ``instructions * base_cpi / issue_width``.
     block_dispatch_list: list
+    #: Per-block repeated-access serialisation term of the ROB model.
     block_repeat_list: list
+    #: ``level_set`` and ``level_tag`` as Python lists.
     level_set_list: tuple
     level_tag_list: tuple
-    event_write: list
-    event_shared: list
     block_offsets: list
-    event_offsets: list
     instructions: list
     detail_events: list
+    #: Per record, whether it writes shared data (and so never joins a
+    #: deferred group).
     has_shared_write_list: list
+    #: Sound per-record lower bound on detailed cycles (pre-noise): the
+    #: contention-free dispatch time with a relative safety margin for
+    #: summation-order differences.  Used by the engine's deferred-dispatch
+    #: path to order completions without evaluating the cache walk.
     cycles_floor_list: list
     #: Per record, a tuple of ``(l1_events, dispatch, repeat)`` triples — one
     #: per block — where ``l1_events`` is the block's pre-zipped L1 walk
     #: stream of ``(l1_set, l1_tag, is_write, coherent_write, event_id)``
-    #: tuples.  The scalar group executor iterates this structure with one
-    #: tuple unpack per block and one per event, replacing the
-    #: ``block_offsets``/``block_dispatch``/``block_repeat`` index lookups
-    #: and the three parallel event-column lookups of the naive loop.  The
-    #: ``coherent_write`` flag pre-evaluates ``is_write and shared`` so the
-    #: hot loop's coherence gate is a single truth test.  Indexed by record;
-    #: each record's tuple is compiled on its first lookup (see
-    #: :class:`RecordBlocks`).
+    #: tuples.  The scalar walks iterate this structure with one tuple unpack
+    #: per block and one per event.  The ``coherent_write`` flag
+    #: pre-evaluates ``is_write and shared`` so the hot loop's coherence gate
+    #: is a single truth test.  Indexed by record; each record's tuple is
+    #: compiled on its first lookup (see :class:`RecordBlocks`).
     record_blocks: "RecordBlocks"
 
 
@@ -226,15 +217,9 @@ def build_execution_plan(
         level_set.append(line_numbers % num_sets)
         level_tag.append(line_numbers // num_sets)
 
-    # Event topology: the block of every event and its rank within it.
-    events_per_block = offsets[1:] - offsets[:-1]
+    # Event topology: the block of every event.
     event_block = np.repeat(
-        np.arange(columns.num_blocks, dtype=np.int64), events_per_block
-    )
-    event_rank = (
-        np.arange(columns.num_events, dtype=np.int64) - offsets[event_block]
-        if columns.num_events
-        else np.zeros(0, dtype=np.int64)
+        np.arange(columns.num_blocks, dtype=np.int64), offsets[1:] - offsets[:-1]
     )
 
     record_offsets = columns.record_event_offsets
@@ -295,43 +280,29 @@ def build_execution_plan(
             total += bd_list[block]
         static_cycles.append(total)
 
-    # Per-record block structure for the scalar group executor, compiled
-    # lazily from the per-event L1 columns.
-    l1_set_list = level_set[0].tolist()
-    l1_tag_list = level_tag[0].tolist()
-    ev_write_list = columns.event_is_write.tolist()
-    eo_list = offsets.tolist()
+    # Per-record block structure for the scalar walks, compiled lazily from
+    # the per-event L1 columns.
+    level_set_list = tuple(s.tolist() for s in level_set)
+    level_tag_list = tuple(t.tolist() for t in level_tag)
     br_list = block_repeat.tolist()
     record_blocks = RecordBlocks(
-        (l1_set_list, l1_tag_list, ev_write_list, shared_write.tolist()),
-        bd_list, br_list, bo_list, eo_list,
+        (level_set_list[0], level_tag_list[0], columns.event_is_write.tolist(),
+         shared_write.tolist()),
+        bd_list, br_list, bo_list, offsets.tolist(),
     )
 
     plan = ExecutionPlan(
-        block_dispatch=block_dispatch,
-        block_repeat=block_repeat,
         level_set=tuple(level_set),
         level_tag=tuple(level_tag),
         event_block=event_block,
-        event_rank=event_rank,
-        record_events=record_events,
-        has_shared_write=has_shared_write,
-        cycles_floor=cycles_floor,
         level_rank=tuple(level_rank),
         level_max_rank=tuple(level_max_rank),
         static_cycles=static_cycles,
         block_dispatch_list=bd_list,
         block_repeat_list=br_list,
-        level_set_list=tuple(
-            [l1_set_list] + [s.tolist() for s in level_set[1:]]
-        ),
-        level_tag_list=tuple(
-            [l1_tag_list] + [t.tolist() for t in level_tag[1:]]
-        ),
-        event_write=ev_write_list,
-        event_shared=columns.event_shared.tolist(),
+        level_set_list=level_set_list,
+        level_tag_list=level_tag_list,
         block_offsets=bo_list,
-        event_offsets=eo_list,
         instructions=columns.instructions.tolist(),
         detail_events=columns.detail_events_per_record().tolist(),
         has_shared_write_list=has_shared_write.tolist(),
@@ -391,17 +362,8 @@ class BatchedCoreExecutor:
 
         plan = build_execution_plan(columns, caches, core, rob_model)
         self.plan = plan
-        self._block_dispatch = plan.block_dispatch_list
-        self._block_repeat_term = plan.block_repeat_list
-        self._ev_set = plan.level_set_list
-        self._ev_tag = plan.level_tag_list
-        self._ev_write = plan.event_write
-        self._ev_shared = plan.event_shared
-        #: Whether any event in the trace touches shared data at all; when
-        #: not, the hot loop skips the per-write coherence check entirely.
-        self._any_shared = bool(columns.event_shared.any())
-        self._block_offsets = plan.block_offsets
-        self._event_offsets = plan.event_offsets
+        ev_set = plan.level_set_list
+        ev_tag = plan.level_tag_list
         self._record_blocks = plan.record_blocks
         #: Persistent flat per-(core, level) counter block for
         #: :meth:`execute_many`: ``[core * stride + level * 4 + k]`` with
@@ -409,7 +371,6 @@ class BatchedCoreExecutor:
         #: during each group's writeback, so no per-group allocation.
         self._group_acc = [0] * (memory_system.num_cores * self._num_levels * 4)
         self._instructions = plan.instructions
-        self._detail_events = plan.detail_events
         #: Contention tables memoised per active-core count (see
         #: :meth:`contention_tables`); shared with the vector engine.
         self._tables: Dict[int, tuple] = {}
@@ -428,8 +389,8 @@ class BatchedCoreExecutor:
                     (
                         caches_for_core[k]._sets,
                         self._level_assoc[k],
-                        self._ev_set[k],
-                        self._ev_tag[k],
+                        ev_set[k],
+                        ev_tag[k],
                     )
                     for k in range(self._num_levels)
                 ]
@@ -445,7 +406,7 @@ class BatchedCoreExecutor:
                 view = memory_system.hierarchy(other_id)
                 for level, cache in enumerate(view.private_caches):
                     targets.append(
-                        (cache._sets, cache.stats, self._ev_set[level], self._ev_tag[level])
+                        (cache._sets, cache.stats, ev_set[level], ev_tag[level])
                     )
             self._invalidate_targets.append(targets)
 
@@ -461,10 +422,6 @@ class BatchedCoreExecutor:
             self._walk = BatchedCoreExecutor._execute_many_p1s1
 
     # ------------------------------------------------------------------
-    def detail_events(self, index: int) -> int:
-        """Number of memory events the detailed model resolves for ``index``."""
-        return self._detail_events[index]
-
     def contention_tables(self, active_cores: int) -> tuple:
         """Latency and exposure tables for one active-core count.
 
@@ -534,196 +491,26 @@ class BatchedCoreExecutor:
         self._tables[active_cores] = tables
         return tables
 
-    def execute(
-        self,
-        index: int,
-        core_id: int,
-        active_cores: int = 1,
-        noise: Optional[float] = None,
-    ) -> Tuple[float, float]:
-        """Execute record ``index`` on ``core_id``; return ``(cycles, ipc)``.
-
-        Semantics (including every floating-point operation order) match
-        ``DetailedCoreModel.execute`` on the equivalent record view.
-        """
-        if active_cores < 1:
-            active_cores = 1
-        memory = self.memory_system
-        interconnect = memory.interconnect
-        dram = memory.dram
-
-        ic_latency, dram_latency, _, exposure = self.contention_tables(active_cores)
-        num_private = self._num_private
-        miss_level = self._num_levels
-
-        # Local bindings for the hot loop.
-        levels = self._core_levels[core_id]
-        level_data = self._core_level_data[core_id]
-        l1_sets, l1_assoc, l1_set_index, l1_tag_index = level_data[0]
-        outer_levels = level_data[1:]
-        ev_write = self._ev_write
-        ev_shared = self._ev_shared
-        any_shared = self._any_shared
-        event_offsets = self._event_offsets
-        block_dispatch = self._block_dispatch
-        block_repeat = self._block_repeat_term
-        l1_exposure = exposure[0]
-        max_outstanding = self._max_outstanding
-
-        hits = [0] * self._num_levels
-        misses = [0] * self._num_levels
-        evictions = [0] * self._num_levels
-        writebacks = [0] * self._num_levels
-        ic_transfers = 0
-        ic_total = interconnect.stats.total_latency
-        dram_requests = 0
-        dram_total = dram.stats.total_latency
-
-        total_cycles = 0.0
-        block_start = self._block_offsets[index]
-        block_end = self._block_offsets[index + 1]
-        for block in range(block_start, block_end):
-            exposed_sum = 0.0
-            exposed_max = 0.0
-            exposed_count = 0
-            for event in range(event_offsets[block], event_offsets[block + 1]):
-                is_write = ev_write[event]
-                # L1 fast path: with the engine's threshold (== L1 latency)
-                # an L1 hit never exposes stall cycles, so only the LRU
-                # update and optional coherence action run.
-                lines = l1_sets[l1_set_index[event]]
-                tag = l1_tag_index[event]
-                if tag in lines:
-                    hits[0] += 1
-                    if is_write:
-                        line = lines[tag]
-                        line.dirty = True
-                        line.owner = core_id
-                        lines.move_to_end(tag)
-                        if any_shared and ev_shared[event]:
-                            self._invalidate_remote(core_id, event)
-                    else:
-                        lines.move_to_end(tag)
-                    if l1_exposure is not None:
-                        exposed_count += 1
-                        if l1_exposure > exposed_max:
-                            exposed_max = l1_exposure
-                        exposed_sum += l1_exposure
-                    continue
-                misses[0] += 1
-                if len(lines) >= l1_assoc:
-                    _, victim = lines.popitem(last=False)
-                    evictions[0] += 1
-                    if victim.dirty:
-                        writebacks[0] += 1
-                    victim.dirty = is_write
-                    victim.owner = core_id
-                    lines[tag] = victim
-                else:
-                    lines[tag] = _Line(dirty=is_write, owner=core_id)
-                level = 1
-                for sets, associativity, set_index, tag_index in outer_levels:
-                    lines = sets[set_index[event]]
-                    tag = tag_index[event]
-                    if tag in lines:
-                        hits[level] += 1
-                        if is_write:
-                            line = lines[tag]
-                            line.dirty = True
-                            line.owner = core_id
-                        lines.move_to_end(tag)
-                        if level >= num_private:
-                            # Hit in a shared level: the access still crossed
-                            # the interconnect out of the private levels.
-                            ic_transfers += 1
-                            ic_total += ic_latency
-                        break
-                    misses[level] += 1
-                    if len(lines) >= associativity:
-                        _, victim = lines.popitem(last=False)
-                        evictions[level] += 1
-                        if victim.dirty:
-                            writebacks[level] += 1
-                        victim.dirty = is_write
-                        victim.owner = core_id
-                        lines[tag] = victim
-                    else:
-                        lines[tag] = _Line(dirty=is_write, owner=core_id)
-                    level += 1
-                else:
-                    level = miss_level
-                    dram_requests += 1
-                    dram_total += dram_latency
-                    ic_transfers += 1
-                    ic_total += ic_latency
-                if any_shared and is_write and ev_shared[event]:
-                    self._invalidate_remote(core_id, event)
-                exposed = exposure[level]
-                if exposed is not None:
-                    exposed_count += 1
-                    if exposed > exposed_max:
-                        exposed_max = exposed
-                    exposed_sum += exposed
-            if exposed_sum <= 0.0:
-                total_cycles += block_dispatch[block]
-                continue
-            mlp = float(exposed_count) if exposed_count > 1 else 1.0
-            if mlp > max_outstanding:
-                mlp = max_outstanding
-            stall = exposed_sum / mlp
-            if exposed_max > stall:
-                stall = exposed_max
-            stall += block_repeat[block]
-            total_cycles += block_dispatch[block] + stall
-
-        # Write the batched statistics back to the shared model state.
-        for level in range(self._num_levels):
-            stats = levels[level][1]
-            stats.hits += hits[level]
-            stats.misses += misses[level]
-            stats.evictions += evictions[level]
-            stats.writebacks += writebacks[level]
-        if ic_transfers:
-            interconnect.stats.transfers += ic_transfers
-            interconnect.stats.total_latency = ic_total
-        if dram_requests:
-            dram.stats.requests += dram_requests
-            dram.stats.total_latency = dram_total
-
-        if total_cycles <= 0.0:
-            # Degenerate empty instance: charge one cycle so IPC stays finite.
-            total_cycles = 1.0
-        if noise is not None and noise != 1.0:
-            total_cycles *= noise
-        if total_cycles <= 0.0:
-            # Only reachable with a non-positive noise factor; mirror
-            # InstanceExecution.ipc's guard.
-            return total_cycles, 0.0
-        return total_cycles, self._instructions[index] / total_cycles
-
     # ------------------------------------------------------------------
     def execute_many(self, entries: Sequence[tuple]) -> List[Tuple[float, float]]:
         """Execute ``(index, core_id, active_cores, noise)`` entries in order.
 
-        Semantically exactly ``[self.execute(*entry) for entry in entries]``
-        (same walk, same float operation order, same statistics), but with
-        the per-call setup hoisted out of the loop: contention tables are
-        re-resolved only when the active-core count changes (within one
-        dispatch instant it never does), the interconnect/DRAM latency folds
-        carry across entries, all hit/miss counters accumulate into the
-        persistent flat per-(core, level) block (L1 via per-entry locals)
-        and are written back once per group (integer sums, so the aggregate
-        is identical), and the walk iterates the pre-zipped
-        ``record_blocks`` structure — per-block ``(l1_events, dispatch,
-        repeat)`` triples with the coherence flag folded into each L1 event
-        tuple — instead of indexing parallel lists per block and per event.
-        The grouped-dispatch engine flushes whole deferred groups through
-        this entry point when the vector kernel is not engaged.
+        Returns ``(cycles, ipc)`` per entry, bit-identical to running each
+        record through ``DetailedCoreModel.execute`` in turn (same cache
+        walk, same float operation order, same statistics).  The per-call
+        setup is hoisted out of the loop: contention tables are re-resolved
+        only when the active-core count changes (within one dispatch instant
+        it never does), the interconnect/DRAM latency folds carry across
+        entries, hit/miss counters accumulate in locals and are written back
+        once per call (integer sums, so the aggregate is identical), and the
+        walk iterates the pre-zipped ``record_blocks`` structure.  The engine
+        sends whole deferred groups through here while the vector kernel is
+        not engaged, and shared-data writers as groups of one.
         """
         return self._walk(self, entries)
 
     def _execute_many_generic(self, entries: Sequence[tuple]) -> List[Tuple[float, float]]:
-        """:meth:`execute_many` for any hierarchy shape (the reference walk)."""
+        """:meth:`execute_many` for any hierarchy shape."""
         memory = self.memory_system
         interconnect = memory.interconnect
         dram = memory.dram

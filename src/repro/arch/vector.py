@@ -20,11 +20,14 @@ store row by rank, in stream order, and the group's concatenated event
 stream is exactly the dispatch order the scalar path would execute — so
 overlapping shared footprints evolve the shared LRU state bit-identically.
 The engine's deferred-dispatch path (:mod:`repro.sim.engine`) accumulates
-exactly such groups; shared-data writers run as a group of one through
+exactly such groups and hands them to :meth:`VectorWalkEngine.execute_group`
+once one of them is wide and event-rich enough to amortise the kernel's
+fixed per-group cost (a structural rule, see the engine); from then on
+shared-data writers run as a group of one through
 :meth:`VectorWalkEngine.execute_writer`, which replays their coherence
-invalidations on the array state after the walk, and the scalar
-:class:`~repro.arch.batch.BatchedCoreExecutor` path stays the bit-identity
-oracle throughout.
+invalidations on the array state after the walk.  Before that point the
+scalar walks of :class:`~repro.arch.batch.BatchedCoreExecutor` run every
+group, and the kernel has allocated nothing.
 
 State representation
 --------------------
@@ -40,7 +43,8 @@ export and the kernel's fixed overhead is the walk itself.
 Every floating-point reduction replays the scalar operation order (per-block
 exposure sums accumulate in event-rank order, per-instance totals in block
 order, interconnect/DRAM latency totals by sequential ``np.cumsum`` fold),
-so results are bit-identical to the per-record and batched paths.
+so results are bit-identical to the scalar walks and to the per-record
+:class:`~repro.sim.reference.ReferenceEngine`.
 """
 
 from __future__ import annotations
@@ -73,9 +77,8 @@ class VectorWalkEngine:
         self._num_levels = len(hierarchy.caches)
         self._memory = memory
         self._num_cores = memory.num_cores
-        #: Whether the kernel currently owns (some) tag-store rows; the
-        #: memory system's :class:`LevelTagStore` planes are allocated on
-        #: first activation and persist after :meth:`deactivate`.
+        #: Whether the memory system's :class:`LevelTagStore` planes and the
+        #: statistics accumulators exist yet; allocated on the first group.
         self._active = False
         #: Deferred hit/miss/eviction/writeback/invalidation counters, one
         #: ``(views, 5)`` int64 array per level, built with the planes and
@@ -92,29 +95,9 @@ class VectorWalkEngine:
         self._shared_stats = [c.stats for c in memory.shared_caches]
         #: NumPy-ified contention tables per active-core count.
         self._np_tables: Dict[int, tuple] = {}
-        self._commutes = [not sw for sw in self.plan.has_shared_write_list]
         self._record_offsets = batched.columns.record_event_offsets
         self._event_is_write = batched.columns.event_is_write
         self._event_shared = batched.columns.event_shared
-
-    def record_commutes(self, index: int) -> bool:
-        """Whether record ``index`` may join a deferred group.
-
-        Shared-data writers are ineligible: their coherence invalidations
-        reach *other* cores' private caches, so their walk does not commute
-        with any concurrently deferred instance.
-        """
-        return self._commutes[index]
-
-    def kernel_active(self) -> bool:
-        """Whether the kernel may currently hold plane-resident rows.
-
-        Until the first group executes, the ``OrderedDict`` working copies
-        are the only state and the scalar path needs no synchronisation —
-        workloads where nothing ever commutes (every record writes shared
-        data) stay entirely on the scalar path with zero kernel overhead.
-        """
-        return self._active
 
     def _tables(self, active_cores: int) -> tuple:
         """``(ic_latency, dram_latency, exposure values, exposure flags)``."""
@@ -136,11 +119,9 @@ class VectorWalkEngine:
         if not self._active:
             for store in stores:
                 store.ensure_planes()
-            if self._stat_acc is None:
-                self._stat_acc = [
-                    np.zeros((store.num_views, 5), dtype=np.int64)
-                    for store in stores
-                ]
+            self._stat_acc = [
+                np.zeros((store.num_views, 5), dtype=np.int64) for store in stores
+            ]
             self._active = True
         return stores
 
@@ -156,23 +137,6 @@ class VectorWalkEngine:
         for store in self._memory.stores:
             if store.resident is not None:
                 store.export_all()
-
-    def deactivate(self) -> None:
-        """Stand the kernel down after a lost measured trial.
-
-        Called by the engine when its measured trial shows the scalar
-        grouped executor outrunning the kernel on this trace/machine
-        combination: the deferred statistics are drained and the
-        shared-writer dispatch gate (which keys on :meth:`kernel_active`)
-        flips back to the scalar path.  Rows the kernel touched simply stay
-        plane-resident — the scalar walk materialises each one lazily on
-        first touch, so there is no bulk export and abandoning a trial is
-        nearly free.  The engine may re-engage the kernel later via
-        :meth:`execute_group`; adoption then re-imports whatever the scalar
-        paths pulled back out.
-        """
-        self.flush_statistics()
-        self._active = False
 
     def flush_statistics(self) -> None:
         """Drain the deferred integer counters into the cache statistics."""
@@ -260,8 +224,7 @@ class VectorWalkEngine:
 
         ``members`` is a sequence of ``(index, core_id, active_cores,
         noise)`` tuples in dispatch order.  Returns ``(cycles, ipc)`` per
-        member, bit-identical to calling
-        :meth:`BatchedCoreExecutor.execute` member by member.
+        member, bit-identical to :meth:`BatchedCoreExecutor.execute_many`.
         """
         plan = self.plan
         size = len(members)
@@ -526,8 +489,8 @@ class VectorWalkEngine:
 
         A shared-data write invalidates the written line in every *other*
         core's private caches, so such records never join a group — but once
-        the kernel owns the tag-store state, executing them scalar-side
-        would force a round trip through the ``OrderedDict`` stores.  The
+        the kernel is engaged, executing them scalar-side would force a
+        round trip through the ``OrderedDict`` stores.  The
         record's own walk never reads the rows its invalidations mutate
         (other cores' private rows), so the walk runs as a group of one and
         the coherence actions are applied afterwards; only the relative

@@ -7,7 +7,10 @@ the stack (traces, runtime, architecture, simulator, TaskPoint, analysis).
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
+from unittest import mock
 
 import pytest
 
@@ -17,6 +20,20 @@ from repro.trace.patterns import AddressSpaceAllocator
 from repro.trace.records import MemoryEvent
 from repro.trace.trace import ApplicationTrace
 from repro.workloads.registry import get_workload
+
+
+#: The engine's kernel engagement rule at its two extremes (group-width and
+#: event floors, see :mod:`repro.sim.engine`): the vector kernel from the
+#: first deferred group on, or never.
+KERNEL_EXTREMES = {"kernel": (1, 0), "scalar": (sys.maxsize, sys.maxsize)}
+
+
+@contextlib.contextmanager
+def kernel_rule(min_group: int, min_events: int):
+    """Engines run inside this block engage the kernel at these floors."""
+    with mock.patch.multiple("repro.sim.engine", KERNEL_MIN_GROUP=min_group,
+                             KERNEL_MIN_EVENTS=min_events):
+        yield
 
 
 def build_uniform_trace(

@@ -1,13 +1,17 @@
 """Equivalence and plan-cache tests for the grouped/vectorised detailed path.
 
-The grouped-dispatch engine (``use_vector=True``, the default) defers
-commuting detailed instances and executes them through the scalar grouped
-executor or the vectorised walk kernel, chosen adaptively at run time.  All
-of it is an implementation detail: results, cache/interconnect/DRAM
-statistics and the final tag-store contents must be bit-identical to the
-per-record ``DetailedCoreModel`` oracle.  These tests pin that equivalence
-across every registered workload, both Table II architectures and all three
-simulation policies, plus the noise-model and shared-writer special paths.
+The engine defers commuting detailed instances and executes them through
+the scalar walks or the vectorised walk kernel, switching to the kernel at
+the first group that clears its width and event floors.  All of it is an
+implementation detail: results, cache/interconnect/DRAM statistics and the
+final tag-store contents must be bit-identical to the per-record
+:class:`~repro.sim.reference.ReferenceEngine`.  These tests pin that
+equivalence on both backends — the rule forced to each extreme, kernel from
+the first group and never — across every registered workload, both Table II
+architectures, three further cache geometries and all three simulation
+policies, plus the noise-model and shared-writer special paths.  The rule
+itself is pinned too: which configurations engage the kernel, and that a run
+repeats its choice exactly.
 
 The plan-cache tests cover the static-precomputation memoisation: one
 :class:`~repro.arch.batch.ExecutionPlan` per (trace columns, model
@@ -17,18 +21,23 @@ and the runtime's static instance lists memoised alongside it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from repro.arch.batch import BatchedCoreExecutor
 from repro.arch.config import high_performance_config, low_power_config
 from repro.core.config import lazy_config, periodic_config
 from repro.core.controller import TaskPointController
 from repro.runtime.runtime import RuntimeSystem
 from repro.sim.engine import SimulationEngine
+from repro.sim.reference import ReferenceEngine
 from repro.trace.generator import TraceBuilder
 from repro.trace.records import MemoryEvent
 from repro.workloads.registry import get_workload, list_workloads
+
+from tests.conftest import KERNEL_EXTREMES, kernel_rule
 
 SCALE = 0.01
 SEED = 2
@@ -104,36 +113,46 @@ def _tag_stores(engine) -> tuple:
     return tuple(stores)
 
 
-def _run(trace, arch_name: str, mode: str, noise_model=None,
-         threads: int = THREADS, **flags):
-    engine = SimulationEngine(
+def _run(trace, arch, mode: str, noise_model=None, threads: int = THREADS,
+         engine_class=SimulationEngine):
+    engine = engine_class(
         trace,
-        _ARCHITECTURES[arch_name](),
+        _ARCHITECTURES[arch]() if isinstance(arch, str) else arch,
         num_threads=threads,
         controller=_controller(mode),
         noise_model=noise_model,
-        **flags,
     )
     result = engine.run()
-    if engine.vector is not None:
-        # Materialise any remaining plane-resident rows into the dict
-        # working copies (the lazy export) so the oracle comparison covers
-        # the final cache contents too.
-        engine.vector.flush_state()
+    # Materialise any remaining plane-resident rows into the dict working
+    # copies (the lazy export) so the oracle comparison covers the final
+    # cache contents too.
+    engine.vector.flush_state()
     return engine, result
 
 
-def _assert_equivalent(trace, arch_name: str, mode: str, noise_model=None,
-                       threads: int = THREADS):
-    grouped, grouped_result = _run(trace, arch_name, mode, noise_model,
-                                   threads=threads)
-    oracle, oracle_result = _run(
-        trace, arch_name, mode, noise_model, threads=threads,
-        use_batched=False
-    )
-    assert _fingerprint(grouped_result) == _fingerprint(oracle_result)
-    assert _memory_stats(grouped) == _memory_stats(oracle)
-    assert _tag_stores(grouped) == _tag_stores(oracle)
+def _assert_equivalent(trace, arch, mode: str, noise_model=None,
+                       threads: int = THREADS, rules=KERNEL_EXTREMES) -> dict:
+    """The engine must match the reference engine bit for bit.
+
+    Runs the engine once per entry of ``rules`` (name -> kernel floors; by
+    default both backends, the rule forced to each extreme) and returns
+    each run's ``vector_stats`` by name.
+    """
+    oracle, oracle_result = _run(trace, arch, mode, noise_model, threads,
+                                 engine_class=ReferenceEngine)
+    coverage = {}
+    for name, floors in rules.items():
+        with kernel_rule(*floors):
+            engine, result = _run(trace, arch, mode, noise_model, threads)
+        assert _fingerprint(result) == _fingerprint(oracle_result), name
+        assert _memory_stats(engine) == _memory_stats(oracle), name
+        assert _tag_stores(engine) == _tag_stores(oracle), name
+        stats = coverage[name] = engine.vector_stats
+        if name == "scalar":
+            assert stats["vector_instances"] == 0
+        elif stats["groups"]:
+            assert stats["vector_instances"] > 0
+    return coverage
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +175,39 @@ def test_vector_path_matches_oracle_all_workloads(workload, arch_name):
 def test_vector_path_matches_oracle_sampled(workload, mode):
     trace = get_workload(workload).generate(scale=SCALE, seed=SEED)
     _assert_equivalent(trace, "highperf", mode)
+
+
+# ---------------------------------------------------------------------------
+# Cache geometries beyond Table II: ``ExperimentSpec`` accepts any
+# ArchitectureConfig, and these shapes take the generic scalar walk (and,
+# without a shared level, the kernel's interconnect-on-full-miss branch).
+# ---------------------------------------------------------------------------
+def _geometry(name: str):
+    hp = high_performance_config()
+    if name == "p2-no-l3":
+        return dataclasses.replace(hp, name=name, l3=None)
+    if name == "p3":
+        return dataclasses.replace(
+            hp, name=name,
+            l2=dataclasses.replace(hp.l2, size_bytes=256 * 1024),
+            l3=dataclasses.replace(hp.l3, size_bytes=2 * 1024 * 1024,
+                                   associativity=16, shared=False),
+        )
+    # One private level over two shared ones.
+    return dataclasses.replace(
+        hp, name=name, l2=dataclasses.replace(hp.l2, shared=True)
+    )
+
+
+@pytest.mark.parametrize("threads", [8, 32])
+@pytest.mark.parametrize("workload", ["histogram", "blackscholes"])
+@pytest.mark.parametrize("geometry", ["p2-no-l3", "p3", "p1-s2"])
+def test_generic_geometry_matches_oracle(geometry, workload, threads):
+    architecture = _geometry(geometry)
+    trace = get_workload(workload).generate(scale=SCALE, seed=SEED)
+    engine = SimulationEngine(trace, architecture, num_threads=threads)
+    assert engine.batched._walk is BatchedCoreExecutor._execute_many_generic
+    _assert_equivalent(trace, architecture, "detailed", threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +302,12 @@ def test_eviction_storm_actually_storms():
 
 
 def test_scalar_grouped_backend_matches_oracle():
-    # use_vector=False: grouped dispatch disabled entirely; use_batched=True
-    # scalar executor against the per-record oracle.
+    # One thread runs as groups of one through the scalar walk, or through
+    # the kernel when it is forced.
     trace = get_workload("blackscholes").generate(scale=SCALE, seed=SEED)
-    batched, batched_result = _run(trace, "highperf", "detailed",
-                                   use_vector=False)
-    oracle, oracle_result = _run(trace, "highperf", "detailed",
-                                 use_batched=False)
-    assert _fingerprint(batched_result) == _fingerprint(oracle_result)
-    assert _memory_stats(batched) == _memory_stats(oracle)
-    assert _tag_stores(batched) == _tag_stores(oracle)
+    coverage = _assert_equivalent(trace, "highperf", "detailed", threads=1)
+    assert coverage["kernel"]["max_group"] == 1
+    assert coverage["kernel"]["vector_instances"] == len(trace)
 
 
 def test_vector_stats_cover_all_detailed_instances():
@@ -269,6 +317,42 @@ def test_vector_stats_cover_all_detailed_instances():
     assert stats["vector_instances"] + stats["scalar_instances"] == len(trace)
     assert stats["groups"] >= 1
     assert 1 <= stats["max_group"] <= THREADS
+
+
+# ---------------------------------------------------------------------------
+# The kernel engagement rule: structural, hence reproducible and assertable.
+# ---------------------------------------------------------------------------
+_RULE_SCALE = 0.08
+
+
+@pytest.mark.parametrize("workload,arch_name,threads,kernel", [
+    ("blackscholes", "highperf", 64, True),
+    ("2d-convolution", "highperf", 32, True),
+    ("cholesky", "highperf", 8, False),
+    ("cholesky", "lowpower", 8, False),
+    ("blackscholes", "highperf", 8, False),
+    ("blackscholes", "lowpower", 8, False),
+    ("kmeans", "highperf", 32, False),
+])
+def test_kernel_rule_picks_backend_from_group_structure(
+        workload, arch_name, threads, kernel):
+    trace = get_workload(workload).generate(scale=_RULE_SCALE, seed=1)
+    runs = [_run(trace, arch_name, "detailed", threads=threads)[0].vector_stats
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert bool(runs[0]["vector_instances"]) is kernel
+
+
+@pytest.mark.parametrize("workload,threads", [("cholesky", 8), ("kmeans", 32)])
+def test_mid_run_switch_matches_oracle(workload, threads):
+    # The switch is one-way and may come mid-run: the kernel then adopts
+    # every row the scalar walks populated and runs the remaining groups
+    # and shared-data writers (kmeans has both).  Cholesky's wavefront
+    # starts narrow, so a width floor of 8 switches only once it widens.
+    trace = get_workload(workload).generate(scale=SCALE, seed=SEED)
+    coverage = _assert_equivalent(trace, "highperf", "detailed", threads=threads,
+                                  rules={"switch": (8, 0)})
+    assert coverage["switch"]["scalar_instances"] > 0
 
 
 # ---------------------------------------------------------------------------

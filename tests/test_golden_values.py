@@ -23,8 +23,11 @@ from repro.arch.config import high_performance_config, low_power_config
 from repro.core.config import lazy_config, periodic_config
 from repro.core.controller import TaskPointController
 from repro.sim.engine import SimulationEngine
+from repro.sim.reference import ReferenceEngine
 from repro.sim.simulator import TaskSimSimulator
 from repro.workloads.registry import get_workload
+
+from tests.conftest import KERNEL_EXTREMES, kernel_rule
 
 SCALE = 0.02
 SEED = 1
@@ -181,27 +184,34 @@ def test_golden_simulation_values(traces, workload, arch_name, mode):
     assert _fingerprint(result) == GOLDEN[(workload, arch_name, mode)]
 
 
-#: The three detailed-path backends must all reproduce the golden values:
-#: the default grouped/vectorised engine is covered above (via the
-#: simulator); these pin the batched-scalar path (grouped dispatch off) and
-#: the per-record oracle to the *same* fingerprints, so a drift in any one
-#: implementation — not just a drift in all three at once — fails loudly.
-_BACKEND_FLAGS = {
-    "batched-scalar": {"use_vector": False},
-    "per-record": {"use_batched": False},
+#: Every detailed-path implementation must reproduce the golden values: the
+#: default engine is covered above (via the simulator; at 4 threads its
+#: groups never clear the kernel's width floor); these pin the engine with
+#: the kernel rule forced to each extreme — scalar walks only, and the
+#: vector kernel from the first group — and the per-record reference engine
+#: to the *same* fingerprints, so a drift in any one implementation — not
+#: just a drift in all of them at once — fails loudly.
+_BACKENDS = {
+    "batched-scalar": (SimulationEngine, "scalar"),
+    "kernel-forced": (SimulationEngine, "kernel"),
+    "per-record": (ReferenceEngine, "scalar"),
 }
 
 
-@pytest.mark.parametrize("backend", sorted(_BACKEND_FLAGS))
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
 @pytest.mark.parametrize(
     "workload,arch_name,mode", sorted(GOLDEN), ids=lambda v: str(v)
 )
 def test_golden_values_backend_invariant(traces, workload, arch_name, mode, backend):
-    engine = SimulationEngine(
+    engine_class, rule = _BACKENDS[backend]
+    engine = engine_class(
         traces[workload],
         _ARCHITECTURES[arch_name](),
         num_threads=THREADS,
         controller=_controller(mode),
-        **_BACKEND_FLAGS[backend],
     )
-    assert _fingerprint(engine.run()) == GOLDEN[(workload, arch_name, mode)]
+    with kernel_rule(*KERNEL_EXTREMES[rule]):
+        result = engine.run()
+    assert _fingerprint(result) == GOLDEN[(workload, arch_name, mode)]
+    if backend == "kernel-forced":
+        assert engine.vector_stats["vector_instances"] > 0

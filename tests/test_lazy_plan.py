@@ -20,20 +20,24 @@ from repro.arch.config import high_performance_config, low_power_config
 from repro.core.config import periodic_config
 from repro.core.controller import TaskPointController
 from repro.sim.engine import SimulationEngine
+from repro.sim.reference import ReferenceEngine
 from repro.workloads.registry import get_workload
 
 _ARCHITECTURES = {"highperf": high_performance_config, "lowpower": low_power_config}
 
 
-def _reference_blocks(plan, record: int) -> tuple:
+def _reference_blocks(plan, columns, record: int) -> tuple:
     """Record ``record``'s walk streams, built one event at a time."""
     l1_set, l1_tag = plan.level_set_list[0], plan.level_tag_list[0]
+    write = columns.event_is_write.tolist()
+    shared = columns.event_shared.tolist()
+    offsets = columns.event_offsets.tolist()
     blocks = []
     for block in range(plan.block_offsets[record], plan.block_offsets[record + 1]):
         events = tuple(
-            (l1_set[event], l1_tag[event], plan.event_write[event],
-             plan.event_write[event] and plan.event_shared[event], event)
-            for event in range(plan.event_offsets[block], plan.event_offsets[block + 1])
+            (l1_set[event], l1_tag[event], write[event],
+             write[event] and shared[event], event)
+            for event in range(offsets[block], offsets[block + 1])
         )
         blocks.append((events, plan.block_dispatch_list[block], plan.block_repeat_list[block]))
     return tuple(blocks)
@@ -49,7 +53,7 @@ def test_compiled_blocks_match_the_reference_in_any_order(workload, arch_name):
     compiled = {record: plan.record_blocks[record] for record in order}
     assert len(plan.record_blocks) == records
     for record in range(records):
-        assert compiled[record] == _reference_blocks(plan, record)
+        assert compiled[record] == _reference_blocks(plan, trace.columns, record)
 
 
 def test_lookups_outside_the_trace_raise_key_error():
@@ -107,13 +111,14 @@ def test_run_pauses_and_restores_the_cycle_collector(uniform_trace, high_perf):
     (4, False, False, True),   # detailed, grouped scalar walk
     (4, True, False, True),    # sampled
     (32, False, True, True),   # wide groups, rows moved through the planes
-    (2, False, False, False),  # per-record oracle
+    (2, False, False, False),  # per-record reference engine
 ])
 def test_finished_machine_is_freed_by_reference_counting(threads, sampled, planes, batched):
     trace = get_workload("blackscholes").generate(scale=0.01, seed=1)
     controller = TaskPointController(config=periodic_config()) if sampled else None
-    engine = SimulationEngine(trace, high_performance_config(), threads,
-                              controller=controller, use_batched=batched)
+    engine_class = SimulationEngine if batched else ReferenceEngine
+    engine = engine_class(trace, high_performance_config(), threads,
+                          controller=controller)
     engine.run()
     memory = engine.memory_system
     if planes:  # move every row into the tag-store planes, then back
@@ -122,9 +127,8 @@ def test_finished_machine_is_freed_by_reference_counting(threads, sampled, plane
             store.adopt(np.arange(store.num_rows))
             store.export_all()
     caches = memory.hierarchy(0).caches
-    alive = [weakref.ref(memory)] + [weakref.ref(cache._sets) for cache in caches]
-    if engine.batched is not None:
-        alive.append(weakref.ref(engine.batched))
+    alive = [weakref.ref(memory), weakref.ref(engine.batched)]
+    alive += [weakref.ref(cache._sets) for cache in caches]
     del memory, caches
     gc.disable()
     try:

@@ -133,15 +133,17 @@ class TestPhaseProfile:
 
     def test_phase_breakdown_recorded_when_profiling(self, monkeypatch, high_perf):
         monkeypatch.setenv("REPRO_PROFILE", "1")
-        trace = build_uniform_trace(num_instances=60)
-        engine = SimulationEngine(trace, high_perf, num_threads=4)
-        engine.run()
-        phases = engine.vector_stats["phase_wall_s"]
-        assert set(phases) == {"static", "scalar_walk", "kernel", "export"}
-        assert all(value >= 0.0 for value in phases.values())
-        # The grouped run executed detailed instances, so at least one of
-        # the walk phases must have accumulated wall time.
-        assert phases["scalar_walk"] + phases["kernel"] > 0.0
+        # One thread runs the same grouped loop, as groups of one.
+        for threads in (1, 4):
+            trace = build_uniform_trace(num_instances=60)
+            engine = SimulationEngine(trace, high_perf, num_threads=threads)
+            engine.run()
+            phases = engine.vector_stats["phase_wall_s"]
+            assert set(phases) == {"static", "scalar_walk", "kernel", "export"}
+            assert all(value >= 0.0 for value in phases.values())
+            # The run executed detailed instances, so at least one of the
+            # walk phases must have accumulated wall time.
+            assert phases["scalar_walk"] + phases["kernel"] > 0.0
 
     def test_phase_breakdown_absent_by_default(self, monkeypatch, high_perf):
         monkeypatch.delenv("REPRO_PROFILE", raising=False)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.arch.config import high_performance_config, low_power_config
 from repro.sim.engine import SimulationEngine
+from repro.sim.reference import ReferenceEngine
 from repro.sim.modes import SimulationMode
 from repro.sim.results import InstanceResult, InstanceTable
 from repro.trace.columns import ColumnBuilder, TaskTypeTable, TraceColumns
@@ -208,13 +209,12 @@ class TestBatchedEngineEquivalence:
 
         trace = get_workload("cholesky").generate(scale=0.008, seed=2)
         outcomes = []
-        for use_batched in (False, True):
-            engine = SimulationEngine(
+        for engine_class in (ReferenceEngine, SimulationEngine):
+            engine = engine_class(
                 trace,
                 arch_factory(),
                 num_threads=4,
                 scheduler=make_scheduler(scheduler),
-                use_batched=use_batched,
             )
             result = engine.run()
             snapshot = engine.memory_system.cache_snapshot()
@@ -232,13 +232,12 @@ class TestBatchedEngineEquivalence:
 
         trace = get_workload("swaptions").generate(scale=0.004, seed=5)
         totals = []
-        for use_batched in (False, True):
-            engine = SimulationEngine(
+        for engine_class in (ReferenceEngine, SimulationEngine):
+            engine = engine_class(
                 trace,
                 high_performance_config(),
                 num_threads=2,
                 noise_model=NativeExecutionModel(seed=11),
-                use_batched=use_batched,
             )
             totals.append(engine.run().total_cycles)
         assert totals[0] == totals[1]
