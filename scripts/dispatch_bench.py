@@ -7,7 +7,7 @@ This benchmark quantifies that: it runs one grid of sub-second specs through
 the :class:`~repro.exp.distributed.AsyncWorkerBackend` under a **simulated
 per-frame link latency** (the worker-side ``REPRO_EXP_WORKER_DELAY`` hook
 sleeps around every frame read/write, standing in for a real network RTT)
-once per batch mode — ``1`` (the historical spec-at-a-time dispatch), fixed
+once per batch mode — ``1`` (one spec per dispatch frame), fixed
 sizes, and ``adaptive`` — and records, per mode:
 
 * **dispatch frames per spec** (how many supervisor->worker round-trips the
@@ -133,7 +133,6 @@ def measure_mode(batch, specs, workers: int, delay: float):
     return {
         "batch": str(batch),
         "dispatch_frames": dispatch_frames,
-        "batch_frames": backend.stats.get("batch_frames", 0),
         "max_batch": backend.stats.get("max_batch", 0),
         "frames_per_spec": dispatch_frames / len(specs),
         "wall_s": wall,

@@ -22,11 +22,12 @@ The CLI exposes the most common workflows without writing any Python:
   one).
 
 The experiment-driven commands (``compare``, ``grid``, ``sweep``) accept
-``--jobs N`` to shard their experiments over an N-process pool,
-``--backend {auto,serial,pool,async,multihost} --workers N`` to pick the
-execution backend explicitly (``async`` is the distributed asyncio
-supervisor over ``repro.exp.worker`` subprocesses, with heartbeats and
-retry on worker death; ``multihost`` fans workers out across machines),
+``--jobs N`` to shard their experiments over N worker processes,
+``--backend {auto,serial,pool,async,multihost}`` to pick the execution
+backend explicitly (``auto`` is a process pool when ``--jobs`` > 1 and serial
+otherwise; ``async`` is the distributed asyncio supervisor over
+``repro.exp.worker`` subprocesses, with heartbeats and retry on worker
+death; ``multihost`` fans workers out across machines),
 ``--hosts host1:4,host2:8 [--listen PORT]`` to shard a grid over a cluster
 of connect-back workers (local subprocesses or SSH),
 ``--batch {N,adaptive[:N]}`` to pack several specs into one dispatch frame
@@ -69,7 +70,6 @@ from repro.core.stratified import StratifiedConfig
 from repro.exp import (
     BACKEND_NAMES,
     CACHE_DIR_ENV,
-    LAYOUT_NAMES,
     ExperimentExecutionError,
     ExperimentSpec,
     ResultStore,
@@ -184,6 +184,16 @@ _FLAG_SPELLING = {
     "error_budget": "--error-budget",
 }
 
+#: How the grid title shows each sampling flag, and the config field holding
+#: the value the engine ran with; engine-specific parameters come first.
+_TITLE_FIELDS = (
+    ("budget", "budget", "budget"),
+    ("error_budget", "error-budget", "error_budget"),
+    ("period", "P", "sampling_period"),
+    ("warmup", "W", "warmup_instances"),
+    ("history", "H", "history_size"),
+)
+
 
 def _resolve_sampling_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
@@ -234,35 +244,53 @@ def _benchmark_list(raw: str) -> List[str]:
 
 def _backend_and_store(args: argparse.Namespace):
     store = ResultStore(args.cache_dir) if args.cache_dir else default_store()
-    if args.workers is not None and args.backend not in ("pool", "async"):
-        raise ValueError(
-            "--workers requires --backend pool or async "
-            "(parallelism under --backend auto is controlled by --jobs; "
-            "multihost budgets live in --hosts)"
-        )
     if args.hosts and args.backend not in ("auto", "multihost"):
         raise ValueError("--hosts requires --backend multihost (or auto)")
-    if args.listen and not (args.hosts or args.backend == "multihost"):
+    multihost = bool(args.hosts) or args.backend == "multihost"
+    if args.jobs is not None and (multihost or args.backend == "serial"):
+        raise ValueError(
+            "--jobs requires --backend auto, pool or async "
+            "(multihost budgets live in --hosts)"
+        )
+    if args.listen and not multihost:
         raise ValueError(
             "--listen only applies to the multihost backend (pass --hosts)"
         )
-    workers = args.workers if args.workers is not None else args.jobs
     backend = make_named_backend(
-        args.backend, workers=workers, store=store,
+        args.backend, workers=args.jobs or 1, store=store,
         hosts=args.hosts, listen=args.listen, connect_host=args.connect_host,
         batch=args.batch,
     )
     return backend, store
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("benchmark", help="benchmark name (see 'repro list')")
-    parser.add_argument("--threads", type=int, default=8, help="simulated threads")
+def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=0.05,
                         help="workload scale relative to Table I (default 0.05)")
     parser.add_argument("--seed", type=int, default=1, help="trace-generation seed")
     parser.add_argument("--architecture", choices=["high-performance", "low-power"],
                         default="high-performance")
+
+
+def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("benchmark", help="benchmark name (see 'repro list')")
+    parser.add_argument("--threads", type=int, default=8, help="simulated threads")
+    _add_workload_arguments(parser)
+
+
+def _add_grid_arguments(
+    parser: argparse.ArgumentParser,
+    benchmarks: str = "all",
+    threads: str = "8,16,32,64",
+) -> None:
+    """The spec-grid flags shared by ``grid``, ``sweep`` and ``submit``."""
+    parser.add_argument("--benchmarks", default=benchmarks,
+                        help="comma-separated benchmark names, or 'all' "
+                             "(default: %(default)s)")
+    parser.add_argument("--threads", default=threads,
+                        help="comma-separated simulated thread counts "
+                             "(default: %(default)s)")
+    _add_workload_arguments(parser)
 
 
 _POLICY_CHOICES = ["periodic", "lazy", "stratified", "fidelity"]
@@ -310,15 +338,13 @@ def _add_mode_alias(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker processes (default 1 = serial)")
+    parser.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=None,
+                        help="parallel worker processes of the auto, pool or "
+                             "async backend (default 1)")
     parser.add_argument("--backend", choices=list(BACKEND_NAMES), default="auto",
                         help="execution backend (default: auto — a process "
                              "pool when --jobs > 1, serial otherwise; 'async' "
                              "is the distributed asyncio worker backend)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count, only valid with --backend "
-                             "pool/async (default: --jobs)")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent experiment result store, which "
                              "also caches the generated traces in DIR/traces "
@@ -338,8 +364,8 @@ def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
                              "hostname for SSH hosts)")
     parser.add_argument("--batch", default=None,
                         help="specs per dispatch: N, 'adaptive' or "
-                             "'adaptive:N' (async/multihost send protocol-v3 "
-                             "run_batch frames, amortising per-spec "
+                             "'adaptive:N' (async/multihost send that many "
+                             "specs per run_batch frame, amortising per-spec "
                              "round-trips; pool maps it onto chunksize; "
                              "default: one spec at a time)")
     parser.add_argument("--profile", default=None, metavar="FILE",
@@ -379,15 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid = subparsers.add_parser(
         "grid", help="accuracy grid (benchmarks x thread counts) via the orchestrator"
     )
-    grid.add_argument("--benchmarks", default="all",
-                      help="comma-separated benchmark names, or 'all' (default)")
-    grid.add_argument("--threads", default="8,16,32,64",
-                      help="comma-separated simulated thread counts")
-    grid.add_argument("--scale", type=float, default=0.05,
-                      help="workload scale relative to Table I (default 0.05)")
-    grid.add_argument("--seed", type=int, default=1, help="trace-generation seed")
-    grid.add_argument("--architecture", choices=["high-performance", "low-power"],
-                      default="high-performance")
+    _add_grid_arguments(grid)
     _add_taskpoint_arguments(grid)
     _add_mode_alias(grid)
     _add_orchestrator_arguments(grid)
@@ -399,15 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="swept parameter: warm-up, history size or period")
     sweep.add_argument("--values", default=None,
                        help="comma-separated parameter values (paper defaults if omitted)")
-    sweep.add_argument("--benchmarks", default=",".join(SENSITIVITY_SUBSET),
-                       help="comma-separated benchmark names, or 'all'")
-    sweep.add_argument("--threads", default="32,64",
-                       help="comma-separated simulated thread counts")
-    sweep.add_argument("--scale", type=float, default=0.05,
-                       help="workload scale relative to Table I (default 0.05)")
-    sweep.add_argument("--seed", type=int, default=1, help="trace-generation seed")
-    sweep.add_argument("--architecture", choices=["high-performance", "low-power"],
-                       default="high-performance")
+    _add_grid_arguments(sweep, benchmarks=",".join(SENSITIVITY_SUBSET),
+                        threads="32,64")
     _add_orchestrator_arguments(sweep)
 
     var = subparsers.add_parser("variation", help="per-task-type IPC variation")
@@ -440,11 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "write-ahead durability, restart recovery and "
                             "the workers' shared trace cache "
                             "(default: $REPRO_CACHE_DIR if set)")
-    serve.add_argument("--store-layout", choices=list(LAYOUT_NAMES),
-                       default="directory",
-                       help="store on-disk layout: sharded 'directory' "
-                            "(default) or lock-free 'object' (object-store "
-                            "keyspace)")
     serve.add_argument("--store-max-bytes",
                        type=_bounded_int("--store-max-bytes", 1), default=None,
                        help="LRU byte budget of the store, its cached traces "
@@ -466,16 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="daemon address (the --listen of 'repro serve')")
-    submit.add_argument("--benchmarks", default="all",
-                        help="comma-separated benchmark names, or 'all' (default)")
-    submit.add_argument("--threads", default="8,16,32,64",
-                        help="comma-separated simulated thread counts")
-    submit.add_argument("--scale", type=float, default=0.05,
-                        help="workload scale relative to Table I (default 0.05)")
-    submit.add_argument("--seed", type=int, default=1, help="trace-generation seed")
-    submit.add_argument("--architecture",
-                        choices=["high-performance", "low-power"],
-                        default="high-performance")
+    _add_grid_arguments(submit)
     _add_taskpoint_arguments(submit)
     _add_mode_alias(submit)
     submit.add_argument("--tenant", default="default",
@@ -639,30 +636,33 @@ def _maybe_profile(args: argparse.Namespace):
               file=sys.stderr)
 
 
+def _engine_title(engine: str, config) -> str:
+    """``engine`` and the parameters it consumes, as ``config`` holds them."""
+    used = _FLAG_APPLICABILITY[engine]
+    params = [
+        f"{label}={getattr(config, field)}"
+        for flag, label, field in _TITLE_FIELDS if flag in used
+    ]
+    return f"{engine} {', '.join(params)}"
+
+
 def _command_grid(args: argparse.Namespace) -> int:
     backend, store = _backend_and_store(args)
+    config = _sampling_config(args)
     with _maybe_profile(args):
         results = evaluate_grid(
             _benchmark_list(args.benchmarks),
             _int_list(args.threads),
             architecture=_architecture(args.architecture),
-            config=_sampling_config(args),
+            config=config,
             scale=args.scale,
             seed=args.seed,
             backend=backend,
             store=store,
         )
-    if args.policy == "lazy":
-        policy = "lazy"
-    elif args.policy == "stratified":
-        policy = f"stratified budget={args.budget}"
-    elif args.policy == "fidelity":
-        policy = f"fidelity error-budget={args.error_budget}"
-    else:
-        policy = f"periodic P={args.period}"
     print(render_accuracy_table(
         results,
-        title=(f"Accuracy grid: {policy}, W={args.warmup}, H={args.history}, "
+        title=(f"Accuracy grid: {_engine_title(args.policy, config)}, "
                f"{args.architecture} architecture, scale={args.scale}"),
     ))
     return 0
@@ -745,9 +745,7 @@ async def _serve_async(args: argparse.Namespace) -> int:
     tenants = _parse_tenant_configs(args.tenant)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     store = (
-        ResultStore(
-            cache_dir, layout=args.store_layout, max_bytes=args.store_max_bytes
-        )
+        ResultStore(cache_dir, max_bytes=args.store_max_bytes)
         if cache_dir
         else None
     )

@@ -18,19 +18,18 @@ describes, schedules, executes and caches those experiments:
   supervisor dispatching specs to ``repro.exp.worker`` subprocesses over a
   length-prefixed JSON frame protocol (:mod:`repro.exp.protocol`), with
   heartbeats, bounded retry/requeue on worker death, graceful cancellation
-  and batched dispatch (``batch=``: several specs per protocol-v3
-  ``run_batch`` frame, per-spec result acks, adaptive sizing via
-  :class:`AdaptiveBatchSizer`),
+  and batched dispatch (``batch=``: several specs per ``run_batch`` frame,
+  per-spec result acks, adaptive sizing via :class:`AdaptiveBatchSizer`),
 * :mod:`repro.exp.hosts` — :class:`MultiHostBackend`, the multi-host
   transport on top of it: a TCP listener (:class:`HostPool`) accepting
   connect-back workers launched locally or via SSH, per-host worker
-  budgets, host-level quarantine of crash-looping machines and negotiated
-  zlib frame compression for high-latency links,
+  budgets, host-level quarantine of crash-looping machines and zlib frame
+  compression for high-latency links,
 * :mod:`repro.exp.store` — the persistent on-disk :class:`ResultStore`
   (content-hash keyed, shard-per-key-prefix, advisory file locking for
-  concurrent multi-process writers; pluggable directory/object-store
-  layouts, size-bounded LRU compaction with pinning and hit/miss/eviction
-  counters for the service daemon) and its in-memory sibling.
+  concurrent multi-process writers, size-bounded LRU compaction with
+  pinning and hit/miss/eviction counters for the service daemon) and its
+  in-memory sibling.
 
 Typical use::
 
@@ -55,7 +54,6 @@ from repro.exp.backends import (
     ExperimentExecutionError,
     ProcessPoolBackend,
     SerialBackend,
-    make_backend,
     make_named_backend,
     run_experiments,
 )
@@ -75,13 +73,10 @@ from repro.exp.runner import get_trace, run_spec
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
 from repro.exp.store import (
     CACHE_DIR_ENV,
-    LAYOUT_NAMES,
     DirectoryLayout,
     MemoryResultStore,
-    ObjectStoreLayout,
     ResultStore,
     default_store,
-    make_layout,
 )
 
 __all__ = [
@@ -101,7 +96,6 @@ __all__ = [
     "parse_hosts",
     "parse_listen",
     "BACKEND_NAMES",
-    "make_backend",
     "make_named_backend",
     "run_experiments",
     "run_spec",
@@ -109,9 +103,6 @@ __all__ = [
     "ResultStore",
     "MemoryResultStore",
     "DirectoryLayout",
-    "ObjectStoreLayout",
-    "LAYOUT_NAMES",
-    "make_layout",
     "default_store",
     "CACHE_DIR_ENV",
 ]

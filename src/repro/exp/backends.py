@@ -15,15 +15,20 @@ records failures in the store (as ``<key>.error.json`` diagnostics) and then
 either raises one aggregated :class:`ExperimentExecutionError` (default) or,
 with ``on_error="record"``, returns ``None`` at the failed positions.
 
-Three backends ship with the repository:
+Four backends ship with the repository:
 
 * :class:`SerialBackend` — in-process, one spec after another,
-* :class:`ProcessPoolBackend` — ``concurrent.futures`` process pool,
+* :class:`ProcessPoolBackend` — ``concurrent.futures`` process pool; where
+  it forks (Linux) its workers skip the interpreter start and imports a
+  spawned worker pays, which makes it the fastest same-host choice for
+  short runs,
 * :class:`~repro.exp.distributed.AsyncWorkerBackend` — asyncio supervisor
   over worker subprocesses speaking the length-prefixed JSON protocol, with
-  heartbeats, retry/requeue on worker death and graceful cancellation.
+  heartbeats, retry/requeue on worker death and graceful cancellation,
+* :class:`~repro.exp.hosts.MultiHostBackend` — the same supervisor over
+  connect-back workers on many machines.
 
-All three are result-identical: the same spec grid produces bit-identical
+All four are result-identical: the same spec grid produces bit-identical
 results (and byte-identical store entries) regardless of the backend, worker
 count or completion order.
 """
@@ -166,17 +171,6 @@ class ProcessPoolBackend:
         return _raise_on_failure(self.run_outcomes(specs))
 
 
-def make_backend(jobs: Optional[int], chunksize: int = 1) -> ExecutionBackend:
-    """Backend for ``jobs`` parallel workers (``None``/``0``/``1`` = serial).
-
-    ``chunksize`` is forwarded to the pool (specs per dispatch); it has no
-    meaning for the serial fallback.
-    """
-    if jobs is None or jobs <= 1:
-        return SerialBackend()
-    return ProcessPoolBackend(max_workers=jobs, chunksize=chunksize)
-
-
 def make_named_backend(
     name: str,
     workers: Optional[int] = None,
@@ -189,9 +183,8 @@ def make_named_backend(
     """Backend selected by name: ``auto``, ``serial``, ``pool``, ``async``
     or ``multihost``.
 
-    ``auto`` preserves the historical ``--jobs`` semantics (a pool when
-    ``workers`` > 1, serial otherwise) — unless ``hosts`` is given, which
-    selects ``multihost``.  ``async`` builds an
+    ``auto`` is a pool when ``workers`` > 1 and serial otherwise — unless
+    ``hosts`` is given, which selects ``multihost``.  ``async`` builds an
     :class:`~repro.exp.distributed.AsyncWorkerBackend`; ``multihost`` builds
     a :class:`~repro.exp.hosts.MultiHostBackend` from the ``hosts`` budget
     string (``"host1:4,host2:8"``) and the optional ``listen`` bind address
@@ -221,7 +214,9 @@ def make_named_backend(
             f"(got backend {name!r})"
         )
     if name == "auto":
-        return make_backend(workers, chunksize=batch_cap)
+        if workers is None or workers <= 1:
+            return SerialBackend()
+        return ProcessPoolBackend(max_workers=workers, chunksize=batch_cap)
     if name == "serial":
         return SerialBackend()  # in-process: no round-trip, batch is moot
     if name == "pool":

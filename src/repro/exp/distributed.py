@@ -39,18 +39,16 @@ At cluster scale the sampled simulations themselves are cheap — TaskPoint's
 whole premise — so the per-spec dispatch round-trip becomes the bottleneck.
 ``batch=`` bounds how many specs one dispatch frame may carry: a slot drains
 up to that many jobs from the queue (never blocking to fill a batch) and
-ships them in a single protocol-v3 ``run_batch`` frame; the worker answers
-each with its own ``result``/``error`` frame, in order, as it completes.
+ships them in a single ``run_batch`` frame — every dispatch is one, even a
+single spec; the worker answers each job with its own ``result``/``error``
+frame, in order, as it completes.
 Those per-spec answers double as acknowledgements: when a worker dies
 mid-batch, exactly the unacknowledged jobs are requeued and the acknowledged
 ones keep their outcomes, so nothing runs twice and the result store stays
 byte-identical to a serial run.  ``batch="adaptive"`` starts every batch at
 one spec and grows toward a cap based on the observed per-spec wall-time
 (:class:`AdaptiveBatchSizer`), so sub-second specs amortise round-trips
-while long specs keep one-spec retry granularity.  Workers that never
-advertised the ``batch`` hello capability (protocol <= 2 peers) are
-dispatched one ``run`` frame per spec, pipelined, so mixed fleets keep
-working.
+while long specs keep one-spec retry granularity.
 
 Determinism: results are collected by job index and returned in submission
 order, and the workers funnel through the same
@@ -186,7 +184,7 @@ class WorkerDied(RuntimeError):
 
 
 class SpawnError(OSError):
-    """A worker could not be brought up (spawn or connect-back failed)."""
+    """A worker could not be brought up (spawn, connect-back or version)."""
 
 
 def worker_environment(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
@@ -243,7 +241,6 @@ class _Worker:
         host: Optional[str] = None,
         compress_out: bool = False,
         handshaked: bool = False,
-        hello: Optional[Dict[str, object]] = None,
     ) -> None:
         self.reader = reader
         self.writer = writer
@@ -251,29 +248,16 @@ class _Worker:
         self._kill_process = kill_process
         self._wait_process = wait_process
         self.host = host
-        #: Whether frames *to* this worker may be compressed (negotiated).
+        #: Whether frames *to* this worker are compressed.
         self.compress_out = compress_out
         self.alive = True
         self.spawned_at = asyncio.get_running_loop().time()
         self.last_seen = self.spawned_at
         self.handshaked = handshaked  # True once any frame (hello) arrived
-        #: The worker's ``hello`` frame (capabilities); set at construction
-        #: for connect-back workers (the acceptor consumed it) and by the
-        #: reader for pipe workers.  ``hello_seen`` is also set when the
-        #: worker dies hello-less, so nobody waits on a corpse.
-        self.hello: Dict[str, object] = dict(hello) if hello else {}
-        self.hello_seen = asyncio.Event()
-        if hello is not None:
-            self.hello_seen.set()
         self.pending: Dict[int, "asyncio.Future[Outcome]"] = {}
         self.completed = 0
         self.reader_task: Optional["asyncio.Task"] = None
         self.monitor_task: Optional["asyncio.Task"] = None
-
-    @property
-    def supports_batch(self) -> bool:
-        """Whether this worker's hello advertised ``run_batch`` support."""
-        return bool(self.hello.get("batch"))
 
     @classmethod
     def from_process(cls, proc: "asyncio.subprocess.Process") -> "_Worker":
@@ -296,14 +280,12 @@ class _Worker:
         wait_process: Callable[[], Awaitable[object]],
         host: str,
         compress_out: bool = False,
-        hello: Optional[Dict[str, object]] = None,
     ) -> "_Worker":
         """Worker over an accepted connect-back TCP stream pair.
 
-        The hello frame was already consumed by the acceptor (and is passed
-        in here, carrying the worker's capabilities), so the worker starts
-        handshaked: heartbeat staleness applies immediately instead of the
-        startup grace.
+        The hello frame was already consumed by the acceptor, so the worker
+        starts handshaked: heartbeat staleness applies immediately instead
+        of the startup grace.
         """
         return cls(
             reader=reader,
@@ -314,7 +296,6 @@ class _Worker:
             host=host,
             compress_out=compress_out,
             handshaked=True,
-            hello=hello if hello is not None else {},
         )
 
     # ------------------------------------------------------------------
@@ -515,10 +496,7 @@ class AsyncWorkerBackend:
                 worker.last_seen = loop.time()
                 worker.handshaked = True
                 kind = message.get("type")
-                if kind == "hello":
-                    worker.hello = message
-                    worker.hello_seen.set()
-                elif kind in ("result", "error"):
+                if kind in ("result", "error"):
                     future = worker.pending.get(message.get("job"))
                     if future is not None and not future.done():
                         if kind == "result":
@@ -549,7 +527,6 @@ class AsyncWorkerBackend:
             worker.kill()
         finally:
             self._release_worker(worker)
-            worker.hello_seen.set()  # a dead worker's capabilities are moot
             for future in list(worker.pending.values()):
                 if not future.done():
                     future.set_exception(
@@ -617,11 +594,8 @@ class AsyncWorkerBackend:
     ) -> "Tuple[List[_Job], bool]":
         """Dispatch ``jobs`` to one live worker; ``(died_jobs, any_completed)``.
 
-        A multi-job dispatch goes out as a single ``run_batch`` frame when
-        the worker's hello advertised the capability, and as pipelined
-        per-spec ``run`` frames otherwise (old peers answer those in order
-        just the same).  Either way the worker's per-spec ``result``/
-        ``error`` frames are the acknowledgements, and each job is
+        The jobs go out as one ``run_batch`` frame.  The worker's per-spec
+        ``result``/``error`` frames are the acknowledgements, and each job is
         ``finish``\\ ed — persisted, when a streaming store is attached —
         *the moment its answer arrives*, not when the batch completes: a
         cancellation (SIGINT) mid-batch therefore keeps every acknowledged
@@ -630,15 +604,6 @@ class AsyncWorkerBackend:
         requeue, in dispatch order (the first was the one executing).
         """
         loop = asyncio.get_running_loop()
-        if len(jobs) > 1 and not worker.hello_seen.is_set():
-            # The framing choice needs the worker's capabilities.  A healthy
-            # worker's hello is its very first frame, so this wait is brief;
-            # on timeout fall back to per-spec frames, which any peer
-            # understands (and a dead worker fails the sends below).
-            try:
-                await asyncio.wait_for(worker.hello_seen.wait(), _STARTUP_GRACE)
-            except asyncio.TimeoutError:
-                pass
         futures: "List[asyncio.Future[Outcome]]" = []
         for job in jobs:
             future: "asyncio.Future[Outcome]" = loop.create_future()
@@ -649,44 +614,23 @@ class AsyncWorkerBackend:
         started = loop.time()
         try:
             try:
-                if len(jobs) > 1 and worker.supports_batch:
-                    await worker.send({
-                        "type": "run_batch",
-                        "jobs": [
-                            {"job": job.index, "spec": job.spec.to_dict()}
-                            for job in jobs
-                        ],
-                    })
-                    self._count("dispatch_frames")
-                    self._count("batch_frames")
-                else:
-                    for job in jobs:
-                        await worker.send({
-                            "type": "run",
-                            "job": job.index,
-                            "spec": job.spec.to_dict(),
-                        })
-                        self._count("dispatch_frames")
+                await worker.send({
+                    "type": "run_batch",
+                    "jobs": [
+                        {"job": job.index, "spec": job.spec.to_dict()}
+                        for job in jobs
+                    ],
+                })
+                self._count("dispatch_frames")
                 self.stats["max_batch"] = max(
                     self.stats.get("max_batch", 0), len(jobs)
                 )
             except WorkerDied as lost:
-                # The pipe broke mid-send.  The worker may have answered
-                # earlier jobs of this dispatch before dying, and those
-                # result frames can still sit unparsed in the reader's
-                # buffer — let the reader drain to EOF first (its exit
-                # handler fails whatever stays pending), so acknowledged
-                # specs keep their outcomes instead of being re-executed.
+                # The pipe broke mid-send, so the worker never held the
+                # whole frame and answered none of its jobs: every one is
+                # unacknowledged.  (The reader's exit handler may already
+                # have run, before these futures were registered.)
                 worker.kill()
-                if worker.reader_task is not None:
-                    try:
-                        await asyncio.wait_for(
-                            asyncio.shield(worker.reader_task), timeout=5.0
-                        )
-                    except asyncio.TimeoutError:
-                        pass
-                # Backstop for futures the reader no longer covers (its
-                # cleanup may have run before they were registered).
                 for future in futures:
                     if not future.done():
                         future.set_exception(
@@ -772,6 +716,7 @@ class AsyncWorkerBackend:
                 try:
                     worker = await spawn()
                 except (OSError, ValueError) as exc:
+                    print(f"repro.exp.distributed: {exc}", file=sys.stderr)
                     consecutive_deaths += 1
                     for requeued in jobs:  # spawn failure is not the jobs' fault
                         queue.put_nowait(requeued)

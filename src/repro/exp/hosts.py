@@ -24,10 +24,13 @@ cluster supervisor.  The moving parts:
   consecutive deaths with no completed job in between) is **quarantined** —
   its slots retire, requeueing any spec in hand, and the healthy hosts
   drain the queue.
-* **Compression** — the worker advertises zlib support in its ``hello`` and
-  the supervisor's ``hello_ack`` answers with the negotiated setting
-  (``compress=`` on the backend), so spec and result frames shrink on
-  high-latency links while pings stay raw and old workers keep working.
+* **Protocol check** — a worker whose ``hello`` names another
+  :data:`~repro.exp.protocol.PROTOCOL_VERSION` (an SSH host with a
+  different ``repro`` installed) fails its launch at once with a
+  :class:`~repro.exp.distributed.SpawnError` naming both versions.
+* **Compression** — the supervisor's ``hello_ack`` tells each worker
+  whether to compress (``compress=`` on the backend), so spec and result
+  frames shrink on high-latency links while pings stay raw.
 
 Results are byte-identical to a serial run at the :class:`ResultStore`
 level: workers funnel through the same :func:`repro.exp.runner.run_spec`,
@@ -376,7 +379,7 @@ class MultiHostBackend(AsyncWorkerBackend):
         Address workers dial back to.  Defaults to ``127.0.0.1`` for local
         hosts and this machine's hostname for SSH hosts.
     compress:
-        Negotiate zlib frame compression with each worker (on by default;
+        Exchange zlib-compressed frames with each worker (on by default;
         frames below the protocol's size floor always stay raw).
     host_quarantine_retries:
         Consecutive worker deaths (without a completed job in between) a
@@ -557,23 +560,6 @@ class MultiHostBackend(AsyncWorkerBackend):
                 ) from exc
             raise  # cancellation during shutdown must propagate
 
-        compress_frames = self.compress and bool(hello.get("compress"))
-        try:
-            writer.write(
-                protocol.encode_frame(
-                    {"type": "hello_ack", "compress": compress_frames}
-                )
-            )
-            await writer.drain()
-        except (OSError, ConnectionResetError) as exc:
-            try:
-                handle.kill()
-            except (OSError, ProcessLookupError):
-                pass
-            raise SpawnError(
-                f"worker on host {host.name!r} hung up during negotiation"
-            ) from exc
-
         def kill_process(handle=handle, writer=writer):
             # Close the channel first so the remote end sees EOF even when
             # only the local ssh client dies, then kill the local handle.
@@ -581,7 +567,28 @@ class MultiHostBackend(AsyncWorkerBackend):
                 writer.close()
             except (OSError, RuntimeError):
                 pass
-            handle.kill()
+            try:
+                handle.kill()
+            except (OSError, ProcessLookupError):
+                pass
+
+        version = hello.get("protocol")
+        if version != protocol.PROTOCOL_VERSION:
+            kill_process()
+            raise SpawnError(
+                f"worker on host {host.name!r} speaks protocol {version!r}, "
+                f"this supervisor speaks protocol {protocol.PROTOCOL_VERSION}"
+            )
+        try:
+            writer.write(protocol.encode_frame(
+                {"type": "hello_ack", "compress": self.compress}
+            ))
+            await writer.drain()
+        except (OSError, ConnectionResetError) as exc:
+            kill_process()
+            raise SpawnError(
+                f"worker on host {host.name!r} hung up before its hello_ack"
+            ) from exc
 
         worker = _Worker.from_connection(
             reader,
@@ -590,8 +597,7 @@ class MultiHostBackend(AsyncWorkerBackend):
             kill_process=kill_process,
             wait_process=handle.wait,
             host=host.name,
-            compress_out=compress_frames,
-            hello=hello,
+            compress_out=self.compress,
         )
         self._register_worker(worker)
         host.spawns += 1

@@ -16,34 +16,34 @@ remaining 31 bits are the on-wire payload length (well above
 both forms.  Encoders only compress when asked to (``compress=True``) *and*
 the payload is large enough to plausibly win
 (:data:`COMPRESS_MIN_BYTES`) *and* compression actually shrinks it —
-heartbeat pings therefore always travel uncompressed.  Whether a peer may be
-*sent* compressed frames is negotiated once at connection setup: the worker
-advertises ``"compress": true`` in its ``hello`` and the supervisor's
-``hello_ack`` answers with the negotiated setting, so a peer that predates
-this feature simply never receives a compressed frame.
+heartbeat pings therefore always travel uncompressed.  The supervisor
+decides whether a link compresses: its ``hello_ack`` to a connect-back
+worker carries the setting, and the stdio transport never compresses.
 
 Batching
 --------
-Protocol version 3 adds *batched dispatch*: a ``run_batch`` frame carries N
-jobs in one frame, and the worker answers each job with its own ``result`` or
-``error`` frame, in batch order, as it completes.  Those per-job answers
-double as **acknowledgements** — a supervisor whose worker dies mid-batch
-requeues exactly the jobs whose answer never arrived, so an acknowledged spec
-is never executed twice.  The capability is negotiated through the worker's
-``hello``: only a worker that advertised ``"batch": true`` is ever sent a
-``run_batch`` frame, and a version-2 peer simply keeps receiving one ``run``
-frame per spec.
+Every dispatch is one ``run_batch`` frame carrying N >= 1 jobs, and the
+worker answers each job with its own ``result`` or ``error`` frame, in batch
+order, as it completes.  Those per-job answers double as
+**acknowledgements** — a supervisor whose worker dies mid-batch requeues
+exactly the jobs whose answer never arrived, so an acknowledged spec is
+never executed twice.
+
+Versions
+--------
+Workers, supervisor and daemon ship from one tree, so both ends of a link
+must speak the same :data:`PROTOCOL_VERSION`; there is no negotiation and
+no fallback.  A multi-host supervisor fails the launch of a connect-back
+worker whose ``hello`` names another version (an SSH host runs whatever
+``repro`` it has installed).
 
 Frame types
 -----------
 Supervisor to worker:
 
-* ``{"type": "run", "job": <int>, "spec": <ExperimentSpec.to_dict()>}`` —
-  execute one experiment; exactly one ``result``/``error`` frame answers it.
-* ``{"type": "run_batch", "jobs": [{"job": <int>, "spec": <...>}, ...]}`` —
-  execute N experiments in order; each is answered by its own
-  ``result``/``error`` frame (protocol >= 3, and only after the worker's
-  ``hello`` advertised ``"batch": true``).
+* ``{"type": "run_batch", "jobs": [{"job": <int>, "spec":
+  <ExperimentSpec.to_dict()>}, ...]}`` — execute the jobs in order; each is
+  answered by its own ``result``/``error`` frame.
 * ``{"type": "ping", "seq": <int>}`` — heartbeat probe; answered immediately
   by the worker's reader thread even while a simulation is running.
 * ``{"type": "hello_ack", "compress": <bool>}`` — answers a connect-back
@@ -54,25 +54,24 @@ Supervisor to worker:
 
 Worker to supervisor:
 
-* ``{"type": "hello", "pid": <int>, "protocol": <int>, "compress": <bool>,
-  "batch": <bool>[, "token": <str>]}`` — sent once on startup.  The
-  ``token`` echoes ``--token`` and lets a multi-host supervisor match the
-  inbound TCP connection to the launch that created it; ``batch`` advertises
-  ``run_batch`` support (absent on version-2 peers, which therefore keep
-  being dispatched one spec per frame).
+* ``{"type": "hello", "pid": <int>, "protocol": <int>[, "token": <str>]}``
+  — sent once on startup.  The ``token`` echoes ``--token`` and lets a
+  multi-host supervisor match the inbound TCP connection to the launch that
+  created it.
 * ``{"type": "result", "job": <int>, "result": <ExperimentResult.to_dict()>}``
 * ``{"type": "error", "job": <int>, "error": <ExperimentFailure.to_dict()>}``
   — the spec raised; the worker stays alive and takes the next job.
-* ``{"type": "pong", "seq": <int>}``
+* ``{"type": "pong", "seq": <int>, "memo": {...}}`` — ``memo`` carries the
+  worker's trace-memo counters (:func:`repro.exp.runner.trace_memo_stats`),
+  so a supervisor observes cache behaviour without a dedicated frame.
 
-Service frames (protocol version 4)
------------------------------------
+Service frames
+--------------
 The same framing carries the client API of the persistent simulation
 service (:mod:`repro.serve`).  These frames flow between a *client* (the
 ``repro submit``/``status``/``watch``/``cancel`` subcommands, or
 :class:`repro.serve.ServiceClient`) and the *daemon* (``repro serve``) —
-never to workers, whose vocabulary above is unchanged; version 4 is
-therefore wire-compatible with version-3 workers.
+never to workers.
 
 Client to daemon:
 
@@ -127,17 +126,10 @@ import struct
 import zlib
 from typing import BinaryIO, Dict, Optional
 
-#: Protocol version announced in the ``hello`` frame.  Bump on any
-#: incompatible change to the frame vocabulary above.  Version 2 added the
-#: compressed-frame header bit and the ``hello_ack`` negotiation (both
-#: backward compatible: uncompressed frames are unchanged on the wire).
-#: Version 3 added the ``run_batch`` frame and the ``batch`` hello
-#: capability (backward compatible: the frame is only sent to workers that
-#: advertised it).  Version 4 added the client/daemon service vocabulary
-#: (``submit``/``status``/``watch``/``cancel``/``stats`` and their answers)
-#: for :mod:`repro.serve`; the supervisor/worker vocabulary is untouched, so
-#: version-3 workers interoperate unchanged.
-PROTOCOL_VERSION = 4
+#: Protocol version announced in the ``hello`` frame.  Bump on any change to
+#: the frame vocabulary above.  Version 5: ``run_batch`` is the only dispatch
+#: frame and the ``hello`` advertises no capabilities.
+PROTOCOL_VERSION = 5
 
 #: Upper bound on a single frame payload (compressed or decompressed); a
 #: frame header exceeding it means the stream is desynchronised (or hostile)

@@ -20,22 +20,13 @@ Failed specs are recorded as ``<key>.error.json`` diagnostics
 (:meth:`ResultStore.record_failure`); they are never served as cached
 results, so a re-run retries the spec instead of replaying the failure.
 
-Layouts
--------
-*Where* entries live on disk is pluggable (``layout=``):
-
-* :class:`DirectoryLayout` (default) — the historical sharded layout,
-  ``<dir>/<ab>/<key>.json`` with per-shard ``flock`` advisory locking and a
-  fallback to pre-sharding flat entries directly in ``<dir>``.
-* :class:`ObjectStoreLayout` — an object-store-shaped keyspace,
-  ``<dir>/objects/<ab>/<cd>/<key>.json``.  Object stores have neither
-  ``flock`` nor a legacy flat namespace, so this layout takes no advisory
-  locks (writes are still atomic whole-object replacements, and racing
-  ``put_if_absent`` writers converge because payloads are normalised — the
-  last write is byte-identical to the first) and never consults a flat
-  fallback.  It is the on-disk shape a future remote object-store backend
-  serialises to, which is why the simulation service can point read replicas
-  at it without workers in the loop.
+Entries live in shards named by the first two hex digits of the key,
+``<dir>/<ab>/<key>.json`` (:class:`DirectoryLayout`), and writers of one
+shard serialise through its ``flock`` advisory lock.  Nothing else in the
+directory is an entry: files in its root (such as the flat entries of
+stores written before sharding) are neither read nor counted, so such an
+entry is simply a miss that gets recomputed, and dot-directories such as
+the service journal (``.serve/``) belong to their owners.
 
 Serving-grade accounting
 ------------------------
@@ -109,17 +100,9 @@ def _normalised_payload(spec: ExperimentSpec, result: ExperimentResult) -> str:
 
 # ----------------------------------------------------------------------
 class DirectoryLayout:
-    """The historical sharded directory layout: ``<ab>/<key>.json``.
-
-    Uses per-shard ``flock`` advisory locks and falls back to pre-sharding
-    flat entries written directly into the store directory.
-    """
+    """The sharded directory layout: ``<ab>/<key>.json``, locked per shard."""
 
     name = "directory"
-    #: Whether writers serialise through per-shard advisory locks.
-    uses_locks = True
-    #: Whether pre-sharding flat entries in the root are consulted.
-    legacy_flat = True
 
     def entry_relpath(self, key: str) -> str:
         return f"{key[:SHARD_DIGITS]}/{key}.json"
@@ -130,63 +113,21 @@ class DirectoryLayout:
     def lock_name(self, key: str) -> str:
         return key[:SHARD_DIGITS]
 
+    def shard_files(self, directory: Path) -> Iterator[Path]:
+        """Every ``*.json`` file in a shard: entries, failures, temp files."""
+        return directory.glob("[0-9a-f]" * SHARD_DIGITS + "/*.json")
+
     def iter_entries(self, directory: Path) -> Iterator[Path]:
         """All result entry files, excluding temp and failure files."""
         # pathlib's glob matches dotfiles, so exclude the ".tmp-*.json" files
-        # an interrupted put() may leave behind, and the ".locks" directory.
-        for pattern in ("*.json", "[0-9a-f]" * SHARD_DIGITS + "/*.json"):
-            for path in directory.glob(pattern):
-                if path.name.startswith(".") or path.name.endswith(_ERROR_SUFFIX):
-                    continue
+        # an interrupted put() may leave behind.
+        for path in self.shard_files(directory):
+            if _is_entry(path):
                 yield path
 
 
-class ObjectStoreLayout:
-    """Object-store-shaped keyspace: ``objects/<ab>/<cd>/<key>.json``.
-
-    Object stores offer atomic whole-object PUTs but no advisory locks and
-    no legacy flat namespace, so this layout takes none: ``put_if_absent``
-    degrades to check-then-write, which still converges because entry
-    payloads are normalised (every winner writes the same bytes).
-    """
-
-    name = "object"
-    uses_locks = False
-    legacy_flat = False
-
-    def entry_relpath(self, key: str) -> str:
-        return f"objects/{key[:2]}/{key[2:4]}/{key}.json"
-
-    def failure_relpath(self, key: str) -> str:
-        return f"objects/{key[:2]}/{key[2:4]}/{key}{_ERROR_SUFFIX}"
-
-    def lock_name(self, key: str) -> str:  # pragma: no cover - never locked
-        return key[:2]
-
-    def iter_entries(self, directory: Path) -> Iterator[Path]:
-        for path in directory.glob("objects/*/*/*.json"):
-            if path.name.startswith(".") or path.name.endswith(_ERROR_SUFFIX):
-                continue
-            yield path
-
-
-#: Layout names accepted by :class:`ResultStore` and the CLI.
-LAYOUT_NAMES = ("directory", "object")
-
-
-def make_layout(layout: Union[None, str, DirectoryLayout, ObjectStoreLayout]):
-    """Resolve a layout argument (name, instance or ``None``) to an instance."""
-    if layout is None:
-        return DirectoryLayout()
-    if isinstance(layout, str):
-        if layout == "directory":
-            return DirectoryLayout()
-        if layout == "object":
-            return ObjectStoreLayout()
-        raise ValueError(
-            f"unknown store layout {layout!r} (choose from {LAYOUT_NAMES})"
-        )
-    return layout
+def _is_entry(path: Path) -> bool:
+    return not path.name.startswith(".") and not path.name.endswith(_ERROR_SUFFIX)
 
 
 class MemoryResultStore:
@@ -305,11 +246,6 @@ class ResultStore:
     ----------
     directory:
         Cache directory; created on first write.
-    layout:
-        Where entries live under ``directory``: ``"directory"`` (default,
-        the sharded ``<ab>/<key>.json`` layout with per-shard locking and
-        the pre-sharding flat fallback) or ``"object"`` (an object-store
-        keyspace, lock-free).  A layout instance is accepted too.
     max_bytes:
         Optional LRU byte budget over the result entries.  :meth:`get`
         refreshes recency (mtime), :meth:`compact` evicts least recently
@@ -323,13 +259,12 @@ class ResultStore:
         self,
         directory: Union[str, Path],
         *,
-        layout: Union[None, str, DirectoryLayout, ObjectStoreLayout] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
         self.directory = Path(directory).expanduser()
-        self.layout = make_layout(layout)
+        self.layout = DirectoryLayout()
         self.max_bytes = max_bytes
         #: Generated traces of this store's specs (see the module docstring).
         self.traces = TraceCache(self.directory / TRACE_SUBDIR)
@@ -349,13 +284,10 @@ class ResultStore:
         return key[:SHARD_DIGITS]
 
     def _path(self, spec: ExperimentSpec) -> Path:
-        return self.directory / self.layout.entry_relpath(spec.content_key())
+        return self._key_path(spec.content_key())
 
     def _key_path(self, key: str) -> Path:
         return self.directory / self.layout.entry_relpath(key)
-
-    def _legacy_path(self, spec: ExperimentSpec) -> Path:
-        return self.directory / f"{spec.content_key()}.json"
 
     def _failure_path(self, spec: ExperimentSpec) -> Path:
         return self.directory / self.layout.failure_relpath(spec.content_key())
@@ -401,10 +333,9 @@ class ResultStore:
         hosts sharing the filesystem, where the filesystem supports ``flock``
         semantics).  Readers never take it: entries are only ever replaced
         atomically, so a reader sees either the old or the new complete file.
-        On platforms without ``fcntl``, and under the lock-free object-store
-        layout, this is a no-op.
+        On platforms without ``fcntl`` this is a no-op.
         """
-        if fcntl is None or not self.layout.uses_locks:
+        if fcntl is None:
             yield
             return
         lock_dir = self.directory / ".locks"
@@ -450,25 +381,21 @@ class ResultStore:
         is the recency signal :meth:`compact` evicts by — a warm entry the
         daemon keeps serving stays resident while cold ones age out.
         """
-        paths = [self._path(spec)]
-        if self.layout.legacy_flat:
-            paths.append(self._legacy_path(spec))
-        for path in paths:
+        path = self._path(spec)
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            result = ExperimentResult.from_dict(payload["result"])
+        except (OSError, ValueError, KeyError, TypeError):
+            self.misses += 1
+            return None
+        result.wall_seconds = None
+        self.hits += 1
+        if self.max_bytes is not None:
             try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                result = ExperimentResult.from_dict(payload["result"])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-            result.wall_seconds = None
-            self.hits += 1
-            if self.max_bytes is not None:
-                try:
-                    os.utime(path)
-                except OSError:  # pragma: no cover - raced with eviction
-                    pass
-            return result
-        self.misses += 1
-        return None
+                os.utime(path)
+            except OSError:  # pragma: no cover - raced with eviction
+                pass
+        return result
 
     def put(self, spec: ExperimentSpec, result: ExperimentResult) -> None:
         """Persist ``result`` atomically under ``spec``'s content key.
@@ -483,9 +410,6 @@ class ResultStore:
         with self.lock(key):
             self._write_atomically(self._path(spec), text)
             self._failure_path(spec).unlink(missing_ok=True)
-            if self.layout.legacy_flat:
-                # A pre-sharding flat entry would otherwise shadow-count forever.
-                self._legacy_path(spec).unlink(missing_ok=True)
         self._note_written(len(text))
 
     @staticmethod
@@ -504,8 +428,7 @@ class ResultStore:
         writers: the check and the write happen under the shard lock, so of N
         racing processes exactly one writes the entry.  A corrupt existing
         entry (which :meth:`get` treats as a miss) counts as absent and is
-        replaced, so the store never wedges on a damaged file; entries in the
-        legacy flat layout count as present.
+        replaced, so the store never wedges on a damaged file.
 
         The spec's stale ``<key>.error.json`` diagnostic (if any) is removed
         on *both* paths: the spec demonstrably succeeds now, and without the
@@ -516,18 +439,12 @@ class ResultStore:
         key = spec.content_key()
         path = self._path(spec)
         with self.lock(key):
-            present = self._entry_is_valid(path) or (
-                self.layout.legacy_flat
-                and self._entry_is_valid(self._legacy_path(spec))
-            )
-            if present:
+            if self._entry_is_valid(path):
                 self._failure_path(spec).unlink(missing_ok=True)
                 return False
             text = _normalised_payload(spec, result)
             self._write_atomically(path, text)
             self._failure_path(spec).unlink(missing_ok=True)
-            if self.layout.legacy_flat:
-                self._legacy_path(spec).unlink(missing_ok=True)
         self._note_written(len(text))
         return True
 
@@ -667,22 +584,16 @@ class ResultStore:
         """Delete all cache entries; return how many results were removed.
 
         Failure diagnostics, cached traces and leftover temp files are
-        removed as well but not counted.
+        removed as well but not counted.  Only the shards are touched: the
+        service journal in ``.serve/`` and any file in the root stay.
         """
         self.traces.clear()
         removed = 0
         if not self.directory.is_dir():
             return 0
-        for path in self.directory.rglob("*.json"):
-            if ".locks" in path.parts:
-                continue
-            is_entry = (
-                not path.name.startswith(".")
-                and not path.name.endswith(_ERROR_SUFFIX)
-            )
+        for path in self.layout.shard_files(self.directory):
+            removed += _is_entry(path)
             path.unlink(missing_ok=True)
-            if is_entry:
-                removed += 1
         self._approx_bytes = 0 if self.max_bytes is not None else None
         return removed
 

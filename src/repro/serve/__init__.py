@@ -9,7 +9,7 @@ keeps the pool alive instead::
     repro watch <job> --connect 127.0.0.1:7070
 
 * :class:`~repro.serve.daemon.SimulationService` — the daemon: accepts
-  protocol-v4 ``submit``/``status``/``watch``/``cancel``/``stats`` frames,
+  protocol-v5 ``submit``/``status``/``watch``/``cancel``/``stats`` frames,
   journals jobs for crash recovery, deduplicates specs against the store
   and across in-flight jobs, and reports queue/store/dispatch statistics.
 * :class:`~repro.serve.queue.FairShareQueue` — multi-tenant scheduling

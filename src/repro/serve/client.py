@@ -1,6 +1,6 @@
 """Synchronous client for the simulation service daemon.
 
-:class:`ServiceClient` speaks the protocol-v4 service frames over a plain
+:class:`ServiceClient` speaks the protocol-v5 service frames over a plain
 TCP socket using the blocking :func:`repro.exp.protocol.read_frame` /
 :func:`~repro.exp.protocol.write_frame` — the same wire format the workers
 use, so there is nothing new to parse.  Each call opens its own

@@ -3,7 +3,7 @@
 :class:`SimulationService` owns a long-lived worker pool
 (:class:`~repro.exp.distributed.AsyncWorkerBackend` or
 :class:`~repro.exp.hosts.MultiHostBackend` in service mode) and accepts
-client connections over the protocol-v4 service frames of
+client connections over the protocol-v5 service frames of
 :mod:`repro.exp.protocol` (``submit`` / ``status`` / ``watch`` / ``cancel``
 / ``stats``).  A *job* is a batch of :class:`~repro.exp.spec.ExperimentSpec`
 submitted under a tenant id; its specs become units of the
@@ -213,7 +213,7 @@ class JobRecord:
 
 
 class SimulationService:
-    """Persistent daemon serving simulation jobs over protocol-v4 frames.
+    """Persistent daemon serving simulation jobs over protocol-v5 frames.
 
     Parameters
     ----------

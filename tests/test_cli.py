@@ -65,6 +65,7 @@ class TestSamplingFlagValidation:
 
     @pytest.mark.parametrize("flag,value", [
         ("--period", "0"), ("--warmup", "-1"), ("--history", "0"),
+        ("--jobs", "0"),
     ])
     def test_integer_flags_below_minimum_rejected(self, flag, value, capsys):
         self._expect_usage_error(
@@ -195,15 +196,32 @@ class TestCommands:
         assert main(["compare", "not-a-benchmark", "--scale", "0.01"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_workers_requires_explicit_backend(self, capsys):
-        # --workers under the default auto backend is rejected instead of
-        # silently overriding --jobs.
+    @pytest.mark.parametrize("backend", [
+        ["--backend", "serial"], ["--hosts", "local0:1"],
+    ], ids=["serial", "multihost"])
+    def test_jobs_requires_a_backend_that_uses_it(self, backend, capsys):
+        # --jobs under a backend that takes no worker count is rejected
+        # instead of being silently ignored.
         code = main([
             "compare", "swaptions", "--scale", "0.004", "--threads", "2",
-            "--policy", "lazy", "--workers", "4",
+            "--policy", "lazy", "--jobs", "4", *backend,
         ])
         assert code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_grid_title_names_only_the_engine_parameters(self, capsys):
+        # The stratified engine takes a detail budget; it has no history and
+        # its own warm-up, so the title shows neither W nor H.
+        code = main([
+            "grid", "--benchmarks", "swaptions", "--threads", "2",
+            "--scale", "0.004", "--policy", "stratified",
+        ])
+        assert code == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert title == (
+            "Accuracy grid: stratified budget=0.02, "
+            "high-performance architecture, scale=0.004"
+        )
 
     def test_grid_profile_flag_dumps_stats(self, tmp_path, capsys):
         import pstats

@@ -365,22 +365,24 @@ class TestResultStore:
         store.put(spec, result)
         assert deterministic_fields(store.get(spec)) == deterministic_fields(result)
 
-    def test_legacy_flat_entries_still_served(self, tmp_path):
-        # Entries written by the pre-sharding layout (directly in the cache
-        # root) must remain readable after the upgrade.
-        sharded = ResultStore(tmp_path)
+    def test_root_level_entry_is_a_miss(self, tmp_path):
+        # Only the shards hold entries: a flat <key>.json in the root (as
+        # stores written before sharding kept them) is neither served nor
+        # counted, and a put leaves it alone.  The spec is just recomputed.
+        store = ResultStore(tmp_path)
         spec = small_spec()
         result = run_spec(spec)
-        sharded.put(spec, result)
+        store.put(spec, result)
         key = spec.content_key()
         sharded_path = tmp_path / ResultStore.shard(key) / f"{key}.json"
-        (tmp_path / f"{key}.json").write_text(
-            sharded_path.read_text(encoding="utf-8"), encoding="utf-8"
-        )
+        flat_path = tmp_path / f"{key}.json"
+        flat_path.write_bytes(sharded_path.read_bytes())
         sharded_path.unlink()
-        served = ResultStore(tmp_path).get(spec)
-        assert served is not None
-        assert deterministic_fields(served) == deterministic_fields(result)
+        assert store.get(spec) is None
+        assert len(store) == 0
+        assert store.put_if_absent(spec, result) is True
+        assert len(store) == 1
+        assert flat_path.is_file()
 
     def test_memory_store(self):
         store = MemoryResultStore()
@@ -405,8 +407,14 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         spec = small_spec()
         store.put(spec, run_spec(spec))
+        # The service journal shares the directory but is not a result.
+        journal = tmp_path / ".serve" / "jobs" / "0123456789abcdef.json"
+        journal.parent.mkdir(parents=True)
+        journal.write_text("{}", encoding="utf-8")
+        assert len(store) == 1
         assert store.clear() == 1
         assert len(store) == 0
+        assert journal.is_file()
 
     def _failure(self, spec):
         return ExperimentFailure(

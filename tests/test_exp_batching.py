@@ -1,6 +1,6 @@
-"""Batched-dispatch harness: amortisation, partial-batch faults, negotiation.
+"""Batched-dispatch harness: amortisation, partial-batch faults, equivalence.
 
-The headline suite for protocol-v3 ``run_batch`` dispatch.  Covers:
+The headline suite for ``run_batch`` dispatch.  Covers:
 
 * round-trip amortisation under a simulated per-frame link latency (the
   worker-side ``REPRO_EXP_WORKER_DELAY`` hook): batching measurably reduces
@@ -11,9 +11,6 @@ The headline suite for protocol-v3 ``run_batch`` dispatch.  Covers:
   serial run,
 * store byte-identity for batch sizes {1, 4, 16, adaptive} across the
   serial/pool/async/multihost backends (parametrised + hypothesis grids),
-* negotiation fallback: a protocol-v2 peer (no ``batch`` capability in its
-  hello, faked via ``REPRO_EXP_WORKER_COMPAT=2``) keeps being dispatched one
-  spec per frame and still produces identical results,
 * frame compression behaviour around the 512-byte threshold, and
 * the user-facing surfaces: ``make_named_backend(batch=...)``, the CLI
   ``--batch`` flag, ``scripts/dispatch_bench.py`` (which records
@@ -52,7 +49,7 @@ from repro.exp import (
 )
 from repro.exp import protocol
 from repro.exp.distributed import DEFAULT_BATCH_CAP
-from repro.exp.worker import COMPAT_ENV, DELAY_ENV, EXEC_LOG_ENV, FAULT_ENV
+from repro.exp.worker import DELAY_ENV, EXEC_LOG_ENV, FAULT_ENV
 
 from exp_helpers import deterministic_fields, store_result_bytes
 
@@ -238,8 +235,9 @@ class TestBatchedDispatchProtocol:
                         connection.makefile("wb") as writer:
                     hello = protocol.read_frame(reader)
                     assert hello["type"] == "hello"
-                    assert hello["protocol"] == protocol.PROTOCOL_VERSION >= 3
-                    assert hello["batch"] is True
+                    # The version is the whole advertisement: every worker
+                    # of this protocol version takes run_batch frames.
+                    assert hello["protocol"] == protocol.PROTOCOL_VERSION
                     protocol.write_frame(writer, {
                         "type": "run_batch",
                         "jobs": [
@@ -291,14 +289,13 @@ class TestBatchedEquivalence:
         serial_bytes = store_result_bytes(tmp_path / "serial")
         assert serial_bytes
         assert serial_bytes == store_result_bytes(tmp_path / "multihost")
-        assert backend.stats.get("batch_frames", 0) >= 1
+        assert backend.stats["max_batch"] >= 2
 
     def test_batching_actually_batches(self):
         specs = unique_grid(8)
         backend = fast_backend(num_workers=1, batch=4)
         backend.run(specs)
         assert backend.stats["dispatch_frames"] == 2
-        assert backend.stats["batch_frames"] == 2
         assert backend.stats["max_batch"] == 4
 
     def test_fixed_batch_does_not_starve_sibling_slots(self):
@@ -528,49 +525,6 @@ class TestBatchedSigintStreaming:
             assert "result" in payload and "spec" in payload
 
 
-class TestNegotiationFallback:
-    def test_v2_peer_is_dispatched_spec_at_a_time(self):
-        # A worker capped at protocol 2 advertises no batch capability; the
-        # supervisor must fall back to one run frame per spec — pipelined,
-        # never a run_batch frame — and converge identically.
-        specs = unique_grid(6)
-        backend = fast_backend(
-            num_workers=1, batch=8, worker_env={COMPAT_ENV: "2"},
-        )
-        results = backend.run(specs)
-        assert backend.stats.get("batch_frames", 0) == 0
-        assert backend.stats["dispatch_frames"] == len(specs)
-        reference = SerialBackend().run(specs)
-        for left, right in zip(reference, results):
-            assert deterministic_fields(left) == deterministic_fields(right)
-
-    def test_v2_hello_omits_the_capability(self):
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-            server.bind(("127.0.0.1", 0))
-            server.listen(1)
-            port = server.getsockname()[1]
-            worker = subprocess.Popen(
-                [sys.executable, "-m", "repro.exp.worker",
-                 "--connect", "127.0.0.1", str(port)],
-                env=subprocess_env(**{COMPAT_ENV: "2"}),
-            )
-            try:
-                server.settimeout(30.0)
-                connection, _ = server.accept()
-                with connection, \
-                        connection.makefile("rb") as reader, \
-                        connection.makefile("wb") as writer:
-                    hello = protocol.read_frame(reader)
-                    assert hello["protocol"] == 2
-                    assert "batch" not in hello
-                    protocol.write_frame(writer, {"type": "shutdown"})
-                assert worker.wait(timeout=30) == 0
-            finally:
-                if worker.poll() is None:
-                    worker.kill()
-                    worker.wait()
-
-
 class TestCompressionThreshold:
     """Frame compression around the 512-byte threshold (satellite)."""
 
@@ -636,7 +590,7 @@ class TestCliBatch:
 
         code = main([
             "compare", "swaptions", "--scale", "0.004", "--threads", "2",
-            "--policy", "lazy", "--backend", "async", "--workers", "2",
+            "--policy", "lazy", "--backend", "async", "--jobs", "2",
             "--batch", "4",
         ])
         assert code == 0

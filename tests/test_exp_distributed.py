@@ -307,7 +307,7 @@ class TestCliAsyncBackend:
 
         code = main([
             "compare", "swaptions", "--scale", "0.004", "--threads", "2",
-            "--policy", "lazy", "--backend", "async", "--workers", "2",
+            "--policy", "lazy", "--backend", "async", "--jobs", "2",
         ])
         assert code == 0
         assert "execution-time error" in capsys.readouterr().out
@@ -395,9 +395,10 @@ class TestWorkerTransport:
                     assert hello["type"] == "hello"
                     assert hello["protocol"] == protocol.PROTOCOL_VERSION
                     assert hello["pid"] == worker.pid
-                    protocol.write_frame(
-                        writer, {"type": "run", "job": 7, "spec": spec.to_dict()}
-                    )
+                    protocol.write_frame(writer, {
+                        "type": "run_batch",
+                        "jobs": [{"job": 7, "spec": spec.to_dict()}],
+                    })
                     message = protocol.read_frame(reader)
                     assert message["type"] == "result"
                     assert message["job"] == 7
@@ -433,10 +434,10 @@ class TestWorkerTransport:
                         connection.makefile("rb") as reader, \
                         connection.makefile("wb") as writer:
                     assert protocol.read_frame(reader)["type"] == "hello"
-                    protocol.write_frame(
-                        writer,
-                        {"type": "run", "job": 0, "spec": busy_spec.to_dict()},
-                    )
+                    protocol.write_frame(writer, {
+                        "type": "run_batch",
+                        "jobs": [{"job": 0, "spec": busy_spec.to_dict()}],
+                    })
                     time.sleep(0.2)  # the simulation is now running
                     protocol.write_frame(writer, {"type": "ping", "seq": 42})
                     message = protocol.read_frame(reader)
@@ -476,9 +477,10 @@ class TestWorkerTransport:
             )
             server.start()
             assert protocol.read_frame(reader)["type"] == "hello"
-            protocol.write_frame(
-                writer, {"type": "run", "job": 3, "spec": poison.to_dict()}
-            )
+            protocol.write_frame(writer, {
+                "type": "run_batch",
+                "jobs": [{"job": 3, "spec": poison.to_dict()}],
+            })
             message = protocol.read_frame(reader)
             protocol.write_frame(writer, {"type": "shutdown"})
             server.join(timeout=10)

@@ -4,9 +4,10 @@ Covers :mod:`repro.exp.hosts` (the :class:`HostPool` listener, launchers and
 :class:`MultiHostBackend`), the compressed frame protocol and the worker's
 connect-back path: byte-exact store equivalence with the serial backend, a
 worker's TCP connection severed mid-spec with requeue convergence, truncated
-and oversized frame handling, compressed-versus-uncompressed hello
-negotiation, quarantine of a crash-looping host, connect retry with backoff,
-and a randomized-kill soak (``-m soak``, excluded from tier-1).
+and oversized frame handling, the hello/hello_ack handshake (compressed or
+raw frames, and a worker speaking another protocol version failing its
+launch at once), quarantine of a crash-looping host, connect retry with
+backoff, and a randomized-kill soak (``-m soak``, excluded from tier-1).
 """
 
 import asyncio
@@ -20,6 +21,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 import zlib
@@ -42,6 +44,7 @@ from repro.exp import (
     run_spec,
 )
 from repro.exp import protocol
+from repro.exp.distributed import SpawnError
 from repro.exp.hosts import HostPool
 from repro.exp.worker import FAULT_ENV
 
@@ -103,7 +106,7 @@ def read_raw_frame(stream):
 
 class TestProtocolCompression:
     def test_large_frame_round_trips_compressed(self):
-        message = {"type": "run", "blob": "taskpoint " * 400}
+        message = {"type": "run_batch", "blob": "taskpoint " * 400}
         frame = protocol.encode_frame(message, compress=True)
         raw = protocol.encode_frame(message)
         assert len(frame) < len(raw)
@@ -224,7 +227,7 @@ class TestHostPool:
             reader, writer = await asyncio.open_connection("127.0.0.1", pool.port)
             writer.write(protocol.encode_frame(
                 {"type": "hello", "pid": 4242, "token": "tok-1",
-                 "protocol": protocol.PROTOCOL_VERSION, "compress": True}
+                 "protocol": protocol.PROTOCOL_VERSION}
             ))
             await writer.drain()
             _, server_writer, hello = await asyncio.wait_for(future, 10.0)
@@ -277,7 +280,8 @@ class TestHostPool:
                 "127.0.0.1", pool.port
             )
             writer2.write(protocol.encode_frame(
-                {"type": "hello", "pid": 7, "token": "tok-1"}
+                {"type": "hello", "pid": 7, "token": "tok-1",
+                 "protocol": protocol.PROTOCOL_VERSION}
             ))
             await writer2.drain()
             _, server_writer, hello = await asyncio.wait_for(future, 10.0)
@@ -328,10 +332,9 @@ class TestWorkerNegotiation:
                         connection.makefile("rb") as reader, \
                         connection.makefile("wb") as writer:
                     compressed, hello = read_raw_frame(reader)
-                    assert not compressed  # hello precedes any negotiation
+                    assert not compressed  # the hello precedes the hello_ack
                     assert hello["type"] == "hello"
                     assert hello["token"] == "negotiate-1"
-                    assert hello["compress"] is True
                     assert hello["protocol"] == protocol.PROTOCOL_VERSION
                     if ack_compress is not None:
                         protocol.write_frame(
@@ -340,7 +343,8 @@ class TestWorkerNegotiation:
                         )
                     protocol.write_frame(
                         writer,
-                        {"type": "run", "job": 3, "spec": spec.to_dict()},
+                        {"type": "run_batch",
+                         "jobs": [{"job": 3, "spec": spec.to_dict()}]},
                         compress=bool(ack_compress),
                     )
                     compressed, message = read_raw_frame(reader)
@@ -368,6 +372,53 @@ class TestWorkerNegotiation:
     def test_no_ack_means_uncompressed(self):
         # A supervisor that never acks (the stdio path) gets raw frames.
         assert self.handshake(ack_compress=None) is False
+
+
+#: A connect-back worker of an older release: its hello carries the launch
+#: token but protocol 4, and it then waits for the supervisor to hang up.
+OLD_WORKER = textwrap.dedent("""
+    import socket, sys
+    from repro.exp import protocol
+    host, port, token = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+    with socket.create_connection((host, port)) as connection:
+        with connection.makefile("wb") as out:
+            protocol.write_frame(out, {"type": "hello", "pid": 1,
+                                       "protocol": 4, "token": token})
+        connection.recv(1)
+""")
+
+
+class OldWorkerLauncher:
+    async def launch(self, *, connect_host, port, token, env=None):
+        return await asyncio.create_subprocess_exec(
+            sys.executable, "-c", OLD_WORKER, connect_host, str(port), token,
+            stdin=asyncio.subprocess.DEVNULL, env=subprocess_env(),
+        )
+
+
+class TestProtocolVersionCheck:
+    def test_other_protocol_fails_the_launch_at_once(self):
+        # An SSH host runs whatever repro it has installed.  A hello with a
+        # known token but another protocol must fail that launch promptly,
+        # naming both versions, instead of waiting out the connect timeout.
+        async def main():
+            backend = local_backend("local0:1", connect_timeout=60.0)
+            await backend._startup()
+            host = backend._hosts[0]
+            host.launcher = OldWorkerLauncher()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            try:
+                with pytest.raises(SpawnError) as failure:
+                    await backend._spawn_host_worker(host)
+                return loop.time() - started, str(failure.value)
+            finally:
+                await backend._teardown()
+
+        elapsed, message = asyncio.run(main())
+        assert elapsed < 20.0
+        assert "protocol 4" in message
+        assert f"protocol {protocol.PROTOCOL_VERSION}" in message
 
 
 class TestConnectRetry:
@@ -702,7 +753,7 @@ class TestSoak:
         specs, backend = self._run_soak(
             tmp_path, batch=8, worker_env={EXEC_LOG_ENV: str(log)},
         )
-        assert backend.stats.get("batch_frames", 0) >= 1
+        assert backend.stats["max_batch"] >= 2
         counts = {}
         for line in log.read_text(encoding="utf-8").splitlines():
             if line:
