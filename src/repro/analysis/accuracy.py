@@ -209,7 +209,8 @@ def grid_specs(
     """Sampled specs for every (benchmark, thread count) pair of one figure.
 
     ``config`` may be a :class:`TaskPointConfig` (periodic/lazy sampling,
-    the default) or a :class:`repro.core.stratified.StratifiedConfig`.
+    the default), a :class:`repro.core.stratified.StratifiedConfig` or a
+    :class:`repro.core.fidelity.FidelityConfig`.
     """
     config = config if config is not None else TaskPointConfig()
     return [

@@ -63,7 +63,7 @@ from repro.analysis.reporting import format_table, render_accuracy_table
 from repro.analysis.sweep import history_sweep, period_sweep, warmup_sweep
 from repro.analysis.variation import ipc_variation
 from repro.arch.config import high_performance_config, low_power_config
-from repro.core.api import fidelity_simulation, sampled_simulation, stratified_simulation
+from repro.core.api import sampled_simulation
 from repro.core.config import TaskPointConfig
 from repro.core.fidelity import FidelityConfig
 from repro.core.stratified import StratifiedConfig
@@ -92,15 +92,6 @@ def _architecture(name: str):
     raise ValueError(f"unknown architecture {name!r}")
 
 
-def _taskpoint_config(args: argparse.Namespace) -> TaskPointConfig:
-    period = None if args.policy == "lazy" else args.period
-    return TaskPointConfig(
-        warmup_instances=args.warmup,
-        history_size=args.history,
-        sampling_period=period,
-    )
-
-
 def _sampling_config(args: argparse.Namespace):
     """Sampling config selected by ``--policy``/``--mode``."""
     policy = getattr(args, "policy", None)
@@ -110,7 +101,11 @@ def _sampling_config(args: argparse.Namespace):
         return FidelityConfig(
             error_budget=args.error_budget, warmup_instances=args.warmup
         )
-    return _taskpoint_config(args)
+    return TaskPointConfig(
+        warmup_instances=args.warmup,
+        history_size=args.history,
+        sampling_period=None if policy == "lazy" else args.period,
+    )
 
 
 def _fraction(flag: str, *, max_inclusive: bool):
@@ -539,22 +534,10 @@ def _command_simulate(args: argparse.Namespace) -> int:
     architecture = _architecture(args.architecture)
     if args.policy is None:  # --mode detailed
         result = simulate(trace, num_threads=args.threads, architecture=architecture)
-    elif args.policy == "stratified":
-        result = stratified_simulation(
-            trace, num_threads=args.threads, architecture=architecture,
-            config=StratifiedConfig(budget=args.budget),
-        )
-    elif args.policy == "fidelity":
-        result = fidelity_simulation(
-            trace, num_threads=args.threads, architecture=architecture,
-            config=FidelityConfig(
-                error_budget=args.error_budget, warmup_instances=args.warmup
-            ),
-        )
     else:
         result = sampled_simulation(
             trace, num_threads=args.threads, architecture=architecture,
-            config=_taskpoint_config(args),
+            config=_sampling_config(args),
         )
     summary = result.summary()
     for key, value in summary.items():

@@ -24,13 +24,29 @@ fast-forward mode):
 * :class:`~repro.core.controller.TaskPointController` plugs all of the above
   into the simulator's mode-controller interface.
 
+Three sampling engines implement that interface on one shared core,
+:class:`~repro.core.controller.SamplingController`, which owns the per-worker
+warm-up budgets, the Figure 4a thread-count trigger and resample counting
+(configured by the fields of :class:`~repro.core.config.ControllerConfig`):
+
+* :class:`~repro.core.controller.TaskPointController` — the paper's
+  periodic and lazy sampling,
+* :class:`~repro.core.stratified.StratifiedController` — two-phase
+  stratified sampling with a 95% confidence interval,
+* :class:`~repro.core.fidelity.FidelityController` — the online
+  error-budget controller.
+
+Each keeps only its estimator and its decision order.  One entry point,
+:func:`~repro.core.api.sampled_simulation`, runs any of them (the config's
+type picks the engine).
+
 Typical use::
 
     from repro.core import sampled_simulation
     result = sampled_simulation(trace, num_threads=64)
 """
 
-from repro.core.config import TaskPointConfig
+from repro.core.config import ControllerConfig, TaskPointConfig
 from repro.core.history import SampleHistory, TaskTypeState
 from repro.core.fastforward import FastForwardEstimate, FastForwardEstimator
 from repro.core.policies import (
@@ -40,7 +56,13 @@ from repro.core.policies import (
     SamplingPolicy,
     make_policy,
 )
-from repro.core.controller import ResampleReason, SamplingPhase, TaskPointController, TaskPointStatistics
+from repro.core.controller import (
+    ResampleReason,
+    SamplingController,
+    SamplingPhase,
+    TaskPointController,
+    TaskPointStatistics,
+)
 from repro.core.fidelity import (
     FidelityConfig,
     FidelityController,
@@ -51,14 +73,10 @@ from repro.core.stratified import (
     StratifiedController,
     StratifiedStatistics,
 )
-from repro.core.api import (
-    compare_with_detailed,
-    fidelity_simulation,
-    sampled_simulation,
-    stratified_simulation,
-)
+from repro.core.api import compare_with_detailed, sampled_simulation
 
 __all__ = [
+    "ControllerConfig",
     "TaskPointConfig",
     "SampleHistory",
     "TaskTypeState",
@@ -69,6 +87,7 @@ __all__ = [
     "LazySamplingPolicy",
     "AdaptiveSamplingPolicy",
     "make_policy",
+    "SamplingController",
     "TaskPointController",
     "TaskPointStatistics",
     "SamplingPhase",
@@ -80,7 +99,5 @@ __all__ = [
     "FidelityController",
     "FidelityStatistics",
     "sampled_simulation",
-    "stratified_simulation",
-    "fidelity_simulation",
     "compare_with_detailed",
 ]

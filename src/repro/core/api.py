@@ -1,6 +1,6 @@
-"""Convenience API for running TaskPoint-sampled simulations.
+"""Convenience API for running sampled simulations.
 
-These helpers wire the TaskPoint controller into the TaskSim-style simulator
+These helpers wire the sampling engines into the TaskSim-style simulator
 and provide the comparison against full detailed simulation that the paper's
 evaluation (and this repository's benchmark harness) is built on.
 """
@@ -8,7 +8,7 @@ evaluation (and this repository's benchmark harness) is built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.arch.config import ArchitectureConfig
 from repro.core.config import TaskPointConfig
@@ -25,81 +25,44 @@ def sampled_simulation(
     trace: ApplicationTrace,
     num_threads: int = 8,
     architecture: Optional[ArchitectureConfig] = None,
-    config: Optional[TaskPointConfig] = None,
+    config: Optional[Union[TaskPointConfig, StratifiedConfig, FidelityConfig]] = None,
     policy: Optional[SamplingPolicy] = None,
     scheduler: str = "fifo",
     scheduler_seed: int = 0,
 ) -> SimulationResult:
-    """Simulate ``trace`` with TaskPoint sampling and return the result.
+    """Simulate ``trace`` under a sampling engine and return the result.
 
-    The TaskPoint statistics of the run (number of warm-up instances, valid
-    samples, fast-forwarded instances, resamples, ...) are attached to the
-    result's metadata under ``"taskpoint"``.
+    The config's type picks the engine: TaskPoint (a
+    :class:`TaskPointConfig`, or ``None`` for the defaults), two-phase
+    stratified sampling (:class:`StratifiedConfig`) or the online
+    error-budget fidelity controller (:class:`FidelityConfig`).  ``policy``
+    only applies to TaskPoint.
+
+    The run's sampling statistics (warm-up instances, valid samples,
+    fast-forwarded instances, resamples, ...) are attached to the result's
+    metadata under ``"taskpoint"``.  Engines that estimate their own error
+    also attach the 95% confidence interval of the execution-time estimate
+    under ``"confidence"`` (``None`` when nothing was fast-forwarded).
     """
-    controller = TaskPointController(config=config, policy=policy)
+    if policy is not None and config is not None and not isinstance(config, TaskPointConfig):
+        raise ValueError(
+            f"a sampling policy only applies to a TaskPoint config, "
+            f"not {type(config).__name__}"
+        )
+    if isinstance(config, StratifiedConfig):
+        controller = StratifiedController(trace, config=config)
+    elif isinstance(config, FidelityConfig):
+        controller = FidelityController(trace, config=config)
+    else:
+        controller = TaskPointController(config=config, policy=policy)
     simulator = TaskSimSimulator(
         architecture=architecture, scheduler=scheduler, scheduler_seed=scheduler_seed
     )
     result = simulator.run(trace, num_threads=num_threads, controller=controller)
     result.metadata["taskpoint"] = controller.stats
-    return result
-
-
-def stratified_simulation(
-    trace: ApplicationTrace,
-    num_threads: int = 8,
-    architecture: Optional[ArchitectureConfig] = None,
-    config: Optional[StratifiedConfig] = None,
-    scheduler: str = "fifo",
-    scheduler_seed: int = 0,
-) -> SimulationResult:
-    """Simulate ``trace`` with two-phase stratified sampling.
-
-    Like :func:`sampled_simulation`, the run's sampling statistics are
-    attached to the result metadata under ``"taskpoint"`` (the stratified
-    statistics are a superset of TaskPoint's).  Additionally, the 95%
-    confidence interval of the execution-time estimate — the headline output
-    of the stratified engine — is attached under ``"confidence"`` (``None``
-    when nothing was fast-forwarded, i.e. the estimate is exact).
-    """
-    controller = StratifiedController(trace, config=config)
-    simulator = TaskSimSimulator(
-        architecture=architecture, scheduler=scheduler, scheduler_seed=scheduler_seed
-    )
-    result = simulator.run(trace, num_threads=num_threads, controller=controller)
-    result.metadata["taskpoint"] = controller.stats
-    result.metadata["confidence"] = controller.stats.confidence_summary(
-        result.total_cycles
-    )
-    return result
-
-
-def fidelity_simulation(
-    trace: ApplicationTrace,
-    num_threads: int = 8,
-    architecture: Optional[ArchitectureConfig] = None,
-    config: Optional[FidelityConfig] = None,
-    scheduler: str = "fifo",
-    scheduler_seed: int = 0,
-) -> SimulationResult:
-    """Simulate ``trace`` under the online error-budget fidelity controller.
-
-    Each task type is switched between detailed simulation and fast-forward
-    on the fly so that the run's estimated relative error stays within
-    ``config.error_budget``.  As with :func:`stratified_simulation`, the
-    sampling statistics land in the result metadata under ``"taskpoint"``
-    and the 95% confidence interval of the execution-time estimate under
-    ``"confidence"`` (``None`` when nothing was fast-forwarded).
-    """
-    controller = FidelityController(trace, config=config)
-    simulator = TaskSimSimulator(
-        architecture=architecture, scheduler=scheduler, scheduler_seed=scheduler_seed
-    )
-    result = simulator.run(trace, num_threads=num_threads, controller=controller)
-    result.metadata["taskpoint"] = controller.stats
-    result.metadata["confidence"] = controller.stats.confidence_summary(
-        result.total_cycles
-    )
+    confidence = getattr(controller.stats, "confidence_summary", None)
+    if confidence is not None:
+        result.metadata["confidence"] = confidence(result.total_cycles)
     return result
 
 

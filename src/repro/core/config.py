@@ -1,5 +1,7 @@
-"""TaskPoint model parameters.
+"""Sampling-engine parameters.
 
+:class:`ControllerConfig` holds the warm-up and thread-count-trigger fields
+every sampling engine shares; :class:`TaskPointConfig` adds TaskPoint's own.
 The paper's sensitivity analysis (Section V-A, Figure 6) determines the
 default values used for the evaluation: a warm-up interval of W = 2 task
 instances per thread, a sample-history size of H = 4 and a sampling period of
@@ -14,14 +16,63 @@ from typing import Optional
 
 
 @dataclass(frozen=True)
-class TaskPointConfig:
-    """Configuration of the TaskPoint sampling methodology.
+class ControllerConfig:
+    """Warm-up and thread-count-trigger parameters of every sampling engine.
+
+    The TaskPoint, stratified and fidelity configurations inherit these
+    fields, and :class:`repro.core.controller.SamplingController` consumes
+    them.
 
     Attributes
     ----------
     warmup_instances:
         W — number of task instances each thread simulates in detail at
         simulation start purely to warm micro-architectural state.
+    resample_warmup_instances:
+        Number of detailed instances each already-warmed thread simulates to
+        re-warm state after a resample (paper uses 1).
+    resample_on_thread_change:
+        Trigger resampling when the number of threads participating in task
+        execution changes relative to when the current samples were taken
+        (Figure 4a).
+    thread_change_tolerance:
+        Relative change in the number of active threads required to trigger
+        the thread-change resample (0.5 means the active-thread count must
+        grow or shrink by at least 50%).  Small transient fluctuations at
+        task boundaries are thereby ignored.
+    thread_change_persistence:
+        Number of consecutive decisions that must observe the changed thread
+        count before resampling is triggered.  This filters out the
+        momentary dips in available parallelism that occur at task
+        dependency boundaries without affecting genuine phase changes.
+    """
+
+    warmup_instances: int = 2
+    resample_warmup_instances: int = 1
+    resample_on_thread_change: bool = True
+    thread_change_tolerance: float = 0.5
+    thread_change_persistence: int = 5
+
+    def __post_init__(self) -> None:
+        if self.warmup_instances < 0:
+            raise ValueError("warmup_instances must be non-negative")
+        if self.resample_warmup_instances < 0:
+            raise ValueError("resample_warmup_instances must be non-negative")
+        if self.thread_change_tolerance < 0:
+            raise ValueError("thread_change_tolerance must be non-negative")
+        if self.thread_change_persistence < 1:
+            raise ValueError("thread_change_persistence must be >= 1")
+
+
+@dataclass(frozen=True)
+class TaskPointConfig(ControllerConfig):
+    """Configuration of the TaskPoint sampling methodology.
+
+    Adds to the shared :class:`ControllerConfig` fields (W and the
+    thread-count trigger):
+
+    Attributes
+    ----------
     history_size:
         H — capacity of the per-task-type FIFO histories (both the history of
         valid samples and the history of all samples).
@@ -33,53 +84,24 @@ class TaskPointConfig:
         Number of consecutive task instances every thread must simulate
         without encountering an instance of a not-yet-fully-sampled (rare)
         task type before sampling is cut off (paper uses 5).
-    resample_warmup_instances:
-        Number of detailed instances each thread simulates to re-warm state
-        before resampling measurements begin (paper uses 1).
     resample_on_new_task_type:
         Trigger resampling when fast-forward encounters a task type whose
         histories are both empty (Figure 4b).
-    resample_on_thread_change:
-        Trigger resampling when the number of threads participating in task
-        execution changes relative to when the current samples were taken
-        (Figure 4a).
-    thread_change_tolerance:
-        Relative change in the number of active threads required to trigger
-        the thread-change resample (0.5 means the active-thread count must
-        grow or shrink by at least 50%).  Small transient fluctuations at
-        task boundaries are thereby ignored.
-    thread_change_persistence:
-        Number of consecutive fast-forward decisions that must observe the
-        changed thread count before resampling is triggered.  This filters
-        out the momentary dips in available parallelism that occur at task
-        dependency boundaries without affecting genuine phase changes.
     """
 
-    warmup_instances: int = 2
     history_size: int = 4
     sampling_period: Optional[int] = 250
     rare_type_cutoff: int = 5
-    resample_warmup_instances: int = 1
     resample_on_new_task_type: bool = True
-    resample_on_thread_change: bool = True
-    thread_change_tolerance: float = 0.5
-    thread_change_persistence: int = 5
 
     def __post_init__(self) -> None:
-        if self.warmup_instances < 0:
-            raise ValueError("warmup_instances must be non-negative")
+        super().__post_init__()
         if self.history_size < 1:
             raise ValueError("history_size must be >= 1")
         if self.sampling_period is not None and self.sampling_period < 1:
             raise ValueError("sampling_period must be >= 1 or None for lazy sampling")
         if self.rare_type_cutoff < 1:
             raise ValueError("rare_type_cutoff must be >= 1")
-        if self.resample_warmup_instances < 0:
-            raise ValueError("resample_warmup_instances must be non-negative")
-        if self.thread_change_tolerance < 0:
-            raise ValueError("thread_change_tolerance must be non-negative")
-        if self.thread_change_persistence < 1:
-            raise ValueError("thread_change_persistence must be >= 1")
 
     # ------------------------------------------------------------------
     @property

@@ -22,6 +22,10 @@ interface and realises the sampling mechanism of paper §III-B:
    instance whose task type has no samples at all.  Resampling discards the
    valid histories, re-warms each thread with one detailed instance and then
    samples again.
+
+The warm-up budgets, the thread-count trigger and resample counting live in
+:class:`SamplingController`, which the stratified and fidelity engines share
+with TaskPoint.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.core.config import TaskPointConfig
+from repro.core.config import ControllerConfig, TaskPointConfig
 from repro.core.fastforward import FastForwardEstimator
 from repro.core.history import HistoryTable
 from repro.core.policies import SamplingPolicy, make_policy
@@ -105,7 +109,131 @@ class TaskPointStatistics:
         return self.detailed_instances / total if total else 0.0
 
 
-class TaskPointController:
+class SamplingController:
+    """Warm-up, thread-count and resample bookkeeping of every sampling engine.
+
+    :class:`TaskPointController`, the stratified engine
+    (:class:`repro.core.stratified.StratifiedController`) and the fidelity
+    controller (:class:`repro.core.fidelity.FidelityController`) share the
+    mechanism of paper §III-B and differ only in their estimator and the
+    order of their decisions:
+
+    * **Warm-up budgets** are per worker.  A worker's *first* participation
+      warms with the full W (``warmup_instances``), even when it joins after
+      a resample; only workers that already warmed re-warm with the short
+      ``resample_warmup_instances`` budget.
+    * **The Figure 4a trigger** fires once the active-thread count has stayed
+      outside the tolerance band around the armed count for
+      ``thread_change_persistence`` consecutive checks.
+    * **A resample** is counted with its :class:`ResampleReason`, disarms the
+      trigger, re-warms every worker and calls :meth:`_discard_samples`,
+      where each engine drops its estimator state.
+
+    Subclasses set ``self.stats`` (a :class:`TaskPointStatistics`) and
+    implement ``choose_mode`` / ``notify_completion``.
+    """
+
+    stats: TaskPointStatistics
+
+    def __init__(self, config: ControllerConfig) -> None:
+        self.config = config
+        # Budgets of the current warm-up round; a resample clears the table
+        # (see ``_remaining_warmup``).
+        self._warmup_remaining: Dict[int, int] = {}
+        self._warmed_workers: Set[int] = set()
+        # Number of threads participating in execution when the current
+        # samples were taken; None while the trigger is disarmed.
+        self._sampled_thread_count: Optional[int] = None
+        # Consecutive checks that observed a thread count outside the
+        # tolerance band (Figure 4a trigger with persistence).
+        self._thread_change_streak: int = 0
+
+    def _remaining_warmup(self, worker_id: int) -> int:
+        """This worker's current warm-up budget, lazily initialised.
+
+        A worker absent from ``_warmup_remaining`` is starting (or
+        re-starting after a resample cleared the table): its budget is the
+        short resample warm-up if it has warmed before, the full initial W
+        otherwise.
+        """
+        remaining = self._warmup_remaining.get(worker_id)
+        if remaining is None:
+            remaining = (
+                self.config.resample_warmup_instances
+                if worker_id in self._warmed_workers
+                else self.config.warmup_instances
+            )
+            self._warmup_remaining[worker_id] = remaining
+        return remaining
+
+    def _detailed_decision(self, worker_id: int) -> ModeDecision:
+        if self._remaining_warmup(worker_id) > 0:
+            return DETAILED_WARMUP_DECISION
+        return DETAILED_DECISION
+
+    def _account_warmup(self, info: CompletionInfo) -> bool:
+        """Book a detailed completion's warm-up; ``True`` if it was one.
+
+        Runs first for every detailed completion, whatever IPC it measured:
+        the worker counts as warmed, and a warm-up instance is counted and
+        consumes one unit of the worker's budget.
+        """
+        worker_id = info.worker_id
+        self._warmed_workers.add(worker_id)
+        if not info.is_warmup:
+            return False
+        self.stats.warmup_instances += 1
+        remaining = self._remaining_warmup(worker_id)
+        if remaining > 0:
+            self._warmup_remaining[worker_id] = remaining - 1
+        return True
+
+    def _arm_thread_trigger(self, active_workers: int) -> None:
+        """Record the thread count the current samples are taken under."""
+        self._sampled_thread_count = active_workers
+        self._thread_change_streak = 0
+
+    def _thread_count_changed(self, active_workers: int) -> bool:
+        """Check the Figure 4a trigger with tolerance and persistence.
+
+        A resample is only triggered once the active-thread count has stayed
+        outside the tolerance band for ``thread_change_persistence``
+        consecutive checks, so momentary dips at dependency boundaries do
+        not discard otherwise valid samples.
+        """
+        if not self.config.resample_on_thread_change:
+            return False
+        if not self._sampled_thread_count:
+            return False
+        change = abs(active_workers - self._sampled_thread_count) / self._sampled_thread_count
+        if change > self.config.thread_change_tolerance:
+            self._thread_change_streak += 1
+        else:
+            self._thread_change_streak = 0
+        return self._thread_change_streak >= self.config.thread_change_persistence
+
+    def _count_resample(self, reason: ResampleReason) -> None:
+        self.stats.resamples += 1
+        self.stats.resample_reasons[reason] += 1
+
+    def _trigger_resample(self, reason: ResampleReason) -> None:
+        """Resample: disarm the trigger, re-warm workers, discard samples.
+
+        Already-warmed workers re-warm with the short resample budget; a
+        worker first participating after this still gets the full W.
+        """
+        self._count_resample(reason)
+        self._sampled_thread_count = None
+        self._thread_change_streak = 0
+        self._warmup_remaining.clear()
+        self._discard_samples()
+
+    def _discard_samples(self) -> None:
+        """Drop the engine's estimator state on a resample."""
+        raise NotImplementedError
+
+
+class TaskPointController(SamplingController):
     """Drives a TaskSim-style simulator according to the TaskPoint methodology.
 
     Parameters
@@ -123,34 +251,19 @@ class TaskPointController:
         config: Optional[TaskPointConfig] = None,
         policy: Optional[SamplingPolicy] = None,
     ) -> None:
-        self.config = config if config is not None else TaskPointConfig()
+        super().__init__(config if config is not None else TaskPointConfig())
         self.policy = policy if policy is not None else make_policy(self.config.sampling_period)
         self.histories = HistoryTable(self.config.history_size)
         self.estimator = FastForwardEstimator(self.histories)
         self.stats = TaskPointStatistics()
 
         self.phase = SamplingPhase.SAMPLING
-        # Per-worker warm-up budget.  Tracked explicitly per worker rather
-        # than via a defaultdict factory: a worker's *first* participation
-        # always warms with the full W (``warmup_instances``), even when it
-        # joins after a resample; only workers that already warmed re-warm
-        # with the short ``resample_warmup_instances`` budget.  (The former
-        # factory swap in ``_trigger_resample`` gave late-joining workers
-        # the short budget for their initial warm-up.)
-        self._warmup_remaining: Dict[int, int] = {}
-        self._warmed_workers: Set[int] = set()
         # Per-worker count of consecutive completed instances whose type was
         # already fully sampled (used for the rare-type sampling cut-off).
         self._since_rare: Dict[int, int] = defaultdict(int)
         # Per-worker count of instances fast-forwarded since the last
         # sampling interval (used by the periodic policy).
         self._fast_forwarded: Dict[int, int] = defaultdict(int)
-        # Number of threads participating in execution when the current
-        # samples were taken; None until the first transition to fast mode.
-        self._sampled_thread_count: Optional[int] = None
-        # Consecutive fast-forward decisions that observed a thread count
-        # outside the tolerance band (Figure 4a trigger with persistence).
-        self._thread_change_streak: int = 0
 
     # ------------------------------------------------------------------
     # Phase transitions
@@ -177,43 +290,16 @@ class TaskPointController:
     def _enter_fast_forward(self, active_workers: int) -> None:
         self.phase = SamplingPhase.FAST_FORWARD
         self.stats.transitions_to_fast += 1
-        self._sampled_thread_count = active_workers
-        self._thread_change_streak = 0
+        self._arm_thread_trigger(active_workers)
         self._fast_forwarded.clear()
         self.policy.reset()
 
-    def _trigger_resample(self, reason: ResampleReason) -> None:
+    def _discard_samples(self) -> None:
         """Discard valid samples and return to the sampling phase."""
         self.phase = SamplingPhase.SAMPLING
-        self.stats.resamples += 1
-        self.stats.resample_reasons[reason] += 1
         self.histories.clear_valid()
         self._since_rare.clear()
         self._fast_forwarded.clear()
-        self._thread_change_streak = 0
-        # Re-warm already-warmed threads with the (short) resample warm-up
-        # budget; a worker first participating after this still gets the
-        # full initial W (see ``_remaining_warmup``).
-        self._warmup_remaining.clear()
-
-    def _thread_count_changed(self, active_workers: int) -> bool:
-        """Check the Figure 4a trigger with tolerance and persistence.
-
-        A resample is only triggered once the active-thread count has stayed
-        outside the tolerance band for ``thread_change_persistence``
-        consecutive fast-forward decisions, so momentary dips at dependency
-        boundaries do not discard otherwise valid samples.
-        """
-        if not self.config.resample_on_thread_change:
-            return False
-        if self._sampled_thread_count is None or self._sampled_thread_count == 0:
-            return False
-        change = abs(active_workers - self._sampled_thread_count) / self._sampled_thread_count
-        if change > self.config.thread_change_tolerance:
-            self._thread_change_streak += 1
-        else:
-            self._thread_change_streak = 0
-        return self._thread_change_streak >= self.config.thread_change_persistence
 
     # ------------------------------------------------------------------
     # ModeController interface
@@ -260,49 +346,21 @@ class TaskPointController:
         self.stats.fast_forwarded += 1
         return burst_decision(estimate.ipc)
 
-    def _remaining_warmup(self, worker_id: int) -> int:
-        """This worker's current warm-up budget, lazily initialised.
-
-        A worker absent from ``_warmup_remaining`` is starting (or
-        re-starting after a resample cleared the table): its budget is the
-        short resample warm-up if it has warmed before, the full initial W
-        otherwise.
-        """
-        remaining = self._warmup_remaining.get(worker_id)
-        if remaining is None:
-            remaining = (
-                self.config.resample_warmup_instances
-                if worker_id in self._warmed_workers
-                else self.config.warmup_instances
-            )
-            self._warmup_remaining[worker_id] = remaining
-        return remaining
-
-    def _detailed_decision(self, worker_id: int) -> ModeDecision:
-        if self._remaining_warmup(worker_id) > 0:
-            return DETAILED_WARMUP_DECISION
-        return DETAILED_DECISION
-
     def notify_completion(self, info: CompletionInfo) -> None:
         """Record the measured IPC of a detailed instance in the histories."""
         if info.mode is not SimulationMode.DETAILED:
             return
-        self._warmed_workers.add(info.worker_id)
         # A detailed completion that measured no forward progress (a
         # zero-instruction task type) still records a floor sample: it must
-        # populate the history and run the warm-up / rare-type bookkeeping
-        # below, otherwise the type stays unestimable and every fast-forward
+        # populate the history and run the rare-type bookkeeping below,
+        # otherwise the type stays unestimable and every fast-forward
         # attempt fires an EMPTY_HISTORY resample (a resample storm that
         # degrades the run to fully detailed).
         ipc = info.ipc if info.ipc > 0 else ZERO_IPC_FLOOR
         state = self.histories.state(info.instance.task_type.name)
-        if info.is_warmup:
+        if self._account_warmup(info):
             # Warm-up instances only feed the history of all samples.
             state.record_detailed(ipc, valid=False)
-            self.stats.warmup_instances += 1
-            remaining = self._remaining_warmup(info.worker_id)
-            if remaining > 0:
-                self._warmup_remaining[info.worker_id] = remaining - 1
         elif self.phase is SamplingPhase.SAMPLING:
             state.record_detailed(ipc, valid=True)
             self.stats.valid_samples += 1

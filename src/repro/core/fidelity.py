@@ -58,11 +58,11 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.controller import ResampleReason, TaskPointStatistics
-from repro.core.history import t_critical_95, unbiased_std
+from repro.core.config import ControllerConfig
+from repro.core.controller import ResampleReason, SamplingController, TaskPointStatistics
+from repro.core.history import combined_confidence, mean_confidence_interval
 from repro.runtime.task import TaskInstance
 from repro.sim.modes import (
-    DETAILED_DECISION,
     DETAILED_WARMUP_DECISION,
     CompletionInfo,
     ModeDecision,
@@ -80,8 +80,14 @@ _NUM_FEATURES = 3
 
 
 @dataclass(frozen=True)
-class FidelityConfig:
+class FidelityConfig(ControllerConfig):
     """Configuration of the online error-budget fidelity controller.
+
+    Adds to the shared :class:`~repro.core.config.ControllerConfig` fields.
+    Warm-up completions are excluded from the model.  A persistent
+    thread-count change re-opens *every* type (the contention regime
+    changed) but keeps the models — the drift detector corrects them
+    instead of discarding history.
 
     Attributes
     ----------
@@ -115,18 +121,6 @@ class FidelityConfig:
     allowance_cap:
         Upper clamp of the per-type allowance, as a multiple of the error
         budget.
-    warmup_instances:
-        Detailed instances each worker simulates first to warm
-        micro-architectural state (TaskPoint's W); excluded from the model.
-    resample_warmup_instances:
-        Warm-up budget per already-warmed worker after a thread-count
-        resample.
-    resample_on_thread_change / thread_change_tolerance /
-    thread_change_persistence:
-        TaskPoint's Figure 4a trigger, with identical semantics.  A
-        persistent thread-count change re-opens *every* type (the
-        contention regime changed) but keeps the models — the drift
-        detector corrects them instead of discarding history.
     """
 
     error_budget: float = 0.02
@@ -138,13 +132,9 @@ class FidelityConfig:
     reopen_factor: float = 1.5
     share_floor: float = 0.01
     allowance_cap: float = 5.0
-    warmup_instances: int = 2
-    resample_warmup_instances: int = 1
-    resample_on_thread_change: bool = True
-    thread_change_tolerance: float = 0.5
-    thread_change_persistence: int = 5
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 < self.error_budget < 1.0:
             raise ValueError("error_budget must be a fraction in (0, 1)")
         if self.min_samples < 1:
@@ -163,14 +153,6 @@ class FidelityConfig:
             raise ValueError("share_floor must be a fraction in (0, 1]")
         if self.allowance_cap < 1.0:
             raise ValueError("allowance_cap must be >= 1.0")
-        if self.warmup_instances < 0:
-            raise ValueError("warmup_instances must be non-negative")
-        if self.resample_warmup_instances < 0:
-            raise ValueError("resample_warmup_instances must be non-negative")
-        if self.thread_change_tolerance < 0:
-            raise ValueError("thread_change_tolerance must be non-negative")
-        if self.thread_change_persistence < 1:
-            raise ValueError("thread_change_persistence must be >= 1")
 
     def with_error_budget(self, error_budget: float) -> "FidelityConfig":
         """Return a copy targeting a different error budget."""
@@ -196,8 +178,6 @@ class FidelityTypeState:
         "work_cycles",
         "ff_cycles",
         "fast_forwarded",
-        "last_mean",
-        "last_half_width",
     )
 
     def __init__(self, task_type: str) -> None:
@@ -219,8 +199,6 @@ class FidelityTypeState:
         self.work_cycles = 0.0  # observed + predicted cycles of the type
         self.ff_cycles = 0.0    # predicted cycles of fast-forwarded instances
         self.fast_forwarded = 0
-        self.last_mean: Optional[float] = None
-        self.last_half_width: Optional[float] = None
 
     def predict_cycles(self, features: np.ndarray, instructions: float) -> Optional[float]:
         """Predicted cycles of one instance; ``None`` before any sample."""
@@ -242,21 +220,18 @@ class FidelityTypeState:
         """``(|mean|, half_width)`` of the residual window, or ``None``.
 
         The half-width is the t-based 95% CI of the window mean
-        (``ddof=1`` via :func:`repro.core.history.unbiased_std`).
+        (:func:`repro.core.history.mean_confidence_interval`).
         """
         window = self.residuals
         if window is None or len(window) < 2:
             return None
-        values = list(window)
-        mean = sum(values) / len(values)
-        half_width = (
-            t_critical_95(len(values) - 1)
-            * unbiased_std(values)
-            / math.sqrt(len(values))
-        )
-        self.last_mean = mean
-        self.last_half_width = half_width
-        return abs(mean), half_width
+        interval = mean_confidence_interval(window)
+        return abs(interval.mean), interval.half_width
+
+    def relative_error(self) -> Optional[float]:
+        """Bias plus CI of the window, ``|mean| + half_width``, or ``None``."""
+        crit = self.criterion()
+        return None if crit is None else crit[0] + crit[1]
 
 
 @dataclass
@@ -278,42 +253,21 @@ class FidelityStatistics(TaskPointStatistics):
         Each type's fast-forwarded cycles carry the relative uncertainty of
         its residual window (``|mean| + half_width`` — bias plus CI, the
         same quantity the commit criterion bounds), combined across types
-        as independent errors.  Types that fast-forwarded without a usable
-        window fall back to the widest scaled error seen (conservative).
-        Returns ``None`` when nothing was fast-forwarded.
+        by :func:`repro.core.history.combined_confidence`.  Types that
+        fast-forwarded without a usable window fall back to the widest
+        error (conservative).  Returns ``None`` when nothing was
+        fast-forwarded.
         """
-        if total_cycles <= 0:
-            return None
-        contributions: List[float] = []
-        pending = 0.0
-        widest = 0.0
-        for state in self.types:
-            if state.ff_cycles <= 0:
-                continue
-            crit = state.criterion()
-            if crit is None:
-                pending += state.ff_cycles
-                continue
-            scaled = crit[0] + crit[1]
-            widest = max(widest, scaled)
-            contributions.append(state.ff_cycles * scaled)
-        if pending > 0:
-            contributions.append(pending * (widest if widest > 0 else 1.0))
-        if not contributions:
-            return None
-        # Plain floats throughout: the dict must survive json.dumps (store
-        # records, worker frames) and NumPy scalars leak in via ff_cycles.
-        half_width = float(math.sqrt(sum(value * value for value in contributions)))
-        total_cycles = float(total_cycles)
-        return {
-            "level": 0.95,
-            "half_width_cycles": half_width,
-            "half_width_percent": 100.0 * half_width / total_cycles,
-            "lower_cycles": total_cycles - half_width,
-            "upper_cycles": total_cycles + half_width,
-            "num_types": len(self.types),
-            "committed_types": sum(1 for s in self.types if s.committed),
-        }
+        return combined_confidence(
+            total_cycles,
+            (
+                (state.ff_cycles, state.relative_error())
+                for state in self.types
+                if state.ff_cycles > 0
+            ),
+            num_types=len(self.types),
+            committed_types=sum(1 for s in self.types if s.committed),
+        )
 
     def fidelity_summary(self) -> Dict[str, object]:
         """Controller outcome, as a JSON-friendly dict (result metadata)."""
@@ -327,7 +281,7 @@ class FidelityStatistics(TaskPointStatistics):
         }
 
 
-class FidelityController:
+class FidelityController(SamplingController):
     """Mode controller meeting a user-declared error budget online.
 
     Implements the :class:`repro.sim.modes.ModeController` interface, so it
@@ -346,7 +300,7 @@ class FidelityController:
     """
 
     def __init__(self, trace, config: Optional[FidelityConfig] = None) -> None:
-        self.config = config if config is not None else FidelityConfig()
+        super().__init__(config if config is not None else FidelityConfig())
         columns = getattr(trace, "columns", trace)
         signatures = columns.instance_signatures().astype(np.float64)
         if signatures.shape[0]:
@@ -367,15 +321,6 @@ class FidelityController:
         self._states: Dict[str, FidelityTypeState] = {}
         self.stats = FidelityStatistics(error_budget=self.config.error_budget)
         self._total_work = 0.0
-
-        # Per-worker warm-up: full W for a worker's first participation,
-        # the short resample budget for already-warmed workers after a
-        # thread-count resample (tracked explicitly — see the warm-up
-        # accounting note in TaskPointController).
-        self._warmup_remaining: Dict[int, int] = {}
-        self._warmed_workers: set = set()
-        self._sampled_thread_count: Optional[int] = None
-        self._thread_change_streak = 0
 
     # ------------------------------------------------------------------
     # Per-type state and budget allocation
@@ -427,8 +372,9 @@ class FidelityController:
                 state.committed = False
                 state.reopens += 1
                 state.probe_period = self.config.probe_period
-                self.stats.resamples += 1
-                self.stats.resample_reasons[ResampleReason.DRIFT] += 1
+                # Counted as a resample, but per type: no re-warm, and the
+                # thread-count trigger stays armed.
+                self._count_resample(ResampleReason.DRIFT)
             elif was_probe and mean_abs + half_width <= allowance:
                 # Clean probe: stretch the probe spacing.
                 state.probe_period = min(
@@ -442,37 +388,7 @@ class FidelityController:
             if state.commits == 1:
                 self.stats.transitions_to_fast += 1
 
-    # ------------------------------------------------------------------
-    # Warm-up accounting (explicit initial-vs-resample budgets)
-    # ------------------------------------------------------------------
-    def _remaining_warmup(self, worker_id: int) -> int:
-        remaining = self._warmup_remaining.get(worker_id)
-        if remaining is None:
-            remaining = (
-                self.config.resample_warmup_instances
-                if worker_id in self._warmed_workers
-                else self.config.warmup_instances
-            )
-            self._warmup_remaining[worker_id] = remaining
-        return remaining
-
-    def _thread_count_changed(self, active_workers: int) -> bool:
-        """TaskPoint's Figure 4a trigger with tolerance and persistence."""
-        if not self.config.resample_on_thread_change:
-            return False
-        if not self._sampled_thread_count:
-            return False
-        change = (
-            abs(active_workers - self._sampled_thread_count)
-            / self._sampled_thread_count
-        )
-        if change > self.config.thread_change_tolerance:
-            self._thread_change_streak += 1
-        else:
-            self._thread_change_streak = 0
-        return self._thread_change_streak >= self.config.thread_change_persistence
-
-    def _resample_thread_change(self) -> None:
+    def _discard_samples(self) -> None:
         """Re-open every type after a persistent thread-count change.
 
         The contention regime the models were fitted under changed, so
@@ -480,19 +396,12 @@ class FidelityController:
         (new samples shift the fit) and the residual windows are cleared so
         stale-regime residuals cannot immediately re-commit a type.
         """
-        self.stats.resamples += 1
-        self.stats.resample_reasons[ResampleReason.THREAD_COUNT_CHANGE] += 1
         for state in self._states.values():
             state.committed = False
             state.probe_period = self.config.probe_period
             state.since_probe = 0
             if state.residuals is not None:
                 state.residuals.clear()
-        self._sampled_thread_count = None
-        self._thread_change_streak = 0
-        # Already-warmed workers re-warm with the short resample budget;
-        # workers first participating later still get the full W.
-        self._warmup_remaining.clear()
 
     # ------------------------------------------------------------------
     # ModeController interface
@@ -512,13 +421,13 @@ class FidelityController:
             return DETAILED_WARMUP_DECISION
 
         if self._thread_count_changed(active_workers):
-            self._resample_thread_change()
-            return self._issue_detailed(worker_id)
+            self._trigger_resample(ResampleReason.THREAD_COUNT_CHANGE)
+            return self._detailed_decision(worker_id)
 
         if not 0 <= instance_id < self._num_records:
             # Not part of the profiled trace: no signature features exist,
             # so the instance cannot be predicted — simulate it in detail.
-            return self._issue_detailed(worker_id)
+            return self._detailed_decision(worker_id)
 
         if state.committed and state.since_probe < state.probe_period:
             features = self._features[instance_id]
@@ -532,19 +441,14 @@ class FidelityController:
                 self._total_work += predicted
                 self.stats.fast_forwarded += 1
                 if self._sampled_thread_count is None:
-                    self._sampled_thread_count = active_workers
+                    self._arm_thread_trigger(active_workers)
                 return burst_decision(instructions / predicted)
 
         # Sampling (not committed) or a detailed probe of a committed type.
         if state.committed:
             state.since_probe = 0
             state.probes += 1
-        return self._issue_detailed(worker_id)
-
-    def _issue_detailed(self, worker_id: int) -> ModeDecision:
-        if self._remaining_warmup(worker_id) > 0:
-            return DETAILED_WARMUP_DECISION
-        return DETAILED_DECISION
+        return self._detailed_decision(worker_id)
 
     def notify_completion(self, info: CompletionInfo) -> None:
         """Fold a completed detailed instance into its type's model."""
@@ -555,13 +459,7 @@ class FidelityController:
         state.work_cycles += cycles
         self._total_work += cycles
 
-        worker_id = info.worker_id
-        self._warmed_workers.add(worker_id)
-        if info.is_warmup:
-            self.stats.warmup_instances += 1
-            remaining = self._remaining_warmup(worker_id)
-            if remaining > 0:
-                self._warmup_remaining[worker_id] = remaining - 1
+        if self._account_warmup(info):
             return
 
         instance_id = info.instance.instance_id
@@ -580,5 +478,5 @@ class FidelityController:
         state.observe(features, cycles / instructions)
         self.stats.valid_samples += 1
         if self._sampled_thread_count is None:
-            self._sampled_thread_count = info.active_workers
+            self._arm_thread_trigger(info.active_workers)
         self._update_commitment(state, was_probe)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class SampleHistory:
@@ -341,3 +341,48 @@ def mean_confidence_interval(values: Sequence[float]) -> ConfidenceInterval:
     mean = sum(values) / n
     half_width = t_critical_95(n - 1) * unbiased_std(values) / math.sqrt(n)
     return ConfidenceInterval(mean=mean, half_width=half_width)
+
+
+def combined_confidence(
+    total_cycles: float,
+    parts: Iterable[Tuple[float, Optional[float]]],
+    **extra: object,
+) -> Optional[Dict[str, object]]:
+    """95% CI of an execution-time estimate, as a JSON-friendly dict.
+
+    ``parts`` holds one ``(ff_cycles, relative_error)`` pair per estimator
+    that fast-forwarded (a stratum, a task type): the cycles it estimated and
+    the relative 95% error of its estimate, or ``None`` without one.  The
+    errors are independent, so the contributions ``ff_cycles * error`` add in
+    quadrature; parts without an error take the widest error seen (100% if
+    there is none).  ``extra`` entries are appended to the dict.  Returns
+    ``None`` when ``total_cycles`` is not positive or nothing was
+    fast-forwarded.
+    """
+    if total_cycles <= 0:
+        return None
+    contributions: List[float] = []
+    pending = 0.0  # ff cycles of parts without their own error
+    widest = 0.0
+    for ff_cycles, error in parts:
+        if error is None:
+            pending += ff_cycles
+            continue
+        widest = max(widest, error)
+        contributions.append(ff_cycles * error)
+    if pending > 0:
+        contributions.append(pending * (widest if widest > 0 else 1.0))
+    if not contributions:
+        return None
+    # Plain floats throughout: the dict must survive json.dumps (store
+    # records, worker frames) and NumPy scalars leak in via ff_cycles.
+    half_width = float(math.sqrt(sum(value * value for value in contributions)))
+    total_cycles = float(total_cycles)
+    return {
+        "level": 0.95,
+        "half_width_cycles": half_width,
+        "half_width_percent": 100.0 * half_width / total_cycles,
+        "lower_cycles": total_cycles - half_width,
+        "upper_cycles": total_cycles + half_width,
+        **extra,
+    }

@@ -29,8 +29,8 @@ across strata as independent errors with per-stratum Student-t multipliers
 durations are first-order linear in them, which is the usual delta-method
 approximation.
 
-Resampling triggers mirror :class:`repro.core.controller.TaskPointController`
-(and reuse its :class:`~repro.core.controller.ResampleReason` enum): a
+Warm-up, the thread-count trigger and resample counting come from
+:class:`repro.core.controller.SamplingController`, shared with TaskPoint: a
 persistent active-thread-count change or an unprofiled task type discards the
 per-stratum IPC statistics *and* the Neyman allocation, re-warms, and
 re-runs the pilot — allocations are never reused across a resample, since
@@ -45,26 +45,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.controller import ResampleReason, TaskPointStatistics
-from repro.core.history import t_critical_95
+from repro.core.config import ControllerConfig
+from repro.core.controller import ResampleReason, SamplingController, TaskPointStatistics
+from repro.core.history import combined_confidence, t_critical_95
 from repro.runtime.task import TaskInstance
-from repro.sim.modes import (
-    DETAILED_DECISION,
-    DETAILED_WARMUP_DECISION,
-    CompletionInfo,
-    ModeDecision,
-    SimulationMode,
-    burst_decision,
-)
+from repro.sim.modes import CompletionInfo, ModeDecision, SimulationMode, burst_decision
 
 
 @dataclass(frozen=True)
-class StratifiedConfig:
+class StratifiedConfig(ControllerConfig):
     """Configuration of the stratified sampling engine.
+
+    Adds to the shared :class:`~repro.core.config.ControllerConfig` fields
+    (warm-up and the thread-count trigger, with TaskPoint's semantics; W
+    defaults to 1 here):
 
     Attributes
     ----------
@@ -81,28 +79,19 @@ class StratifiedConfig:
     pilot_samples:
         Detailed samples taken from every stratum before the Neyman
         allocation of the remaining budget (phase 2's first stage).
-    warmup_instances:
-        Detailed instances each worker simulates at start purely to warm
-        micro-architectural state (as TaskPoint's W; not valid samples).
-    resample_warmup_instances:
-        Warm-up budget per worker after a resampling trigger.
-    resample_on_new_task_type / resample_on_thread_change /
-    thread_change_tolerance / thread_change_persistence:
-        The TaskPoint resampling triggers, with identical semantics.
+    resample_on_new_task_type:
+        TaskPoint's Figure 4b trigger, for instances outside the profile.
     """
 
+    warmup_instances: int = 1
     budget: float = 0.02
     strata_per_type: int = 3
     min_stratum_size: int = 16
     pilot_samples: int = 3
-    warmup_instances: int = 1
-    resample_warmup_instances: int = 1
     resample_on_new_task_type: bool = True
-    resample_on_thread_change: bool = True
-    thread_change_tolerance: float = 0.5
-    thread_change_persistence: int = 5
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 < self.budget <= 1.0:
             raise ValueError("budget must be a fraction in (0, 1]")
         if self.strata_per_type < 1:
@@ -111,14 +100,6 @@ class StratifiedConfig:
             raise ValueError("min_stratum_size must be >= 1")
         if self.pilot_samples < 2:
             raise ValueError("pilot_samples must be >= 2 (variance needs 2 samples)")
-        if self.warmup_instances < 0:
-            raise ValueError("warmup_instances must be non-negative")
-        if self.resample_warmup_instances < 0:
-            raise ValueError("resample_warmup_instances must be non-negative")
-        if self.thread_change_tolerance < 0:
-            raise ValueError("thread_change_tolerance must be non-negative")
-        if self.thread_change_persistence < 1:
-            raise ValueError("thread_change_persistence must be >= 1")
 
     def with_budget(self, budget: float) -> "StratifiedConfig":
         """Return a copy with a different detailed budget."""
@@ -195,6 +176,13 @@ class StratumState:
             return None
         return self.std() / (math.sqrt(self.count) * self.cpi_mean)
 
+    def relative_half_width(self) -> Optional[float]:
+        """Student-t 95% half-width of the stratum mean, relative to it."""
+        rse = self.relative_standard_error()
+        if rse is None:
+            return None
+        return t_critical_95(self.count - 1) * rse
+
     def reset_samples(self) -> None:
         """Discard samples and allocation (resampling trigger)."""
         self.target = self.pilot_target
@@ -223,45 +211,23 @@ class StratifiedStatistics(TaskPointStatistics):
     def confidence_summary(self, total_cycles: float) -> Optional[Dict[str, object]]:
         """95% CI of the estimated execution time, as a JSON-friendly dict.
 
-        The half-width combines, across strata, the fast-forwarded cycles
-        weighted by the relative standard error of the stratum-mean CPI,
-        each scaled by the stratum's Student-t 95% critical value (errors
-        independent across strata).  Strata that fast-forwarded without at
-        least two samples fall back to the widest observed relative error
-        (conservative).  Returns ``None`` when nothing was fast-forwarded
-        (the estimate is exact — a detailed run).
+        Each stratum's fast-forwarded cycles carry the Student-t-scaled
+        relative standard error of its mean CPI, combined across strata by
+        :func:`repro.core.history.combined_confidence`.  Strata that
+        fast-forwarded without at least two samples fall back to the widest
+        error (conservative).  Returns ``None`` when nothing was
+        fast-forwarded (the estimate is exact — a detailed run).
         """
-        if total_cycles <= 0:
-            return None
-        contributions: List[float] = []
-        pending: float = 0.0  # ff cycles of strata without their own error
-        widest = 0.0
-        for stratum in self.strata:
-            if stratum.ff_cycles <= 0:
-                continue
-            rse = stratum.relative_standard_error()
-            if rse is None:
-                pending += stratum.ff_cycles
-                continue
-            scaled = t_critical_95(stratum.count - 1) * rse
-            widest = max(widest, scaled)
-            contributions.append(stratum.ff_cycles * scaled)
-        if pending > 0:
-            # No per-stratum error estimate: assume the widest scaled
-            # relative error seen anywhere (or 100% if none exists at all).
-            contributions.append(pending * (widest if widest > 0 else 1.0))
-        if not contributions:
-            return None
-        half_width = math.sqrt(sum(value * value for value in contributions))
-        return {
-            "level": 0.95,
-            "half_width_cycles": half_width,
-            "half_width_percent": 100.0 * half_width / total_cycles,
-            "lower_cycles": total_cycles - half_width,
-            "upper_cycles": total_cycles + half_width,
-            "num_strata": self.num_strata,
-            "sampled_strata": sum(1 for s in self.strata if s.count >= 2),
-        }
+        return combined_confidence(
+            total_cycles,
+            (
+                (stratum.ff_cycles, stratum.relative_half_width())
+                for stratum in self.strata
+                if stratum.ff_cycles > 0
+            ),
+            num_strata=self.num_strata,
+            sampled_strata=sum(1 for s in self.strata if s.count >= 2),
+        )
 
 
 def build_strata(columns, strata_per_type: int, min_stratum_size: int) -> np.ndarray:
@@ -312,7 +278,7 @@ def build_strata(columns, strata_per_type: int, min_stratum_size: int) -> np.nda
     return stratum_of
 
 
-class StratifiedController:
+class StratifiedController(SamplingController):
     """Mode controller implementing two-phase stratified sampling.
 
     Implements the :class:`repro.sim.modes.ModeController` interface, so it
@@ -330,7 +296,7 @@ class StratifiedController:
     """
 
     def __init__(self, trace, config: Optional[StratifiedConfig] = None) -> None:
-        self.config = config if config is not None else StratifiedConfig()
+        super().__init__(config if config is not None else StratifiedConfig())
         columns = getattr(trace, "columns", trace)
         self._columns = columns
         # ---- Phase 1: profile + stratify (no simulation) ----
@@ -376,14 +342,6 @@ class StratifiedController:
         # ---- Phase 2 runtime state ----
         self.allocated = False
         self._detailed_decided = 0
-        # Explicit per-worker warm-up budgets (initial W versus the short
-        # resample budget) — same accounting as TaskPointController: a
-        # worker first participating after a resample still warms with the
-        # full W, only already-warmed workers re-warm with the short budget.
-        self._warmup_remaining: Dict[int, int] = {}
-        self._warmed_workers: Set[int] = set()
-        self._sampled_thread_count: Optional[int] = None
-        self._thread_change_streak = 0
         # Detailed instances in flight across a resample must not feed the
         # fresh stratum statistics (they were decided under the discarded
         # conditions — e.g. the old thread count).  Decisions are stamped
@@ -395,7 +353,7 @@ class StratifiedController:
     # ------------------------------------------------------------------
     # Resampling and allocation
     # ------------------------------------------------------------------
-    def _trigger_resample(self, reason: ResampleReason) -> None:
+    def _discard_samples(self) -> None:
         """Discard stratum samples *and* the Neyman allocation; re-pilot.
 
         The allocation was computed from the discarded samples, so keeping it
@@ -403,46 +361,11 @@ class StratifiedController:
         goes back to its pilot state and the allocation is recomputed from
         the new samples.
         """
-        self.stats.resamples += 1
-        self.stats.resample_reasons[reason] += 1
         for stratum in self.strata:
             stratum.reset_samples()
         self.allocated = False
         self._detailed_decided = 0
-        self._sampled_thread_count = None
-        self._thread_change_streak = 0
         self._epoch += 1
-        self._warmup_remaining.clear()
-
-    def _remaining_warmup(self, worker_id: int) -> int:
-        """This worker's warm-up budget: full initial W on first
-        participation (even after a resample), the short resample budget
-        for already-warmed workers after a resample cleared the table."""
-        remaining = self._warmup_remaining.get(worker_id)
-        if remaining is None:
-            remaining = (
-                self.config.resample_warmup_instances
-                if worker_id in self._warmed_workers
-                else self.config.warmup_instances
-            )
-            self._warmup_remaining[worker_id] = remaining
-        return remaining
-
-    def _thread_count_changed(self, active_workers: int) -> bool:
-        """TaskPoint's Figure 4a trigger with tolerance and persistence."""
-        if not self.config.resample_on_thread_change:
-            return False
-        if not self._sampled_thread_count:
-            return False
-        change = (
-            abs(active_workers - self._sampled_thread_count)
-            / self._sampled_thread_count
-        )
-        if change > self.config.thread_change_tolerance:
-            self._thread_change_streak += 1
-        else:
-            self._thread_change_streak = 0
-        return self._thread_change_streak >= self.config.thread_change_persistence
 
     def _pilot_complete(self) -> bool:
         return all(
@@ -494,8 +417,7 @@ class StratifiedController:
         self.allocated = True
         self.stats.allocations += 1
         self.stats.transitions_to_fast += 1
-        self._sampled_thread_count = active_workers
-        self._thread_change_streak = 0
+        self._arm_thread_trigger(active_workers)
 
     # ------------------------------------------------------------------
     # Fast-forward IPC
@@ -589,12 +511,13 @@ class StratifiedController:
         look piloted with zero usable samples.
         """
         self._detailed_decided += 1
-        if self._remaining_warmup(worker_id) > 0:
-            return DETAILED_WARMUP_DECISION
+        decision = self._detailed_decision(worker_id)
+        if decision.is_warmup:
+            return decision
         if stratum is not None:
             stratum.decided_detailed += 1
         self._decision_epoch[instance_id] = self._epoch
-        return DETAILED_DECISION
+        return decision
 
     def notify_completion(self, info: CompletionInfo) -> None:
         """Fold a completed instance into stratum statistics."""
@@ -607,26 +530,20 @@ class StratifiedController:
             if stratum is not None:
                 stratum.ff_cycles += info.cycles
             return
-        self._warmed_workers.add(info.worker_id)
-        if info.ipc <= 0:
-            return
-        task_type = info.instance.task_type.name
-        aggregate = self._type_cpi.setdefault(task_type, [0.0, 0])
-        aggregate[0] += 1.0 / info.ipc
-        aggregate[1] += 1
-        if info.is_warmup:
-            # Warm-up IPCs are cold-cache biased: they feed only the
-            # type-level fallback mean, never the stratum estimator.
-            self.stats.warmup_instances += 1
-            remaining = self._remaining_warmup(info.worker_id)
-            if remaining > 0:
-                self._warmup_remaining[info.worker_id] = remaining - 1
+        is_warmup = self._account_warmup(info)
+        if info.ipc > 0:
+            # Every measured IPC feeds the type-level fallback mean.
+            aggregate = self._type_cpi.setdefault(info.instance.task_type.name, [0.0, 0])
+            aggregate[0] += 1.0 / info.ipc
+            aggregate[1] += 1
+        if is_warmup:
+            # Warm-up IPCs are cold-cache biased: never a stratum sample.
             return
         epoch = self._decision_epoch.pop(instance_id, self._epoch)
-        if stratum is None or epoch != self._epoch:
-            # Out of profile, or decided before a resample discarded the
-            # conditions it was decided under: usable for the type-level
-            # fallback mean (fed above) but not as a stratum sample.
+        if stratum is None or epoch != self._epoch or info.ipc <= 0:
+            # Out of profile, decided before a resample discarded the
+            # conditions it was decided under, or no forward progress
+            # measured: not a stratum sample.
             self.stats.invalid_samples += 1
             return
         stratum.observe(info.ipc)

@@ -86,9 +86,10 @@ class ExperimentSpec:
         Number of simulated worker threads.
     config:
         Sampling configuration — a :class:`TaskPointConfig` (periodic/lazy
-        sampling) or a :class:`StratifiedConfig` (two-phase stratified
-        sampling) — or ``None`` to mark the experiment as a full **detailed
-        baseline** run.
+        sampling), a :class:`StratifiedConfig` (two-phase stratified
+        sampling) or a :class:`FidelityConfig` (online error-budget
+        controller) — or ``None`` to mark the experiment as a full
+        **detailed baseline** run.
     scheduler:
         Dynamic scheduler name (``"fifo"``, ``"locality"`` or ``"random"``).
     scheduler_seed:

@@ -126,8 +126,8 @@ DETAILED_WARMUP_DECISION = ModeDecision(mode=SimulationMode.DETAILED, is_warmup=
 
 def burst_decision(ipc: float) -> ModeDecision:
     """A burst-mode decision at ``ipc`` — the one shape every sampling
-    controller (TaskPoint's periodic/lazy, the stratified engine) emits when
-    it fast-forwards an instance.  Centralised so the validation in
+    controller (TaskPoint's periodic/lazy, the stratified engine, the
+    fidelity controller) emits when it fast-forwards an instance.  Centralised so the validation in
     :class:`ModeDecision` is the single gatekeeper for fast-forward IPCs."""
     return ModeDecision(mode=SimulationMode.BURST, ipc=ipc)
 

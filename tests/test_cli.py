@@ -166,15 +166,22 @@ class TestCommands:
         assert code == 0
         assert "benchmark" in capsys.readouterr().out
 
-    def test_simulate_fidelity_mode(self, capsys):
+    @pytest.mark.parametrize("flags,engine_lines", [
+        pytest.param(["--mode", "stratified"], [], id="stratified"),
+        pytest.param(["--mode", "fidelity", "--error-budget", "0.05"],
+                     ["error budget", "committed types"], id="fidelity"),
+    ])
+    def test_simulate_engine_mode(self, capsys, flags, engine_lines):
         code = main([
             "simulate", "histogram", "--scale", "0.004", "--threads", "2",
-            "--mode", "fidelity", "--error-budget", "0.05",
+            *flags,
         ])
         assert code == 0
         output = capsys.readouterr().out
-        assert "error budget" in output
-        assert "committed types" in output
+        assert "ci95 halfwidth" in output
+        assert "ci95 cycles" in output
+        for line in engine_lines:
+            assert line in output
 
     def test_compare_fidelity_mode(self, capsys):
         code = main([

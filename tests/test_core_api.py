@@ -5,7 +5,9 @@ import pytest
 from repro.core.api import compare_with_detailed, sampled_simulation
 from repro.core.config import TaskPointConfig, lazy_config
 from repro.core.controller import TaskPointStatistics
-from repro.core.policies import AdaptiveSamplingPolicy
+from repro.core.fidelity import FidelityConfig, FidelityStatistics
+from repro.core.policies import AdaptiveSamplingPolicy, LazySamplingPolicy
+from repro.core.stratified import StratifiedConfig, StratifiedStatistics
 from repro.sim.modes import SimulationMode
 
 from tests.conftest import build_two_type_trace, build_uniform_trace
@@ -31,6 +33,33 @@ class TestSampledSimulation:
         policy = AdaptiveSamplingPolicy(initial_period=20, min_period=5, max_period=100)
         result = sampled_simulation(trace, num_threads=2, policy=policy)
         assert result.num_instances == len(trace)
+
+    def test_taskpoint_results_carry_no_confidence(self):
+        trace = build_uniform_trace(num_instances=40)
+        result = sampled_simulation(trace, num_threads=2, config=lazy_config())
+        assert "confidence" not in result.metadata
+
+    @pytest.mark.parametrize("config,stats_type", [
+        (StratifiedConfig(), StratifiedStatistics),
+        (FidelityConfig(), FidelityStatistics),
+    ], ids=["stratified", "fidelity"])
+    def test_config_type_picks_the_engine(self, config, stats_type):
+        trace = build_two_type_trace(num_instances=80)
+        result = sampled_simulation(trace, num_threads=2, config=config)
+        stats = result.metadata["taskpoint"]
+        assert type(stats) is stats_type
+        assert stats.total_instances == len(trace)
+        assert result.metadata["confidence"] == stats.confidence_summary(
+            result.total_cycles
+        )
+
+    @pytest.mark.parametrize("config", [StratifiedConfig(), FidelityConfig()],
+                             ids=["stratified", "fidelity"])
+    def test_policy_rejected_for_other_engines(self, config):
+        trace = build_uniform_trace(num_instances=20)
+        with pytest.raises(ValueError, match="TaskPoint"):
+            sampled_simulation(trace, num_threads=2, config=config,
+                               policy=LazySamplingPolicy())
 
 
 class TestCompareWithDetailed:

@@ -324,7 +324,7 @@ class TestThreadChange:
             quick_config(warmup_instances=2, resample_warmup_instances=1),
         )
         drive(controller, trace, range(8), ipc=2.0, worker_id=0, active=1)
-        controller._resample_thread_change()
+        controller._trigger_resample(ResampleReason.THREAD_COUNT_CHANGE)
         # Already-warmed worker 0 re-warms with the short budget...
         warm = drive(controller, trace, [20], worker_id=0)
         assert warm[0].is_warmup

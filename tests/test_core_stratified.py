@@ -288,6 +288,35 @@ class TestControllerEndToEnd:
         # Nothing estimated: no confidence interval to report.
         assert controller.stats.confidence_summary(result.total_cycles) is None
 
+    def test_zero_ipc_completions_end_warmup_and_are_counted(self):
+        # Regression: a completion that measured no forward progress used to
+        # return before the warm-up accounting, so the worker was handed
+        # warm-up decisions forever and none of its completions was counted.
+        trace = make_trace(num_per_type=10, types=("alpha",))
+        controller = StratifiedController(trace, StratifiedConfig(warmup_instances=1))
+        decisions = []
+        for instance_id in range(10):
+            instance = make_instance(trace, instance_id)
+            decision = controller.choose_mode(instance, worker_id=0,
+                                              active_workers=1,
+                                              current_cycle=float(instance_id))
+            decisions.append(decision)
+            controller.notify_completion(
+                CompletionInfo(
+                    instance=instance, mode=decision.mode, cycles=0.0,
+                    ipc=0.0 if decision.mode is SimulationMode.DETAILED else decision.ipc,
+                    is_warmup=decision.is_warmup, start_cycle=0.0,
+                    end_cycle=0.0, worker_id=0, active_workers=1,
+                )
+            )
+        assert decisions[0].is_warmup
+        assert not decisions[1].is_warmup
+        detailed = sum(d.mode is SimulationMode.DETAILED for d in decisions)
+        assert controller.stats.detailed_instances == detailed
+        # A zero-IPC sample feeds no estimator.
+        assert controller.stats.valid_samples == 0
+        assert all(s.count == 0 for s in controller.strata)
+
 
 class TestExperimentWiring:
     def test_run_spec_dispatches_stratified(self):
@@ -427,11 +456,11 @@ class TestResampleInterplay:
             if reasons[ResampleReason.THREAD_COUNT_CHANGE] > before:
                 break
         assert reasons[ResampleReason.THREAD_COUNT_CHANGE] == before + 1
+        assert controller._sampled_thread_count is None  # trigger disarmed
         if mode == "stratified":
             assert controller.allocated is False
             assert all(s.count == 0 for s in controller.strata)
             assert all(s.target == s.pilot_target for s in controller.strata)
-            assert controller._sampled_thread_count is None
         else:
             assert controller.phase is SamplingPhase.SAMPLING
             assert all(s.valid.is_empty for s in controller.histories.states)

@@ -11,6 +11,8 @@ from repro.analysis.accuracy import evaluate_benchmark, evaluate_grid
 from repro.analysis.sweep import warmup_sweep
 from repro.arch.config import high_performance_config, low_power_config
 from repro.core.config import TaskPointConfig, lazy_config, periodic_config
+from repro.core.fidelity import FidelityConfig
+from repro.core.stratified import StratifiedConfig
 from repro.exp import (
     ExperimentExecutionError,
     ExperimentFailure,
@@ -112,13 +114,20 @@ class TestExperimentSpec:
         # Golden digest: guards the content-key scheme itself.  If a spec or
         # config field changes meaning, bump SPEC_SCHEMA_VERSION (which
         # invalidates on-disk caches) and regenerate this constant.
-        spec = ExperimentSpec(
-            "swaptions", num_threads=2, scale=0.004, trace_seed=1,
-            architecture=high_performance_config(), config=lazy_config(),
-        )
-        assert spec.content_key() == (
-            "af759e1b6427c93819939c3afcf85e7d8f34f30a7b3891c32eec413a89b4603f"
-        )
+        expected = {
+            lazy_config():
+                "af759e1b6427c93819939c3afcf85e7d8f34f30a7b3891c32eec413a89b4603f",
+            StratifiedConfig():
+                "d64a91998df7c67868eb6624a1361d45d49f17fa052c12c7477c8a9e0342236e",
+            FidelityConfig():
+                "1ca5239f8260492642b801d1e358c8d10659f8bae3488f708d96cc67fbcca7fd",
+        }
+        for config, key in expected.items():
+            spec = ExperimentSpec(
+                "swaptions", num_threads=2, scale=0.004, trace_seed=1,
+                architecture=high_performance_config(), config=config,
+            )
+            assert spec.content_key() == key, config
 
     def test_validation(self):
         with pytest.raises(ValueError):
