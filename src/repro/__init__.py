@@ -12,8 +12,8 @@ The library is organised in layers, from the substrate upwards:
   interconnect, DRAM) and the Table II configurations,
 * :mod:`repro.sim` — the TaskSim-style trace-driven multi-core simulator with
   detailed and burst modes,
-* :mod:`repro.core` — TaskPoint itself: sample histories, warm-up, sampling
-  policies, accurate fast-forwarding and the sampling controller,
+* :mod:`repro.core` — TaskPoint itself: sample histories, warm-up, the
+  sampling period, accurate fast-forwarding and the sampling controller,
 * :mod:`repro.exp` — the experiment orchestration layer: hashable
   experiment specs, serial/process-pool/distributed-async execution
   backends and the persistent sharded result store every evaluation

@@ -84,7 +84,7 @@ def evaluate_benchmark(
     trace: ApplicationTrace,
     num_threads: int,
     architecture: Optional[ArchitectureConfig] = None,
-    config: Optional[TaskPointConfig] = None,
+    config: Optional[SamplingConfig] = None,
     scheduler_seed: int = 0,
 ) -> AccuracyResult:
     """Run the detailed-versus-sampled comparison for one in-memory trace.
@@ -252,8 +252,10 @@ def evaluate_grid(
     architecture:
         Architecture configuration; defaults to the high-performance one.
     config:
-        TaskPoint configuration (periodic P=250 or lazy); defaults to the
-        paper's periodic configuration.
+        Sampling configuration: a :class:`TaskPointConfig` (periodic P=250
+        or lazy), a :class:`repro.core.stratified.StratifiedConfig` or a
+        :class:`repro.core.fidelity.FidelityConfig`; defaults to the paper's
+        periodic configuration.
     scale:
         Workload scale passed to the generators (fraction of Table I's
         instance counts).

@@ -92,22 +92,6 @@ def _architecture(name: str):
     raise ValueError(f"unknown architecture {name!r}")
 
 
-def _sampling_config(args: argparse.Namespace):
-    """Sampling config selected by ``--policy``/``--mode``."""
-    policy = getattr(args, "policy", None)
-    if policy == "stratified":
-        return StratifiedConfig(budget=args.budget)
-    if policy == "fidelity":
-        return FidelityConfig(
-            error_budget=args.error_budget, warmup_instances=args.warmup
-        )
-    return TaskPointConfig(
-        warmup_instances=args.warmup,
-        history_size=args.history,
-        sampling_period=None if policy == "lazy" else args.period,
-    )
-
-
 def _fraction(flag: str, *, max_inclusive: bool):
     """An argparse ``type=`` callable enforcing a fraction range.
 
@@ -149,57 +133,48 @@ def _bounded_int(flag: str, minimum: int):
     return parse
 
 
-#: Defaults of the sampling flags, applied only after the applicability
-#: check below — the parser-level defaults are ``None`` so "user passed the
-#: flag" is distinguishable from "flag left at its default".
-_SAMPLING_DEFAULTS = {
-    "policy": "periodic",
-    "period": 250,
-    "warmup": 2,
-    "history": 4,
-    "budget": 0.02,
-    "error_budget": 0.02,
+#: The sampling engines ``--policy``/``--mode`` select; the first is the
+#: default.  Each gives its config class, the config fields it fixes, and the
+#: sampling flags it takes: the config field each flag sets and its label in
+#: the grid title, engine-specific parameters first.  A config is built from
+#: the flags the user passed; every other field keeps its dataclass default.
+_ENGINES = {
+    "periodic": (TaskPointConfig, {}, {
+        "period": ("sampling_period", "P"),
+        "warmup": ("warmup_instances", "W"),
+        "history": ("history_size", "H"),
+    }),
+    "lazy": (TaskPointConfig, {"sampling_period": None}, {
+        "warmup": ("warmup_instances", "W"),
+        "history": ("history_size", "H"),
+    }),
+    "stratified": (StratifiedConfig, {}, {"budget": ("budget", "budget")}),
+    "fidelity": (FidelityConfig, {}, {
+        "error_budget": ("error_budget", "error-budget"),
+        "warmup": ("warmup_instances", "W"),
+    }),
 }
 
-#: Which sampling flags each engine actually consumes.  Passing any other
-#: sampling flag is an error (satellite: flags were previously ignored
-#: silently, e.g. ``--budget`` under a periodic policy).
-_FLAG_APPLICABILITY = {
-    "periodic": {"period", "warmup", "history"},
-    "lazy": {"warmup", "history"},
-    "stratified": {"budget"},
-    "fidelity": {"error_budget", "warmup"},
-}
+_DEFAULT_ENGINE = next(iter(_ENGINES))
 
-_FLAG_SPELLING = {
-    "period": "--period",
-    "warmup": "--warmup",
-    "history": "--history",
-    "budget": "--budget",
-    "error_budget": "--error-budget",
-}
+#: Every sampling flag's ``dest``, each once.
+_SAMPLING_FLAGS = list(dict.fromkeys(
+    flag for _, _, flags in _ENGINES.values() for flag in flags
+))
 
-#: How the grid title shows each sampling flag, and the config field holding
-#: the value the engine ran with; engine-specific parameters come first.
-_TITLE_FIELDS = (
-    ("budget", "budget", "budget"),
-    ("error_budget", "error-budget", "error_budget"),
-    ("period", "P", "sampling_period"),
-    ("warmup", "W", "warmup_instances"),
-    ("history", "H", "history_size"),
-)
+
+def _spelling(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
 
 
 def _resolve_sampling_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Validate sampling-flag applicability and fill in defaults.
+    """Resolve the sampling engine and reject the flags it does not take.
 
-    Resolves the effective sampling engine from ``--mode``/``--policy``,
-    rejects (via ``parser.error``, exit code 2) any sampling flag the
-    selected engine does not consume, then replaces the ``None`` sentinels
-    with the real defaults so the command implementations never see a
-    partially-populated namespace.
+    Stores the engine ``--mode``/``--policy`` select in ``args.policy``
+    (``None`` for ``--mode detailed``) and rejects, via ``parser.error``
+    (exit code 2), any sampling flag that engine does not consume.
     """
     mode = getattr(args, "mode", None)
     if mode == "detailed":
@@ -207,24 +182,39 @@ def _resolve_sampling_args(
         if args.policy is not None:
             parser.error("--policy does not apply to --mode detailed")
     elif mode in (None, "sampled"):
-        engine = args.policy if args.policy is not None else "periodic"
+        engine = args.policy or _DEFAULT_ENGINE
     else:  # an explicit engine mode: stratified / fidelity
         engine = mode
         if args.policy is not None and args.policy != engine:
             parser.error(
                 f"--policy {args.policy} conflicts with --mode {engine}"
             )
-    allowed = _FLAG_APPLICABILITY.get(engine, set())
-    for flag in ("period", "warmup", "history", "budget", "error_budget"):
-        if getattr(args, flag, None) is not None and flag not in allowed:
+    taken = _ENGINES[engine][2] if engine else {}
+    for flag in _SAMPLING_FLAGS:
+        if getattr(args, flag) is not None and flag not in taken:
             target = f"--mode {mode}" if engine is None else f"the {engine} engine"
-            parser.error(
-                f"{_FLAG_SPELLING[flag]} does not apply to {target}"
-            )
+            parser.error(f"{_spelling(flag)} does not apply to {target}")
     args.policy = engine
-    for flag, default in _SAMPLING_DEFAULTS.items():
-        if flag != "policy" and getattr(args, flag, None) is None:
-            setattr(args, flag, default)
+
+
+def _sampling_config(args: argparse.Namespace):
+    """The config of the engine ``args.policy``, set by the flags passed."""
+    config_class, fixed, flags = _ENGINES[args.policy]
+    passed = {
+        field: getattr(args, flag)
+        for flag, (field, _) in flags.items()
+        if getattr(args, flag) is not None
+    }
+    return config_class(**fixed, **passed)
+
+
+def _engine_title(engine: str, config) -> str:
+    """``engine`` and the parameters it consumes, as ``config`` holds them."""
+    params = [
+        f"{label}={getattr(config, field)}"
+        for field, label in _ENGINES[engine][2].values()
+    ]
+    return f"{engine} {', '.join(params)}"
 
 
 def _int_list(raw: str) -> List[int]:
@@ -288,37 +278,33 @@ def _add_grid_arguments(
     _add_workload_arguments(parser)
 
 
-_POLICY_CHOICES = ["periodic", "lazy", "stratified", "fidelity"]
-
-
 def _add_taskpoint_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policy", choices=_POLICY_CHOICES,
-                        default=None,
+    """``--policy`` and the sampling flags, their defaults read off the configs.
+
+    The flags parse to ``None`` unless passed, so the resolution step can
+    tell a passed flag from an omitted one.
+    """
+    parser.add_argument("--policy", choices=list(_ENGINES), default=None,
                         help="sampling engine: TaskPoint periodic/lazy, "
                              "two-phase stratified sampling with confidence "
                              "intervals, or the online error-budget fidelity "
-                             "controller (default: periodic)")
-    parser.add_argument("--period", type=_bounded_int("--period", 1),
-                        default=None,
-                        help="periodic policy only: sampling period P "
-                             "(default 250)")
-    parser.add_argument("--warmup", type=_bounded_int("--warmup", 0),
-                        default=None,
-                        help="periodic/lazy/fidelity: warm-up instances W "
-                             "(default 2)")
-    parser.add_argument("--history", type=_bounded_int("--history", 1),
-                        default=None,
-                        help="periodic/lazy: history size H (default 4)")
-    parser.add_argument("--budget", type=_fraction("--budget", max_inclusive=True),
-                        default=None,
-                        help="stratified mode only: target fraction of task "
-                             "instances simulated in detail, in (0, 1] "
-                             "(default 0.02)")
-    parser.add_argument("--error-budget", dest="error_budget",
-                        type=_fraction("--error-budget", max_inclusive=False),
-                        default=None,
-                        help="fidelity mode only: relative execution-time "
-                             "error budget, in (0, 1) (default 0.02)")
+                             f"controller (default: {_DEFAULT_ENGINE})")
+    for flag, parse, meaning in (
+        ("period", _bounded_int("--period", 1), "sampling period P"),
+        ("warmup", _bounded_int("--warmup", 0), "warm-up instances W"),
+        ("history", _bounded_int("--history", 1), "history size H"),
+        ("budget", _fraction("--budget", max_inclusive=True),
+         "target fraction of task instances simulated in detail, in (0, 1]"),
+        ("error_budget", _fraction("--error-budget", max_inclusive=False),
+         "relative execution-time error budget, in (0, 1)"),
+    ):
+        takers = [name for name, (_, _, flags) in _ENGINES.items() if flag in flags]
+        config_class, fixed, flags = _ENGINES[takers[0]]
+        field, _ = flags[flag]
+        default = getattr(config_class(**fixed), field)
+        parser.add_argument(_spelling(flag), type=parse, default=None,
+                            help=f"{'/'.join(takers)}: {meaning} "
+                                 f"(default {default})")
 
 
 def _add_mode_alias(parser: argparse.ArgumentParser) -> None:
@@ -328,7 +314,7 @@ def _add_mode_alias(parser: argparse.ArgumentParser) -> None:
     the experiment commands take the engine name through either spelling —
     the acceptance workflows use ``--mode fidelity``.
     """
-    parser.add_argument("--mode", dest="policy", choices=_POLICY_CHOICES,
+    parser.add_argument("--mode", dest="policy", choices=list(_ENGINES),
                         default=None, help="alias for --policy")
 
 
@@ -378,9 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list the available benchmarks")
+    listing = subparsers.add_parser("list", help="list the available benchmarks")
+    listing.set_defaults(handler=_command_list)
 
     sim = subparsers.add_parser("simulate", help="simulate one benchmark")
+    sim.set_defaults(handler=_command_simulate)
     _add_common_arguments(sim)
     sim.add_argument("--mode",
                      choices=["detailed", "sampled", "stratified", "fidelity"],
@@ -392,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_taskpoint_arguments(sim)
 
     cmp = subparsers.add_parser("compare", help="sampled versus detailed simulation")
+    cmp.set_defaults(handler=_command_compare)
     _add_common_arguments(cmp)
     _add_taskpoint_arguments(cmp)
     _add_mode_alias(cmp)
@@ -400,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid = subparsers.add_parser(
         "grid", help="accuracy grid (benchmarks x thread counts) via the orchestrator"
     )
+    grid.set_defaults(handler=_command_grid)
     _add_grid_arguments(grid)
     _add_taskpoint_arguments(grid)
     _add_mode_alias(grid)
@@ -408,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subparsers.add_parser(
         "sweep", help="parameter sensitivity sweep (Figure 6) via the orchestrator"
     )
+    sweep.set_defaults(handler=_command_sweep)
     sweep.add_argument("parameter", choices=["W", "H", "P"],
                        help="swept parameter: warm-up, history size or period")
     sweep.add_argument("--values", default=None,
@@ -417,11 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_orchestrator_arguments(sweep)
 
     var = subparsers.add_parser("variation", help="per-task-type IPC variation")
+    var.set_defaults(handler=_command_variation)
     _add_common_arguments(var)
 
     serve = subparsers.add_parser(
         "serve", help="persistent simulation service daemon (submit/poll/watch API)"
     )
+    serve.set_defaults(handler=_command_serve)
     serve.add_argument("--listen", default="127.0.0.1:0",
                        help="client API bind address, PORT or HOST:PORT "
                             "(default: an ephemeral loopback port, printed "
@@ -465,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = subparsers.add_parser(
         "submit", help="submit a spec grid to a running 'repro serve' daemon"
     )
+    submit.set_defaults(handler=_command_submit)
     submit.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="daemon address (the --listen of 'repro serve')")
     _add_grid_arguments(submit)
@@ -489,6 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     status = subparsers.add_parser(
         "status", help="query a job (or the whole daemon) by id"
     )
+    status.set_defaults(handler=_command_status)
     status.add_argument("job", nargs="?", default=None,
                         help="job id (omit to list every job)")
     status.add_argument("--connect", required=True, metavar="HOST:PORT")
@@ -502,6 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch = subparsers.add_parser(
         "watch", help="stream a job's progress until it finishes"
     )
+    watch.set_defaults(handler=_command_watch)
     watch.add_argument("job", help="job id (from 'repro submit')")
     watch.add_argument("--connect", required=True, metavar="HOST:PORT")
     watch.add_argument("--timeout", type=float, default=600.0,
@@ -510,6 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     cancel = subparsers.add_parser(
         "cancel", help="cancel a job's pending specs (running specs finish)"
     )
+    cancel.set_defaults(handler=_command_cancel)
     cancel.add_argument("job", help="job id")
     cancel.add_argument("--connect", required=True, metavar="HOST:PORT")
     cancel.add_argument("--timeout", type=float, default=60.0,
@@ -517,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace) -> int:
     rows = []
     for name in list_workloads():
         info = get_workload(name).info()
@@ -617,16 +614,6 @@ def _maybe_profile(args: argparse.Namespace):
         profiler.dump_stats(path)
         print(f"profile: simulation-phase cProfile stats written to {path}",
               file=sys.stderr)
-
-
-def _engine_title(engine: str, config) -> str:
-    """``engine`` and the parameters it consumes, as ``config`` holds them."""
-    used = _FLAG_APPLICABILITY[engine]
-    params = [
-        f"{label}={getattr(config, field)}"
-        for flag, label, field in _TITLE_FIELDS if flag in used
-    ]
-    return f"{engine} {', '.join(params)}"
 
 
 def _command_grid(args: argparse.Namespace) -> int:
@@ -868,31 +855,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("simulate", "compare", "grid", "submit"):
+    if "policy" in args:  # the subcommand takes the sampling flags
         _resolve_sampling_args(parser, args)
     try:
-        if args.command == "list":
-            return _command_list()
-        if args.command == "simulate":
-            return _command_simulate(args)
-        if args.command == "compare":
-            return _command_compare(args)
-        if args.command == "grid":
-            return _command_grid(args)
-        if args.command == "sweep":
-            return _command_sweep(args)
-        if args.command == "variation":
-            return _command_variation(args)
-        if args.command == "serve":
-            return _command_serve(args)
-        if args.command == "submit":
-            return _command_submit(args)
-        if args.command == "status":
-            return _command_status(args)
-        if args.command == "watch":
-            return _command_watch(args)
-        if args.command == "cancel":
-            return _command_cancel(args)
+        return args.handler(args)
     except (KeyError, ValueError, ExperimentExecutionError, ServiceError,
             ConnectionError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -902,7 +868,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # cache-dir store already holds every completed experiment.
         print("interrupted", file=sys.stderr)
         return 130
-    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

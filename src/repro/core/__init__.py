@@ -7,20 +7,17 @@ measure per-type IPC), and the remaining instances are *fast-forwarded* at
 the average IPC recorded for their task type, scaled by each instance's
 dynamic instruction count.
 
-The implementation separates the **sampling mechanism** (histories, warm-up,
-validity of samples, fast-forward IPC estimation, resampling triggers) from
-the **sampling policy** (when to resample a simulation running in
-fast-forward mode):
+The paper's two sampling policies differ in one number, the sampling period
+P: periodic sampling resamples after P fast-forwarded instances per thread,
+lazy sampling never does (P = ∞).  The building blocks:
 
 * :class:`~repro.core.config.TaskPointConfig` collects the model parameters
-  W (warm-up), H (history size) and P (sampling period),
+  W (warm-up), H (history size) and P (sampling period, ``None`` for lazy),
 * :class:`~repro.core.history.SampleHistory` and
   :class:`~repro.core.history.TaskTypeState` hold the per-type IPC histories
   (valid samples and all samples),
 * :class:`~repro.core.fastforward.FastForwardEstimator` predicts the cycles
   of a fast-forwarded instance (``C_i = I_i / IPC_T``),
-* :mod:`~repro.core.policies` provides the periodic and lazy sampling
-  policies of the paper plus an adaptive extension,
 * :class:`~repro.core.controller.TaskPointController` plugs all of the above
   into the simulator's mode-controller interface.
 
@@ -49,13 +46,6 @@ Typical use::
 from repro.core.config import ControllerConfig, TaskPointConfig
 from repro.core.history import SampleHistory, TaskTypeState
 from repro.core.fastforward import FastForwardEstimate, FastForwardEstimator
-from repro.core.policies import (
-    AdaptiveSamplingPolicy,
-    LazySamplingPolicy,
-    PeriodicSamplingPolicy,
-    SamplingPolicy,
-    make_policy,
-)
 from repro.core.controller import (
     ResampleReason,
     SamplingController,
@@ -82,11 +72,6 @@ __all__ = [
     "TaskTypeState",
     "FastForwardEstimate",
     "FastForwardEstimator",
-    "SamplingPolicy",
-    "PeriodicSamplingPolicy",
-    "LazySamplingPolicy",
-    "AdaptiveSamplingPolicy",
-    "make_policy",
     "SamplingController",
     "TaskPointController",
     "TaskPointStatistics",

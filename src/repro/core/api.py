@@ -14,7 +14,6 @@ from repro.arch.config import ArchitectureConfig
 from repro.core.config import TaskPointConfig
 from repro.core.controller import TaskPointController, TaskPointStatistics
 from repro.core.fidelity import FidelityConfig, FidelityController
-from repro.core.policies import SamplingPolicy
 from repro.core.stratified import StratifiedConfig, StratifiedController
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import TaskSimSimulator
@@ -26,7 +25,6 @@ def sampled_simulation(
     num_threads: int = 8,
     architecture: Optional[ArchitectureConfig] = None,
     config: Optional[Union[TaskPointConfig, StratifiedConfig, FidelityConfig]] = None,
-    policy: Optional[SamplingPolicy] = None,
     scheduler: str = "fifo",
     scheduler_seed: int = 0,
 ) -> SimulationResult:
@@ -35,8 +33,7 @@ def sampled_simulation(
     The config's type picks the engine: TaskPoint (a
     :class:`TaskPointConfig`, or ``None`` for the defaults), two-phase
     stratified sampling (:class:`StratifiedConfig`) or the online
-    error-budget fidelity controller (:class:`FidelityConfig`).  ``policy``
-    only applies to TaskPoint.
+    error-budget fidelity controller (:class:`FidelityConfig`).
 
     The run's sampling statistics (warm-up instances, valid samples,
     fast-forwarded instances, resamples, ...) are attached to the result's
@@ -44,17 +41,12 @@ def sampled_simulation(
     also attach the 95% confidence interval of the execution-time estimate
     under ``"confidence"`` (``None`` when nothing was fast-forwarded).
     """
-    if policy is not None and config is not None and not isinstance(config, TaskPointConfig):
-        raise ValueError(
-            f"a sampling policy only applies to a TaskPoint config, "
-            f"not {type(config).__name__}"
-        )
     if isinstance(config, StratifiedConfig):
         controller = StratifiedController(trace, config=config)
     elif isinstance(config, FidelityConfig):
         controller = FidelityController(trace, config=config)
     else:
-        controller = TaskPointController(config=config, policy=policy)
+        controller = TaskPointController(config=config)
     simulator = TaskSimSimulator(
         architecture=architecture, scheduler=scheduler, scheduler_seed=scheduler_seed
     )
@@ -102,29 +94,30 @@ def compare_with_detailed(
     trace: ApplicationTrace,
     num_threads: int = 8,
     architecture: Optional[ArchitectureConfig] = None,
-    config: Optional[TaskPointConfig] = None,
-    policy: Optional[SamplingPolicy] = None,
+    config: Optional[Union[TaskPointConfig, StratifiedConfig, FidelityConfig]] = None,
     scheduler: str = "fifo",
     scheduler_seed: int = 0,
 ) -> SampledVersusDetailed:
-    """Run full detailed and TaskPoint-sampled simulations of ``trace``.
+    """Run full detailed and sampled simulations of ``trace``.
 
     This is the core experiment of the paper: the detailed run provides the
     reference execution time and the reference simulation cost; the sampled
-    run provides the estimate whose error and speedup are reported.
+    run — :func:`sampled_simulation` under ``config``, so any of the three
+    engines — provides the estimate whose error and speedup are reported.
     """
     simulator = TaskSimSimulator(
         architecture=architecture, scheduler=scheduler, scheduler_seed=scheduler_seed
     )
     detailed = simulator.run(trace, num_threads=num_threads, controller=None)
-    controller = TaskPointController(config=config, policy=policy)
-    sampled = simulator.run(trace, num_threads=num_threads, controller=controller)
-    sampled.metadata["taskpoint"] = controller.stats
+    sampled = sampled_simulation(
+        trace, num_threads=num_threads, architecture=simulator.architecture,
+        config=config, scheduler=scheduler, scheduler_seed=scheduler_seed,
+    )
     return SampledVersusDetailed(
         benchmark=trace.name,
         architecture=simulator.architecture.name,
         num_threads=num_threads,
         detailed=detailed,
         sampled=sampled,
-        taskpoint_stats=controller.stats,
+        taskpoint_stats=sampled.metadata["taskpoint"],
     )

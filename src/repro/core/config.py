@@ -11,7 +11,7 @@ sampling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -77,9 +77,9 @@ class TaskPointConfig(ControllerConfig):
         H — capacity of the per-task-type FIFO histories (both the history of
         valid samples and the history of all samples).
     sampling_period:
-        P — number of task instances a thread may fast-forward before the
-        periodic sampling policy triggers resampling.  ``None`` means an
-        infinite period, i.e. lazy sampling.
+        P — number of task instances a thread may fast-forward before
+        periodic sampling triggers a resample.  ``None`` means an infinite
+        period, i.e. lazy sampling.
     rare_type_cutoff:
         Number of consecutive task instances every thread must simulate
         without encountering an instance of a not-yet-fully-sampled (rare)
@@ -103,29 +103,16 @@ class TaskPointConfig(ControllerConfig):
         if self.rare_type_cutoff < 1:
             raise ValueError("rare_type_cutoff must be >= 1")
 
-    # ------------------------------------------------------------------
     @property
     def is_lazy(self) -> bool:
         """``True`` when the sampling period is infinite (lazy sampling)."""
         return self.sampling_period is None
 
-    def with_period(self, sampling_period: Optional[int]) -> "TaskPointConfig":
-        """Return a copy with a different sampling period."""
-        return replace(self, sampling_period=sampling_period)
-
-    def with_warmup(self, warmup_instances: int) -> "TaskPointConfig":
-        """Return a copy with a different warm-up interval."""
-        return replace(self, warmup_instances=warmup_instances)
-
-    def with_history(self, history_size: int) -> "TaskPointConfig":
-        """Return a copy with a different history size."""
-        return replace(self, history_size=history_size)
-
 
 def periodic_config(
-    sampling_period: int = 250,
-    warmup_instances: int = 2,
-    history_size: int = 4,
+    sampling_period: int = TaskPointConfig.sampling_period,
+    warmup_instances: int = TaskPointConfig.warmup_instances,
+    history_size: int = TaskPointConfig.history_size,
 ) -> TaskPointConfig:
     """The paper's periodic-sampling configuration (W=2, H=4, P=250)."""
     return TaskPointConfig(
@@ -135,7 +122,10 @@ def periodic_config(
     )
 
 
-def lazy_config(warmup_instances: int = 2, history_size: int = 4) -> TaskPointConfig:
+def lazy_config(
+    warmup_instances: int = TaskPointConfig.warmup_instances,
+    history_size: int = TaskPointConfig.history_size,
+) -> TaskPointConfig:
     """The paper's lazy-sampling configuration (W=2, H=4, P=∞)."""
     return TaskPointConfig(
         warmup_instances=warmup_instances,

@@ -16,10 +16,11 @@ interface and realises the sampling mechanism of paper §III-B:
    rare types).  Instances that started in detailed mode before the switch
    run to completion in detailed mode but are only added to the history of
    all samples.
-4. **Resampling** — triggered by the sampling policy (periodic sampling after
-   P fast-forwarded instances per thread; never for lazy sampling), by a
-   change in the number of threads participating in execution, or by an
-   instance whose task type has no samples at all.  Resampling discards the
+4. **Resampling** — triggered when a thread has fast-forwarded P
+   (``sampling_period``) instances since the last sampling interval
+   (periodic sampling; lazy sampling, P = ∞, never triggers it), when the
+   number of threads participating in execution changes, or when an
+   instance's task type has no samples at all.  Resampling discards the
    valid histories, re-warms each thread with one detailed instance and then
    samples again.
 
@@ -38,7 +39,6 @@ from typing import Dict, Optional, Set
 from repro.core.config import ControllerConfig, TaskPointConfig
 from repro.core.fastforward import FastForwardEstimator
 from repro.core.history import HistoryTable
-from repro.core.policies import SamplingPolicy, make_policy
 from repro.runtime.task import TaskInstance
 from repro.sim.modes import (
     DETAILED_DECISION,
@@ -240,19 +240,10 @@ class TaskPointController(SamplingController):
     ----------
     config:
         TaskPoint model parameters (W, H, P and the resampling triggers).
-    policy:
-        Sampling policy.  ``None`` derives the policy from
-        ``config.sampling_period`` (periodic for an integer, lazy for
-        ``None``).
     """
 
-    def __init__(
-        self,
-        config: Optional[TaskPointConfig] = None,
-        policy: Optional[SamplingPolicy] = None,
-    ) -> None:
+    def __init__(self, config: Optional[TaskPointConfig] = None) -> None:
         super().__init__(config if config is not None else TaskPointConfig())
-        self.policy = policy if policy is not None else make_policy(self.config.sampling_period)
         self.histories = HistoryTable(self.config.history_size)
         self.estimator = FastForwardEstimator(self.histories)
         self.stats = TaskPointStatistics()
@@ -262,7 +253,7 @@ class TaskPointController(SamplingController):
         # already fully sampled (used for the rare-type sampling cut-off).
         self._since_rare: Dict[int, int] = defaultdict(int)
         # Per-worker count of instances fast-forwarded since the last
-        # sampling interval (used by the periodic policy).
+        # sampling interval (compared against the sampling period P).
         self._fast_forwarded: Dict[int, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
@@ -292,7 +283,6 @@ class TaskPointController(SamplingController):
         self.stats.transitions_to_fast += 1
         self._arm_thread_trigger(active_workers)
         self._fast_forwarded.clear()
-        self.policy.reset()
 
     def _discard_samples(self) -> None:
         """Discard valid samples and return to the sampling phase."""
@@ -323,14 +313,15 @@ class TaskPointController(SamplingController):
                 return self._detailed_decision(worker_id)
 
         # Fast-forward phase: check the resampling triggers in the order the
-        # paper discusses them (correctness triggers first, then the policy).
+        # paper discusses them (correctness triggers first, then the period).
         if first_encounter and self.config.resample_on_new_task_type:
             self._trigger_resample(ResampleReason.NEW_TASK_TYPE)
             return self._detailed_decision(worker_id)
         if self._thread_count_changed(active_workers):
             self._trigger_resample(ResampleReason.THREAD_COUNT_CHANGE)
             return self._detailed_decision(worker_id)
-        if self.policy.should_resample(self._fast_forwarded[worker_id]):
+        period = self.config.sampling_period
+        if period is not None and self._fast_forwarded[worker_id] >= period:
             self._trigger_resample(ResampleReason.PERIOD_ELAPSED)
             return self._detailed_decision(worker_id)
 
@@ -364,9 +355,6 @@ class TaskPointController(SamplingController):
         elif self.phase is SamplingPhase.SAMPLING:
             state.record_detailed(ipc, valid=True)
             self.stats.valid_samples += 1
-            dispersion = state.valid.coefficient_of_variation()
-            if dispersion is not None:
-                self.policy.observe_dispersion(dispersion)
         else:
             # The instance started in detail before the transition to fast
             # mode and finished afterwards: only the history of all samples.

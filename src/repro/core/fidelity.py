@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 import numpy as np
@@ -153,10 +153,6 @@ class FidelityConfig(ControllerConfig):
             raise ValueError("share_floor must be a fraction in (0, 1]")
         if self.allowance_cap < 1.0:
             raise ValueError("allowance_cap must be >= 1.0")
-
-    def with_error_budget(self, error_budget: float) -> "FidelityConfig":
-        """Return a copy targeting a different error budget."""
-        return replace(self, error_budget=error_budget)
 
 
 class FidelityTypeState:

@@ -10,19 +10,9 @@ For each task type TaskPoint maintains two FIFO buffers of size H (paper
   detail, warmed or not; it serves as a fallback for rare task types that
   never accumulate enough valid samples.
 
-Two dispersion estimators coexist, and which callers use which matters:
-
-* :meth:`SampleHistory.coefficient_of_variation` is the **legacy biased**
-  (``ddof=0``) estimator.  Its callers are
-  :meth:`repro.core.controller.TaskPointController.notify_completion` (which
-  feeds the dispersion to ``SamplingPolicy.observe_dispersion``) and
-  :meth:`HistoryTable.mean_dispersion`; both predate the stratified engine
-  and their arithmetic is pinned bit-identical by the golden fingerprints in
-  ``tests/test_golden_values.py``, so the divisor stays ``n``.
-* :func:`unbiased_variance` / :func:`unbiased_coefficient_of_variation` are
-  the **unbiased** (``ddof=1``) estimators used by the stratified sampling
-  engine (:mod:`repro.core.stratified`) and the confidence-interval helpers
-  below.  New code should use these.
+The dispersion and confidence-interval estimators below
+(:func:`unbiased_variance`, :func:`unbiased_coefficient_of_variation`,
+:func:`mean_confidence_interval`) use the unbiased (``ddof=1``) variance.
 """
 
 from __future__ import annotations
@@ -52,8 +42,6 @@ class SampleHistory:
         self.capacity = capacity
         self._samples: Deque[float] = deque(maxlen=capacity)
         self._sum = 0.0
-        self._cov: Optional[float] = None
-        self._cov_valid = False
 
     def add(self, ipc: float) -> None:
         """Append a sample; the oldest sample is dropped when full."""
@@ -69,13 +57,11 @@ class SampleHistory:
         else:
             self._samples.append(ipc)
             self._sum += ipc
-        self._cov_valid = False
 
     def clear(self) -> None:
         """Discard all samples (used when the simulation is resampled)."""
         self._samples.clear()
         self._sum = 0.0
-        self._cov_valid = False
 
     @property
     def samples(self) -> List[float]:
@@ -100,41 +86,6 @@ class SampleHistory:
         if not self._samples:
             return None
         return self._sum / len(self._samples)
-
-    def coefficient_of_variation(self) -> Optional[float]:
-        """Relative dispersion (stddev / mean) of the samples, if >= 2 samples.
-
-        This is the **legacy biased** estimator (population variance,
-        ``ddof=0``): its callers — the TaskPoint controller's dispersion feed
-        to the sampling policy and :meth:`HistoryTable.mean_dispersion` — are
-        pinned bit-identical by the golden fingerprints, so the divisor stays
-        ``n``.  The stratified engine uses the unbiased module-level
-        :func:`unbiased_coefficient_of_variation` instead.
-
-        Return policy (explicit, so callers can tell the cases apart):
-
-        * fewer than 2 samples — ``None`` (dispersion undefined),
-        * zero mean — ``math.inf`` (infinite *relative* dispersion).  This is
-          unreachable through :meth:`add`, which rejects non-positive IPCs,
-          but generic sample sets (e.g. signed residuals) hit it.
-
-        Cached between mutations; the underlying arithmetic is unchanged.
-        """
-        if self._cov_valid:
-            return self._cov
-        if len(self._samples) < 2:
-            self._cov = None
-        else:
-            mean = self._sum / len(self._samples)
-            if mean == 0:
-                self._cov = math.inf
-            else:
-                variance = sum(
-                    (value - mean) ** 2 for value in self._samples
-                ) / len(self._samples)
-                self._cov = variance ** 0.5 / mean
-        self._cov_valid = True
-        return self._cov
 
 
 @dataclass
@@ -231,21 +182,6 @@ class HistoryTable:
         for state in self._types.values():
             state.valid.clear()
 
-    def mean_dispersion(self) -> Optional[float]:
-        """Average coefficient of variation across types with enough samples.
-
-        Uses the legacy biased (``ddof=0``) per-history estimator; see
-        :meth:`SampleHistory.coefficient_of_variation`.
-        """
-        values = [
-            state.valid.coefficient_of_variation()
-            for state in self._types.values()
-        ]
-        values = [value for value in values if value is not None]
-        if not values:
-            return None
-        return sum(values) / len(values)
-
 
 # ----------------------------------------------------------------------
 # Unbiased estimators and confidence-interval math (stratified engine)
@@ -294,7 +230,6 @@ def unbiased_std(values: Sequence[float]) -> float:
 def unbiased_coefficient_of_variation(values: Sequence[float]) -> Optional[float]:
     """Relative dispersion stddev/mean with the unbiased variance (ddof=1).
 
-    Return policy mirrors :meth:`SampleHistory.coefficient_of_variation`:
     ``None`` for fewer than 2 samples (undefined), ``math.inf`` for a
     zero-mean sample set (infinite relative dispersion) — the two cases are
     deliberately distinguishable.

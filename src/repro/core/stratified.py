@@ -44,7 +44,7 @@ note there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -100,10 +100,6 @@ class StratifiedConfig(ControllerConfig):
             raise ValueError("min_stratum_size must be >= 1")
         if self.pilot_samples < 2:
             raise ValueError("pilot_samples must be >= 2 (variance needs 2 samples)")
-
-    def with_budget(self, budget: float) -> "StratifiedConfig":
-        """Return a copy with a different detailed budget."""
-        return replace(self, budget=budget)
 
 
 class StratumState:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import _resolve_sampling_args, build_parser, main
+from repro.cli import _resolve_sampling_args, _sampling_config, build_parser, main
+from repro.core.config import TaskPointConfig
+from repro.core.fidelity import FidelityConfig
 
 
 class TestParser:
@@ -17,13 +19,16 @@ class TestParser:
         assert args.threads == 8
         assert args.mode == "sampled"
         # Sampling flags parse to None sentinels; the resolution step picks
-        # the engine and fills in the real defaults.
+        # the engine, and the engine's config supplies the defaults.
         assert args.policy is None
+        assert args.period is None
         _resolve_sampling_args(parser, args)
         assert args.policy == "periodic"
-        assert args.period == 250
-        assert args.warmup == 2
-        assert args.history == 4
+        config = _sampling_config(args)
+        assert type(config) is TaskPointConfig
+        assert config.sampling_period == 250
+        assert config.warmup_instances == 2
+        assert config.history_size == 4
 
     def test_compare_lazy_policy(self):
         args = build_parser().parse_args(
@@ -118,8 +123,10 @@ class TestSamplingFlagValidation:
         args = parser.parse_args(["compare", "swaptions", "--mode", "fidelity"])
         _resolve_sampling_args(parser, args)
         assert args.policy == "fidelity"
-        assert args.error_budget == pytest.approx(0.02)
-        assert args.warmup == 2
+        config = _sampling_config(args)
+        assert type(config) is FidelityConfig
+        assert config.error_budget == pytest.approx(0.02)
+        assert config.warmup_instances == 2
 
     def test_explicit_error_budget_survives_resolution(self):
         parser = build_parser()
@@ -128,7 +135,7 @@ class TestSamplingFlagValidation:
              "--error-budget", "0.05"]
         )
         _resolve_sampling_args(parser, args)
-        assert args.error_budget == pytest.approx(0.05)
+        assert _sampling_config(args).error_budget == pytest.approx(0.05)
 
 
 class TestCommands:
@@ -216,17 +223,37 @@ class TestCommands:
         assert code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_grid_title_names_only_the_engine_parameters(self, capsys):
+    @pytest.mark.parametrize("flags,engine", [
+        pytest.param(["--policy", "periodic"], "periodic P=250, W=2, H=4",
+                     id="periodic"),
+        pytest.param(["--policy", "lazy"], "lazy W=2, H=4", id="lazy"),
         # The stratified engine takes a detail budget; it has no history and
         # its own warm-up, so the title shows neither W nor H.
+        pytest.param(["--policy", "stratified"], "stratified budget=0.02",
+                     id="stratified"),
+        pytest.param(["--policy", "fidelity"], "fidelity error-budget=0.02, W=2",
+                     id="fidelity"),
+        pytest.param(["--policy", "periodic", "--period", "100", "--warmup", "3",
+                      "--history", "5"], "periodic P=100, W=3, H=5",
+                     id="periodic-explicit"),
+        pytest.param(["--policy", "lazy", "--warmup", "0", "--history", "1"],
+                     "lazy W=0, H=1", id="lazy-explicit"),
+        pytest.param(["--mode", "stratified", "--budget", "0.5"],
+                     "stratified budget=0.5", id="stratified-explicit"),
+        pytest.param(["--mode", "fidelity", "--warmup", "3",
+                      "--error-budget", "0.05"],
+                     "fidelity error-budget=0.05, W=3", id="fidelity-explicit"),
+    ])
+    def test_grid_title_names_only_the_engine_parameters(self, capsys, flags,
+                                                         engine):
         code = main([
             "grid", "--benchmarks", "swaptions", "--threads", "2",
-            "--scale", "0.004", "--policy", "stratified",
+            "--scale", "0.004", *flags,
         ])
         assert code == 0
         title = capsys.readouterr().out.splitlines()[0]
         assert title == (
-            "Accuracy grid: stratified budget=0.02, "
+            f"Accuracy grid: {engine}, "
             "high-performance architecture, scale=0.004"
         )
 

@@ -6,7 +6,6 @@ from repro.core.api import compare_with_detailed, sampled_simulation
 from repro.core.config import TaskPointConfig, lazy_config
 from repro.core.controller import TaskPointStatistics
 from repro.core.fidelity import FidelityConfig, FidelityStatistics
-from repro.core.policies import AdaptiveSamplingPolicy, LazySamplingPolicy
 from repro.core.stratified import StratifiedConfig, StratifiedStatistics
 from repro.sim.modes import SimulationMode
 
@@ -28,12 +27,6 @@ class TestSampledSimulation:
         modes = {instance.mode for instance in result.instances}
         assert modes == {SimulationMode.DETAILED, SimulationMode.BURST}
 
-    def test_custom_policy_accepted(self):
-        trace = build_two_type_trace(num_instances=60)
-        policy = AdaptiveSamplingPolicy(initial_period=20, min_period=5, max_period=100)
-        result = sampled_simulation(trace, num_threads=2, policy=policy)
-        assert result.num_instances == len(trace)
-
     def test_taskpoint_results_carry_no_confidence(self):
         trace = build_uniform_trace(num_instances=40)
         result = sampled_simulation(trace, num_threads=2, config=lazy_config())
@@ -52,14 +45,6 @@ class TestSampledSimulation:
         assert result.metadata["confidence"] == stats.confidence_summary(
             result.total_cycles
         )
-
-    @pytest.mark.parametrize("config", [StratifiedConfig(), FidelityConfig()],
-                             ids=["stratified", "fidelity"])
-    def test_policy_rejected_for_other_engines(self, config):
-        trace = build_uniform_trace(num_instances=20)
-        with pytest.raises(ValueError, match="TaskPoint"):
-            sampled_simulation(trace, num_threads=2, config=config,
-                               policy=LazySamplingPolicy())
 
 
 class TestCompareWithDetailed:
@@ -93,3 +78,13 @@ class TestCompareWithDetailed:
         )
         assert 0.0 < comparison.sampled.cost.detailed_fraction <= 1.0
         assert comparison.taskpoint_stats.resamples >= 1
+
+    @pytest.mark.parametrize("config", [StratifiedConfig(), FidelityConfig()],
+                             ids=["stratified", "fidelity"])
+    def test_every_engine_config_is_compared(self, config):
+        trace = build_two_type_trace(num_instances=80)
+        comparison = compare_with_detailed(trace, num_threads=2, config=config)
+        sampled = sampled_simulation(trace, num_threads=2, config=config)
+        assert comparison.sampled.total_cycles == sampled.total_cycles
+        assert comparison.sampled.metadata["confidence"] is not None
+        assert comparison.taskpoint_stats is comparison.sampled.metadata["taskpoint"]

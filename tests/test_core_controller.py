@@ -81,6 +81,31 @@ class TestWarmupAndSampling:
         decision_large = controller.choose_mode(large, 0, 1, 0.0)
         assert decision_small.ipc == decision_large.ipc == pytest.approx(4.0)
 
+    def test_detailed_instance_finishing_in_fast_forward_is_invalid(self):
+        config = TaskPointConfig(warmup_instances=0, history_size=2,
+                                 sampling_period=None)
+        controller = TaskPointController(config)
+        # Take a detailed decision but leave it in flight...
+        inflight = make_instance(0)
+        inflight_decision = controller.choose_mode(inflight, 1, 2, 0.0)
+        assert inflight_decision.mode is SimulationMode.DETAILED
+        # ...fill the history on worker 0 and transition to fast-forward...
+        for index, ipc in enumerate((2.0, 3.0)):
+            instance = make_instance(1 + index)
+            decision = controller.choose_mode(instance, 0, 2, float(index))
+            complete(controller, instance, decision, ipc=ipc, active=2)
+        burst = controller.choose_mode(make_instance(10), 0, 2, 10.0)
+        assert burst.mode is SimulationMode.BURST
+        # ...then the in-flight instance completes: an invalid sample, which
+        # only the history of all samples records.
+        complete(controller, inflight, inflight_decision, ipc=9.0,
+                 worker_id=1, active=2)
+        assert controller.stats.valid_samples == 2
+        assert controller.stats.invalid_samples == 1
+        state = controller.histories.state("work")
+        assert state.valid.samples == [2.0, 3.0]
+        assert state.all.samples == [3.0, 9.0]
+
 
 class TestRareTypeCutoff:
     def test_cutoff_triggers_fast_forward_despite_rare_type(self):
@@ -402,74 +427,6 @@ class TestTriggerOrdering:
         assert reasons[ResampleReason.NEW_TASK_TYPE] == 1
         assert reasons[ResampleReason.THREAD_COUNT_CHANGE] == 0
         assert reasons[ResampleReason.PERIOD_ELAPSED] == 0
-
-
-class RecordingPolicy:
-    """Sampling policy stub that records every dispersion observation."""
-
-    name = "recording"
-
-    def __init__(self):
-        self.observed = []
-
-    def should_resample(self, worker_fast_forwarded):
-        return False
-
-    def observe_dispersion(self, coefficient_of_variation):
-        self.observed.append(coefficient_of_variation)
-
-    def reset(self):
-        pass
-
-
-class TestDispersionFeed:
-    """Satellite: ``observe_dispersion`` is fed only from valid samples."""
-
-    def test_warmup_completions_do_not_feed_policy(self):
-        policy = RecordingPolicy()
-        config = TaskPointConfig(warmup_instances=2, history_size=4,
-                                 sampling_period=None)
-        controller = TaskPointController(config, policy=policy)
-        drive_single_thread(controller, 2)  # both are warm-up completions
-        assert controller.stats.warmup_instances == 2
-        assert policy.observed == []
-
-    def test_valid_samples_feed_policy_once_dispersion_defined(self):
-        policy = RecordingPolicy()
-        config = TaskPointConfig(warmup_instances=0, history_size=4,
-                                 sampling_period=None)
-        controller = TaskPointController(config, policy=policy)
-        for index, ipc in enumerate((2.0, 3.0, 4.0)):
-            instance = make_instance(index)
-            decision = controller.choose_mode(instance, 0, 1, float(index))
-            complete(controller, instance, decision, ipc=ipc)
-        # Dispersion is undefined for a single sample: the policy sees one
-        # observation per valid sample from the second one on.
-        assert len(policy.observed) == 2
-        assert all(value > 0 for value in policy.observed)
-
-    def test_invalid_samples_do_not_feed_policy(self):
-        policy = RecordingPolicy()
-        config = TaskPointConfig(warmup_instances=0, history_size=2,
-                                 sampling_period=None)
-        controller = TaskPointController(config, policy=policy)
-        # Take a detailed decision but leave it in flight...
-        inflight = make_instance(0)
-        inflight_decision = controller.choose_mode(inflight, 1, 2, 0.0)
-        assert inflight_decision.mode is SimulationMode.DETAILED
-        # ...fill the history on worker 0 and transition to fast-forward...
-        for index, ipc in enumerate((2.0, 3.0)):
-            instance = make_instance(1 + index)
-            decision = controller.choose_mode(instance, 0, 2, float(index))
-            complete(controller, instance, decision, ipc=ipc, active=2)
-        burst = controller.choose_mode(make_instance(10), 0, 2, 10.0)
-        assert burst.mode is SimulationMode.BURST
-        observed_before = len(policy.observed)
-        # ...then the in-flight instance completes: invalid sample, no feed.
-        complete(controller, inflight, inflight_decision, ipc=9.0,
-                 worker_id=1, active=2)
-        assert controller.stats.invalid_samples == 1
-        assert len(policy.observed) == observed_before
 
 
 class TestStatistics:

@@ -123,11 +123,6 @@ class TestFidelityConfig:
         assert config.reopen_factor >= 1.0
         assert config.resample_on_thread_change
 
-    def test_with_error_budget(self):
-        config = FidelityConfig()
-        assert config.with_error_budget(0.05).error_budget == 0.05
-        assert config.error_budget != 0.05  # frozen original unchanged
-
     @pytest.mark.parametrize("kwargs", [
         {"error_budget": 0.0},
         {"error_budget": 1.0},
@@ -425,7 +420,7 @@ class TestExperimentWiring:
         )
         other = ExperimentSpec(
             benchmark="cholesky", num_threads=4,
-            config=FidelityConfig().with_error_budget(0.05),
+            config=FidelityConfig(error_budget=0.05),
         )
         assert base.content_key() != other.content_key()
 

@@ -87,11 +87,6 @@ class TestStratifiedConfig:
         assert config.resample_on_new_task_type
         assert config.resample_on_thread_change
 
-    def test_with_budget(self):
-        config = StratifiedConfig()
-        assert config.with_budget(0.5).budget == 0.5
-        assert config.budget != 0.5  # frozen original unchanged
-
     def test_validation(self):
         with pytest.raises(ValueError):
             StratifiedConfig(budget=0.0)

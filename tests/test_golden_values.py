@@ -11,7 +11,10 @@ before the three sampling engines shared one controller core.  They add the
 hex half-width of each run's 95% confidence interval.  At 4 threads no engine
 resamples; at 16 threads cholesky fires a thread-count resample in every
 engine, plus a stratified empty-history and a fidelity drift re-open, so the
-16-thread entries pin the resample paths.
+16-thread entries pin the resample paths.  The paper's period P = 250 never
+elapses at these scales, so the ``periodic-p10`` entries (P = 10, 4 threads)
+pin the period-elapsed resample.  Every sampled run also asserts the
+resamples it fires (``RESAMPLES``).
 
 Any change to trace generation, scheduling, the detailed cost model, the
 sampling controller or the fast-forward arithmetic that alters even the last
@@ -211,6 +214,22 @@ GOLDEN = {
         "instances_sha": "fd8e90a5bdd049a7cd8fd3609ba66b04fe43eeb78b93dad0547023fe49357bc5",
         "ci_half_width_cycles": "0x1.fc099b8eca234p+16",
     },
+    ("cholesky", "highperf", "periodic-p10", THREADS): {
+        "total_cycles": "0x1.0312c19d43fedp+20",
+        "num_instances": 392,
+        "cost_detailed_instances": 211,
+        "cost_burst_instances": 181,
+        "cost_detailed_instr": 7801839,
+        "instances_sha": "d7b335449c677c5b56efe2f507e2d0e84068c4a22bef6b2df1eec83dbe3533e6",
+    },
+    ("swaptions", "lowpower", "periodic-p10", THREADS): {
+        "total_cycles": "0x1.a0ffbf5c0e540p+20",
+        "num_instances": 328,
+        "cost_detailed_instances": 81,
+        "cost_burst_instances": 247,
+        "cost_detailed_instr": 3555027,
+        "instances_sha": "fb6946eaed98a7788406ad983f12e9d8bcd697900f341fe8cff143882c48bda0",
+    },
     ("cholesky", "highperf", "periodic", 16): {
         "total_cycles": "0x1.c3e847ebbeb77p+18",
         "num_instances": 392,
@@ -247,15 +266,29 @@ GOLDEN = {
     },
 }
 
-#: The resamples each 16-thread run fires: the paths those entries pin.
-RESAMPLES_16 = {
-    "periodic": {ResampleReason.THREAD_COUNT_CHANGE: 1},
-    "lazy": {ResampleReason.THREAD_COUNT_CHANGE: 1},
-    "stratified": {
+#: The resamples each sampled run fires (none where a key is absent): the
+#: paths the 16-thread and ``periodic-p10`` entries pin.
+RESAMPLES = {
+    ("cholesky", "highperf", "periodic-p10", THREADS): {
+        ResampleReason.PERIOD_ELAPSED: 4,
+    },
+    ("swaptions", "lowpower", "periodic-p10", THREADS): {
+        ResampleReason.PERIOD_ELAPSED: 6,
+    },
+    ("cholesky", "highperf", "periodic", 16): {
+        ResampleReason.THREAD_COUNT_CHANGE: 1,
+    },
+    ("cholesky", "highperf", "lazy", 16): {
+        ResampleReason.THREAD_COUNT_CHANGE: 1,
+    },
+    ("cholesky", "highperf", "stratified", 16): {
         ResampleReason.EMPTY_HISTORY: 1,
         ResampleReason.THREAD_COUNT_CHANGE: 2,
     },
-    "fidelity": {ResampleReason.THREAD_COUNT_CHANGE: 3, ResampleReason.DRIFT: 1},
+    ("cholesky", "highperf", "fidelity", 16): {
+        ResampleReason.THREAD_COUNT_CHANGE: 3,
+        ResampleReason.DRIFT: 1,
+    },
 }
 
 _ARCHITECTURES = {
@@ -269,6 +302,8 @@ def _controller(mode: str, trace):
         return None
     if mode == "periodic":
         return TaskPointController(config=periodic_config())
+    if mode == "periodic-p10":
+        return TaskPointController(config=periodic_config(sampling_period=10))
     if mode == "lazy":
         return TaskPointController(config=lazy_config())
     if mode == "stratified":
@@ -299,6 +334,11 @@ def _fingerprint(result, controller=None) -> dict:
     return fingerprint
 
 
+def _assert_resamples(controller, key) -> None:
+    if controller is not None:
+        assert dict(controller.stats.resample_reasons) == RESAMPLES.get(key, {})
+
+
 def _case_id(key) -> str:
     workload, arch_name, mode, threads = key
     suffix = "" if threads == THREADS else f"-t{threads}"
@@ -326,9 +366,9 @@ def test_golden_simulation_values(traces, workload, arch_name, mode, threads):
         controller=controller,
         measure_wall_time=False,
     )
-    assert _fingerprint(result, controller) == GOLDEN[(workload, arch_name, mode, threads)]
-    if threads != THREADS:
-        assert dict(controller.stats.resample_reasons) == RESAMPLES_16[mode]
+    key = (workload, arch_name, mode, threads)
+    assert _fingerprint(result, controller) == GOLDEN[key]
+    _assert_resamples(controller, key)
 
 
 #: Every detailed-path implementation must reproduce the golden values: the
@@ -360,6 +400,8 @@ def test_golden_values_backend_invariant(
     )
     with kernel_rule(*KERNEL_EXTREMES[rule]):
         result = engine.run()
-    assert _fingerprint(result, controller) == GOLDEN[(workload, arch_name, mode, threads)]
+    key = (workload, arch_name, mode, threads)
+    assert _fingerprint(result, controller) == GOLDEN[key]
+    _assert_resamples(controller, key)
     if backend == "kernel-forced":
         assert engine.vector_stats["vector_instances"] > 0
