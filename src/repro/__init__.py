@@ -28,54 +28,31 @@ Quick start::
     trace = get_workload("cholesky").generate(scale=0.05, seed=1)
     comparison = compare_with_detailed(trace, num_threads=8)
     print(comparison.error_percent, comparison.speedup)
+
+``import repro`` is lazy: each layer loads when a name from it is first
+used, so a process imports only the layers it runs (``repro --help`` loads
+neither numpy nor asyncio).
 """
 
-from repro.arch.config import (
-    ArchitectureConfig,
-    high_performance_config,
-    low_power_config,
-)
-from repro.core.api import compare_with_detailed, sampled_simulation
-from repro.core.config import TaskPointConfig, lazy_config, periodic_config
-from repro.core.controller import TaskPointController
-from repro.exp import (
-    AsyncWorkerBackend,
-    ExperimentFailure,
-    ExperimentResult,
-    ExperimentSpec,
-    ProcessPoolBackend,
-    ResultStore,
-    SerialBackend,
-    run_experiments,
-)
-from repro.sim.simulator import TaskSimSimulator, simulate
-from repro.trace.trace import ApplicationTrace
-from repro.workloads.registry import get_workload, list_workloads
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ApplicationTrace",
-    "ArchitectureConfig",
-    "high_performance_config",
-    "low_power_config",
-    "TaskPointConfig",
-    "periodic_config",
-    "lazy_config",
-    "TaskPointController",
-    "ExperimentSpec",
-    "ExperimentResult",
-    "ExperimentFailure",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "AsyncWorkerBackend",
-    "ResultStore",
-    "run_experiments",
-    "TaskSimSimulator",
-    "simulate",
-    "sampled_simulation",
-    "compare_with_detailed",
-    "get_workload",
-    "list_workloads",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trace.trace": ["ApplicationTrace"],
+    "repro.arch.config": [
+        "ArchitectureConfig",
+        "high_performance_config",
+        "low_power_config",
+    ],
+    "repro.core.config": ["TaskPointConfig", "periodic_config", "lazy_config"],
+    "repro.core.controller": ["TaskPointController"],
+    "repro.exp.spec": ["ExperimentSpec", "ExperimentResult", "ExperimentFailure"],
+    "repro.exp.backends": ["SerialBackend", "ProcessPoolBackend", "run_experiments"],
+    "repro.exp.distributed": ["AsyncWorkerBackend"],
+    "repro.exp.store": ["ResultStore"],
+    "repro.sim.simulator": ["TaskSimSimulator", "simulate"],
+    "repro.core.api": ["sampled_simulation", "compare_with_detailed"],
+    "repro.workloads.registry": ["get_workload", "list_workloads"],
+})
+__all__.append("__version__")

@@ -14,52 +14,37 @@ This package contains everything needed to regenerate the paper's evaluation:
   figure data series.
 """
 
-from repro.analysis.variation import (
-    BoxPlotStats,
-    TypeVariation,
-    VariationReport,
-    ipc_variation,
-    variation_grid,
-)
-from repro.analysis.native import NativeExecutionModel, native_execution
-from repro.analysis.accuracy import (
-    AccuracyResult,
-    AccuracySummary,
-    accuracy_from_experiments,
-    evaluate_benchmark,
-    evaluate_grid,
-    evaluate_specs,
-    grid_specs,
-    summarize,
-)
-from repro.analysis.sweep import SweepPoint, history_sweep, period_sweep, warmup_sweep
-from repro.analysis.reporting import format_table, render_accuracy_table, render_variation_report
-from repro.analysis.export import export_accuracy, export_sweep, export_variation
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoxPlotStats",
-    "TypeVariation",
-    "VariationReport",
-    "ipc_variation",
-    "variation_grid",
-    "NativeExecutionModel",
-    "native_execution",
-    "AccuracyResult",
-    "AccuracySummary",
-    "accuracy_from_experiments",
-    "evaluate_benchmark",
-    "evaluate_grid",
-    "evaluate_specs",
-    "grid_specs",
-    "summarize",
-    "SweepPoint",
-    "warmup_sweep",
-    "history_sweep",
-    "period_sweep",
-    "format_table",
-    "render_accuracy_table",
-    "render_variation_report",
-    "export_accuracy",
-    "export_sweep",
-    "export_variation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.variation": [
+        "BoxPlotStats",
+        "TypeVariation",
+        "VariationReport",
+        "ipc_variation",
+        "variation_grid",
+    ],
+    "repro.analysis.native": ["NativeExecutionModel", "native_execution"],
+    "repro.analysis.accuracy": [
+        "AccuracyResult",
+        "AccuracySummary",
+        "accuracy_from_experiments",
+        "evaluate_benchmark",
+        "evaluate_grid",
+        "evaluate_specs",
+        "grid_specs",
+        "summarize",
+    ],
+    "repro.analysis.sweep": [
+        "SweepPoint",
+        "warmup_sweep",
+        "history_sweep",
+        "period_sweep",
+    ],
+    "repro.analysis.reporting": [
+        "format_table",
+        "render_accuracy_table",
+        "render_variation_report",
+    ],
+    "repro.analysis.export": ["export_accuracy", "export_sweep", "export_variation"],
+})

@@ -101,17 +101,13 @@ def evaluate_benchmark(
         config=config,
         scheduler_seed=scheduler_seed,
     )
-    return AccuracyResult(
-        benchmark=comparison.benchmark,
-        architecture=comparison.architecture,
-        num_threads=num_threads,
-        error_percent=comparison.error_percent,
-        speedup=comparison.speedup,
-        wall_speedup=comparison.wall_speedup,
-        detailed_cycles=comparison.detailed.total_cycles,
-        sampled_cycles=comparison.sampled.total_cycles,
-        detailed_fraction=comparison.sampled.cost.detailed_fraction,
-        resamples=comparison.taskpoint_stats.resamples,
+    stats = comparison.taskpoint_stats
+    return _accuracy_row(
+        comparison.sampled,
+        comparison.detailed,
+        resamples=stats.resamples,
+        confidence=comparison.sampled.metadata.get("confidence"),
+        error_budget=getattr(stats, "error_budget", None),
     )
 
 
@@ -119,9 +115,30 @@ def accuracy_from_experiments(
     sampled: ExperimentResult, detailed: ExperimentResult
 ) -> AccuracyResult:
     """Combine a sampled run and its detailed baseline into an accuracy row."""
+    taskpoint = sampled.taskpoint or {}
+    fidelity = taskpoint.get("fidelity")
+    return _accuracy_row(
+        sampled,
+        detailed,
+        resamples=sampled.resamples,
+        confidence=taskpoint.get("confidence"),
+        error_budget=fidelity["error_budget"] if fidelity else None,
+    )
+
+
+def _accuracy_row(
+    sampled, detailed, resamples: int, confidence, error_budget
+) -> AccuracyResult:
+    """The accuracy row of a sampled run against its detailed baseline.
+
+    ``sampled`` and ``detailed`` are both
+    :class:`~repro.sim.results.SimulationResult` or both
+    :class:`ExperimentResult`.  ``confidence`` is the sampled run's 95%
+    interval block and ``error_budget`` the fidelity engine's budget (a
+    fraction); each is ``None`` for the engines that report none.
+    """
     ci_half_width = ci_lower = ci_upper = None
     ci_covers = None
-    confidence = (sampled.taskpoint or {}).get("confidence")
     if confidence:
         ci_half_width = float(confidence["half_width_percent"])
         ci_lower = float(confidence["lower_cycles"])
@@ -129,10 +146,9 @@ def accuracy_from_experiments(
         ci_covers = ci_lower <= detailed.total_cycles <= ci_upper
     budget_percent = None
     within_budget = None
-    fidelity = (sampled.taskpoint or {}).get("fidelity")
     error_percent = float(sampled.error_versus(detailed) * 100.0)
-    if fidelity:
-        budget_percent = float(fidelity["error_budget"]) * 100.0
+    if error_budget is not None:
+        budget_percent = float(error_budget) * 100.0
         within_budget = bool(error_percent <= budget_percent)
     return AccuracyResult(
         benchmark=sampled.benchmark,
@@ -144,7 +160,7 @@ def accuracy_from_experiments(
         detailed_cycles=detailed.total_cycles,
         sampled_cycles=sampled.total_cycles,
         detailed_fraction=sampled.cost.detailed_fraction,
-        resamples=sampled.resamples,
+        resamples=resamples,
         ci_half_width_percent=ci_half_width,
         ci_lower_cycles=ci_lower,
         ci_upper_cycles=ci_upper,
@@ -209,8 +225,8 @@ def grid_specs(
     """Sampled specs for every (benchmark, thread count) pair of one figure.
 
     ``config`` may be a :class:`TaskPointConfig` (periodic/lazy sampling,
-    the default), a :class:`repro.core.stratified.StratifiedConfig` or a
-    :class:`repro.core.fidelity.FidelityConfig`.
+    the default), a :class:`repro.core.config.StratifiedConfig` or a
+    :class:`repro.core.config.FidelityConfig`.
     """
     config = config if config is not None else TaskPointConfig()
     return [
@@ -253,8 +269,8 @@ def evaluate_grid(
         Architecture configuration; defaults to the high-performance one.
     config:
         Sampling configuration: a :class:`TaskPointConfig` (periodic P=250
-        or lazy), a :class:`repro.core.stratified.StratifiedConfig` or a
-        :class:`repro.core.fidelity.FidelityConfig`; defaults to the paper's
+        or lazy), a :class:`repro.core.config.StratifiedConfig` or a
+        :class:`repro.core.config.FidelityConfig`; defaults to the paper's
         periodic configuration.
     scale:
         Workload scale passed to the generators (fraction of Table I's

@@ -11,37 +11,22 @@ available as :func:`repro.arch.config.high_performance_config` and
 :func:`repro.arch.config.low_power_config`.
 """
 
-from repro.arch.config import (
-    ArchitectureConfig,
-    CacheConfig,
-    CoreConfig,
-    MemoryConfig,
-    high_performance_config,
-    low_power_config,
-)
-from repro.arch.cache import Cache, CacheStatistics
-from repro.arch.hierarchy import CacheHierarchy, MemorySystem
-from repro.arch.dram import DramModel
-from repro.arch.interconnect import Interconnect
-from repro.arch.rob import RobModel
-from repro.arch.core import DetailedCoreModel, InstanceExecution
-from repro.arch.batch import BatchedCoreExecutor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchedCoreExecutor",
-    "ArchitectureConfig",
-    "CacheConfig",
-    "CoreConfig",
-    "MemoryConfig",
-    "high_performance_config",
-    "low_power_config",
-    "Cache",
-    "CacheStatistics",
-    "CacheHierarchy",
-    "MemorySystem",
-    "DramModel",
-    "Interconnect",
-    "RobModel",
-    "DetailedCoreModel",
-    "InstanceExecution",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.arch.batch": ["BatchedCoreExecutor"],
+    "repro.arch.config": [
+        "ArchitectureConfig",
+        "CacheConfig",
+        "CoreConfig",
+        "MemoryConfig",
+        "high_performance_config",
+        "low_power_config",
+    ],
+    "repro.arch.cache": ["Cache", "CacheStatistics"],
+    "repro.arch.hierarchy": ["CacheHierarchy", "MemorySystem"],
+    "repro.arch.dram": ["DramModel"],
+    "repro.arch.interconnect": ["Interconnect"],
+    "repro.arch.rob": ["RobModel"],
+    "repro.arch.core": ["DetailedCoreModel", "InstanceExecution"],
+})

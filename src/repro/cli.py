@@ -49,42 +49,28 @@ outside the profile, so the dump shows where simulation time actually goes.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
-import cProfile
 import json
 import os
-import signal
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.analysis.accuracy import evaluate_grid, grid_specs
-from repro.analysis.reporting import format_table, render_accuracy_table
-from repro.analysis.sweep import history_sweep, period_sweep, warmup_sweep
-from repro.analysis.variation import ipc_variation
-from repro.arch.config import high_performance_config, low_power_config
-from repro.core.api import sampled_simulation
-from repro.core.config import TaskPointConfig
-from repro.core.fidelity import FidelityConfig
-from repro.core.stratified import StratifiedConfig
-from repro.exp import (
-    BACKEND_NAMES,
-    CACHE_DIR_ENV,
-    ExperimentExecutionError,
-    ExperimentSpec,
-    ResultStore,
-    default_store,
-    make_named_backend,
-    run_experiments,
-)
-from repro.exp.hosts import parse_listen
-from repro.exp.runner import use_trace_cache
-from repro.serve import ServiceClient, ServiceError, SimulationService
-from repro.sim.simulator import simulate
-from repro.workloads.registry import SENSITIVITY_SUBSET, get_workload, list_workloads
+from repro.core.config import FidelityConfig, StratifiedConfig, TaskPointConfig
+from repro.exp import BACKEND_NAMES
+from repro.workloads import SENSITIVITY_SUBSET
+
+if TYPE_CHECKING:
+    from repro.exp.spec import ExperimentSpec
+    from repro.serve.client import ServiceClient
+
+# Each command handler imports the layers it runs, so a process loads only
+# those: ``repro watch`` never imports numpy, and only ``repro serve`` and
+# the async and multihost backends import asyncio.
 
 
 def _architecture(name: str):
+    from repro.arch.config import high_performance_config, low_power_config
+
     if name == "high-performance":
         return high_performance_config()
     if name == "low-power":
@@ -223,11 +209,16 @@ def _int_list(raw: str) -> List[int]:
 
 def _benchmark_list(raw: str) -> List[str]:
     if raw == "all":
+        from repro.workloads.registry import list_workloads
+
         return list_workloads()
     return [part for part in raw.split(",") if part]
 
 
 def _backend_and_store(args: argparse.Namespace):
+    from repro.exp.backends import make_named_backend
+    from repro.exp.store import ResultStore, default_store
+
     store = ResultStore(args.cache_dir) if args.cache_dir else default_store()
     if args.hosts and args.backend not in ("auto", "multihost"):
         raise ValueError("--hosts requires --backend multihost (or auto)")
@@ -515,6 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_list(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import format_table
+    from repro.workloads.registry import get_workload, list_workloads
+
     rows = []
     for name in list_workloads():
         info = get_workload(name).info()
@@ -527,6 +521,10 @@ def _command_list(args: argparse.Namespace) -> int:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
+    from repro.core.api import sampled_simulation
+    from repro.sim.simulator import simulate
+    from repro.workloads.registry import get_workload
+
     trace = get_workload(args.benchmark).generate(scale=args.scale, seed=args.seed)
     architecture = _architecture(args.architecture)
     if args.policy is None:  # --mode detailed
@@ -556,6 +554,9 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
+    from repro.exp.backends import run_experiments
+    from repro.exp.spec import ExperimentSpec
+
     spec = ExperimentSpec(
         benchmark=args.benchmark,
         num_threads=args.threads,
@@ -605,6 +606,8 @@ def _maybe_profile(args: argparse.Namespace):
     if not path:
         yield
         return
+    import cProfile
+
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -617,6 +620,9 @@ def _maybe_profile(args: argparse.Namespace):
 
 
 def _command_grid(args: argparse.Namespace) -> int:
+    from repro.analysis.accuracy import evaluate_grid
+    from repro.analysis.reporting import render_accuracy_table
+
     backend, store = _backend_and_store(args)
     config = _sampling_config(args)
     with _maybe_profile(args):
@@ -639,6 +645,9 @@ def _command_grid(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import format_table
+    from repro.analysis.sweep import history_sweep, period_sweep, warmup_sweep
+
     backend, store = _backend_and_store(args)
     kwargs = dict(
         benchmarks=_benchmark_list(args.benchmarks),
@@ -672,6 +681,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_variation(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import format_table
+    from repro.analysis.variation import ipc_variation
+    from repro.sim.simulator import simulate
+    from repro.workloads.registry import get_workload
+
     trace = get_workload(args.benchmark).generate(scale=args.scale, seed=args.seed)
     result = simulate(trace, num_threads=args.threads,
                       architecture=_architecture(args.architecture))
@@ -689,11 +703,14 @@ def _command_variation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_connect(raw: str) -> "tuple[str, int]":
-    host, sep, port = raw.rpartition(":")
+def _client(args: argparse.Namespace) -> ServiceClient:
+    """A client of the daemon at ``--connect HOST:PORT``."""
+    from repro.serve.client import ServiceClient
+
+    host, sep, port = args.connect.rpartition(":")
     if not sep or not host:
-        raise ValueError(f"--connect expects HOST:PORT, got {raw!r}")
-    return host, int(port)
+        raise ValueError(f"--connect expects HOST:PORT, got {args.connect!r}")
+    return ServiceClient(host, int(port), timeout=args.timeout)
 
 
 def _parse_tenant_configs(raw_list: Optional[List[str]]):
@@ -711,6 +728,15 @@ def _parse_tenant_configs(raw_list: Optional[List[str]]):
 
 
 async def _serve_async(args: argparse.Namespace) -> int:
+    import asyncio
+    import signal
+
+    from repro.exp.backends import make_named_backend
+    from repro.exp.hosts import parse_listen
+    from repro.exp.runner import use_trace_cache
+    from repro.exp.store import CACHE_DIR_ENV, ResultStore
+    from repro.serve.daemon import SimulationService
+
     host, port = parse_listen(args.listen)
     tenants = _parse_tenant_configs(args.tenant)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
@@ -756,11 +782,15 @@ async def _serve_async(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     return asyncio.run(_serve_async(args))
 
 
 def _submit_specs(args: argparse.Namespace) -> List[ExperimentSpec]:
     """The same specs a ``repro grid`` with these flags would execute."""
+    from repro.analysis.accuracy import grid_specs
+
     specs = grid_specs(
         _benchmark_list(args.benchmarks),
         _int_list(args.threads),
@@ -798,8 +828,7 @@ def _watch_to_completion(client: ServiceClient, job_id: str) -> int:
 
 
 def _command_submit(args: argparse.Namespace) -> int:
-    host, port = _parse_connect(args.connect)
-    client = ServiceClient(host, port, timeout=args.timeout)
+    client = _client(args)
     reply = client.submit(
         _submit_specs(args), tenant=args.tenant, priority=args.priority
     )
@@ -813,13 +842,16 @@ def _command_submit(args: argparse.Namespace) -> int:
 
 
 def _command_status(args: argparse.Namespace) -> int:
-    host, port = _parse_connect(args.connect)
-    client = ServiceClient(host, port, timeout=args.timeout)
+    client = _client(args)
     if args.stats:
         print(json.dumps(client.stats(), indent=2, sort_keys=True))
         return 0
     if args.job is None:
         reply = client.status()
+        # Imported only now: the reporting layer loads numpy, which a
+        # refused connection should not pay for.
+        from repro.analysis.reporting import format_table
+
         rows = [
             [job["job"], job["tenant"], job["status"],
              f"{job['counts']['done']}/{job['total']}", job["cached"]]
@@ -838,17 +870,29 @@ def _command_status(args: argparse.Namespace) -> int:
 
 
 def _command_watch(args: argparse.Namespace) -> int:
-    host, port = _parse_connect(args.connect)
-    client = ServiceClient(host, port, timeout=args.timeout)
-    return _watch_to_completion(client, args.job)
+    return _watch_to_completion(_client(args), args.job)
 
 
 def _command_cancel(args: argparse.Namespace) -> int:
-    host, port = _parse_connect(args.connect)
-    client = ServiceClient(host, port, timeout=args.timeout)
-    reply = client.cancel(args.job)
+    reply = _client(args).cancel(args.job)
     print(f"cancelled {reply['cancelled']} pending spec(s) of job {args.job}")
     return 0
+
+
+def _reported_errors() -> tuple:
+    """The errors ``main`` reports as one ``error:`` line and exit code 2.
+
+    ``ExperimentExecutionError`` and ``ServiceError`` are read off the loaded
+    modules: a class can only have been raised once its module is loaded, so
+    a command never imports a layer just to catch its error.
+    """
+    loaded = [
+        getattr(sys.modules[module], name)
+        for module, name in (("repro.exp.backends", "ExperimentExecutionError"),
+                             ("repro.serve.client", "ServiceError"))
+        if module in sys.modules
+    ]
+    return (KeyError, ValueError, ConnectionError, *loaded)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -859,8 +903,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _resolve_sampling_args(parser, args)
     try:
         return args.handler(args)
-    except (KeyError, ValueError, ExperimentExecutionError, ServiceError,
-            ConnectionError) as error:
+    except _reported_errors() as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

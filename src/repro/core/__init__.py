@@ -43,46 +43,25 @@ Typical use::
     result = sampled_simulation(trace, num_threads=64)
 """
 
-from repro.core.config import ControllerConfig, TaskPointConfig
-from repro.core.history import SampleHistory, TaskTypeState
-from repro.core.fastforward import FastForwardEstimate, FastForwardEstimator
-from repro.core.controller import (
-    ResampleReason,
-    SamplingController,
-    SamplingPhase,
-    TaskPointController,
-    TaskPointStatistics,
-)
-from repro.core.fidelity import (
-    FidelityConfig,
-    FidelityController,
-    FidelityStatistics,
-)
-from repro.core.stratified import (
-    StratifiedConfig,
-    StratifiedController,
-    StratifiedStatistics,
-)
-from repro.core.api import compare_with_detailed, sampled_simulation
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ControllerConfig",
-    "TaskPointConfig",
-    "SampleHistory",
-    "TaskTypeState",
-    "FastForwardEstimate",
-    "FastForwardEstimator",
-    "SamplingController",
-    "TaskPointController",
-    "TaskPointStatistics",
-    "SamplingPhase",
-    "ResampleReason",
-    "StratifiedConfig",
-    "StratifiedController",
-    "StratifiedStatistics",
-    "FidelityConfig",
-    "FidelityController",
-    "FidelityStatistics",
-    "sampled_simulation",
-    "compare_with_detailed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.config": [
+        "ControllerConfig",
+        "TaskPointConfig",
+        "StratifiedConfig",
+        "FidelityConfig",
+    ],
+    "repro.core.history": ["SampleHistory", "TaskTypeState"],
+    "repro.core.fastforward": ["FastForwardEstimate", "FastForwardEstimator"],
+    "repro.core.controller": [
+        "SamplingController",
+        "TaskPointController",
+        "TaskPointStatistics",
+        "SamplingPhase",
+        "ResampleReason",
+    ],
+    "repro.core.stratified": ["StratifiedController", "StratifiedStatistics"],
+    "repro.core.fidelity": ["FidelityController", "FidelityStatistics"],
+    "repro.core.api": ["sampled_simulation", "compare_with_detailed"],
+})

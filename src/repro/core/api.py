@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.arch.config import ArchitectureConfig
-from repro.core.config import TaskPointConfig
+from repro.core.config import FidelityConfig, StratifiedConfig, TaskPointConfig
 from repro.core.controller import TaskPointController, TaskPointStatistics
-from repro.core.fidelity import FidelityConfig, FidelityController
-from repro.core.stratified import StratifiedConfig, StratifiedController
+from repro.core.fidelity import FidelityController
+from repro.core.stratified import StratifiedController
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import TaskSimSimulator
 from repro.trace.trace import ApplicationTrace

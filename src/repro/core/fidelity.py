@@ -58,7 +58,7 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.config import ControllerConfig
+from repro.core.config import FidelityConfig
 from repro.core.controller import ResampleReason, SamplingController, TaskPointStatistics
 from repro.core.history import combined_confidence, mean_confidence_interval
 from repro.runtime.task import TaskInstance
@@ -77,82 +77,6 @@ _SIG_MEMORY_ACCESSES = 3
 
 #: Number of model features: intercept + two per-instruction ratios.
 _NUM_FEATURES = 3
-
-
-@dataclass(frozen=True)
-class FidelityConfig(ControllerConfig):
-    """Configuration of the online error-budget fidelity controller.
-
-    Adds to the shared :class:`~repro.core.config.ControllerConfig` fields.
-    Warm-up completions are excluded from the model.  A persistent
-    thread-count change re-opens *every* type (the contention regime
-    changed) but keeps the models — the drift detector corrects them
-    instead of discarding history.
-
-    Attributes
-    ----------
-    error_budget:
-        Target relative execution-time error (fraction, e.g. ``0.02``).
-        This is the one knob: everything below tunes *how* the controller
-        meets it, not *what* it aims for.
-    min_samples:
-        Valid detailed samples a type needs before it may commit to
-        fast-forwarding.
-    min_residuals:
-        Prequential residuals a type needs before the CI criterion is
-        evaluated (a CI from fewer points is too noisy to act on).
-    residual_window:
-        Bounded window of most-recent prequential residuals the commit /
-        drift criterion is computed over.
-    probe_period:
-        Fast-forwarded instances of a committed type between detailed
-        probes (the drift detector's sensor).
-    max_probe_period:
-        Ceiling the probe spacing grows to while probes stay clean
-        (doubling per clean probe).
-    reopen_factor:
-        Hysteresis of the drift detector: a committed type re-opens when
-        ``|mean| + half_width`` exceeds ``reopen_factor`` times its
-        allowance (or the mean alone exceeds the allowance), not at the
-        commit threshold — otherwise boundary types flap.
-    share_floor:
-        Lower clamp of a type's running work share in the allowance
-        computation.
-    allowance_cap:
-        Upper clamp of the per-type allowance, as a multiple of the error
-        budget.
-    """
-
-    error_budget: float = 0.02
-    min_samples: int = 4
-    min_residuals: int = 4
-    residual_window: int = 16
-    probe_period: int = 25
-    max_probe_period: int = 200
-    reopen_factor: float = 1.5
-    share_floor: float = 0.01
-    allowance_cap: float = 5.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.error_budget < 1.0:
-            raise ValueError("error_budget must be a fraction in (0, 1)")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        if self.min_residuals < 2:
-            raise ValueError("min_residuals must be >= 2 (a CI needs 2 samples)")
-        if self.residual_window < self.min_residuals:
-            raise ValueError("residual_window must be >= min_residuals")
-        if self.probe_period < 1:
-            raise ValueError("probe_period must be >= 1")
-        if self.max_probe_period < self.probe_period:
-            raise ValueError("max_probe_period must be >= probe_period")
-        if self.reopen_factor < 1.0:
-            raise ValueError("reopen_factor must be >= 1.0")
-        if not 0.0 < self.share_floor <= 1.0:
-            raise ValueError("share_floor must be a fraction in (0, 1]")
-        if self.allowance_cap < 1.0:
-            raise ValueError("allowance_cap must be >= 1.0")
 
 
 class FidelityTypeState:
@@ -308,10 +232,13 @@ class FidelityController(SamplingController):
                     signatures[:, _SIG_MEMORY_ACCESSES] / instructions,
                 ]
             )
-            self._instructions = instructions
+            # Python floats, not numpy scalars: the counts feed every
+            # predicted cycle count and burst IPC, so the simulated clock
+            # stays a float like the other engines' (``tolist`` is exact).
+            self._instructions: List[float] = instructions.tolist()
         else:
             self._features = np.zeros((0, _NUM_FEATURES), dtype=np.float64)
-            self._instructions = np.zeros(0, dtype=np.float64)
+            self._instructions = []
         self._num_records = signatures.shape[0]
 
         self._states: Dict[str, FidelityTypeState] = {}

@@ -49,57 +49,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.config import ControllerConfig
+from repro.core.config import StratifiedConfig
 from repro.core.controller import ResampleReason, SamplingController, TaskPointStatistics
 from repro.core.history import combined_confidence, t_critical_95
 from repro.runtime.task import TaskInstance
 from repro.sim.modes import CompletionInfo, ModeDecision, SimulationMode, burst_decision
-
-
-@dataclass(frozen=True)
-class StratifiedConfig(ControllerConfig):
-    """Configuration of the stratified sampling engine.
-
-    Adds to the shared :class:`~repro.core.config.ControllerConfig` fields
-    (warm-up and the thread-count trigger, with TaskPoint's semantics; W
-    defaults to 1 here):
-
-    Attributes
-    ----------
-    budget:
-        Target fraction of all task instances simulated in detail (warm-up
-        and pilot included).  The budget is a target, not a hard cap: the
-        pilot and per-worker warm-up establish a floor, and resampling
-        triggers may re-spend.
-    strata_per_type:
-        Maximum number of strata each task type is split into.
-    min_stratum_size:
-        Task types with fewer than ``strata_per_type * min_stratum_size``
-        instances get proportionally fewer strata (never zero).
-    pilot_samples:
-        Detailed samples taken from every stratum before the Neyman
-        allocation of the remaining budget (phase 2's first stage).
-    resample_on_new_task_type:
-        TaskPoint's Figure 4b trigger, for instances outside the profile.
-    """
-
-    warmup_instances: int = 1
-    budget: float = 0.02
-    strata_per_type: int = 3
-    min_stratum_size: int = 16
-    pilot_samples: int = 3
-    resample_on_new_task_type: bool = True
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.budget <= 1.0:
-            raise ValueError("budget must be a fraction in (0, 1]")
-        if self.strata_per_type < 1:
-            raise ValueError("strata_per_type must be >= 1")
-        if self.min_stratum_size < 1:
-            raise ValueError("min_stratum_size must be >= 1")
-        if self.pilot_samples < 2:
-            raise ValueError("pilot_samples must be >= 2 (variance needs 2 samples)")
 
 
 class StratumState:

@@ -46,63 +46,47 @@ Typical use::
         backend=AsyncWorkerBackend(num_workers=4),
         store=ResultStore("~/.cache/repro"),
     )
+
+The names above are imported lazily: ``from repro.exp import ResultStore``
+loads the store and the spec layer, not asyncio or the transports, and
+``from repro.exp import AsyncWorkerBackend`` loads those only then.  So a
+serial ``repro grid`` never imports :mod:`repro.exp.distributed`,
+:mod:`repro.exp.hosts` or the worker protocol.
 """
 
-from repro.exp.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ExperimentExecutionError,
-    ProcessPoolBackend,
-    SerialBackend,
-    make_named_backend,
-    run_experiments,
-)
-from repro.exp.distributed import (
-    AdaptiveBatchSizer,
-    AsyncWorkerBackend,
-    parse_batch,
-)
-from repro.exp.hosts import (
-    HostPool,
-    HostSpec,
-    MultiHostBackend,
-    parse_hosts,
-    parse_listen,
-)
-from repro.exp.runner import get_trace, run_spec
-from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
-from repro.exp.store import (
-    CACHE_DIR_ENV,
-    DirectoryLayout,
-    MemoryResultStore,
-    ResultStore,
-    default_store,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentSpec",
-    "ExperimentResult",
-    "ExperimentFailure",
-    "ExperimentExecutionError",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "AsyncWorkerBackend",
-    "AdaptiveBatchSizer",
-    "parse_batch",
-    "MultiHostBackend",
-    "HostPool",
-    "HostSpec",
-    "parse_hosts",
-    "parse_listen",
-    "BACKEND_NAMES",
-    "make_named_backend",
-    "run_experiments",
-    "run_spec",
-    "get_trace",
-    "ResultStore",
-    "MemoryResultStore",
-    "DirectoryLayout",
-    "default_store",
-    "CACHE_DIR_ENV",
-]
+#: Backend names accepted by :func:`make_named_backend` and the CLI.  Defined
+#: here, not in :mod:`repro.exp.backends`, so the CLI parser can read them
+#: without loading the simulation stack.
+BACKEND_NAMES = ("auto", "serial", "pool", "async", "multihost")
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.exp.spec": ["ExperimentSpec", "ExperimentResult", "ExperimentFailure"],
+    "repro.exp.backends": [
+        "ExperimentExecutionError",
+        "ExecutionBackend",
+        "SerialBackend",
+        "ProcessPoolBackend",
+        "parse_batch",
+        "make_named_backend",
+        "run_experiments",
+    ],
+    "repro.exp.distributed": ["AsyncWorkerBackend", "AdaptiveBatchSizer"],
+    "repro.exp.hosts": [
+        "MultiHostBackend",
+        "HostPool",
+        "HostSpec",
+        "parse_hosts",
+        "parse_listen",
+    ],
+    "repro.exp.runner": ["run_spec", "get_trace"],
+    "repro.exp.store": [
+        "ResultStore",
+        "MemoryResultStore",
+        "DirectoryLayout",
+        "default_store",
+        "CACHE_DIR_ENV",
+    ],
+})
+__all__.append("BACKEND_NAMES")

@@ -36,9 +36,9 @@ count or completion order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Union
 
+from repro.exp import BACKEND_NAMES
 from repro.exp.runner import active_trace_cache, run_spec, use_trace_cache
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
 from repro.exp.store import MemoryResultStore, ResultStore
@@ -48,8 +48,48 @@ Store = Union[ResultStore, MemoryResultStore]
 #: What a backend produces per spec: a result, or a failure record.
 Outcome = Union[ExperimentResult, ExperimentFailure]
 
-#: Backend names accepted by :func:`make_named_backend` and the CLI.
-BACKEND_NAMES = ("auto", "serial", "pool", "async", "multihost")
+#: Batch cap used when ``batch="adaptive"`` names no explicit cap.
+DEFAULT_BATCH_CAP = 16
+
+
+def parse_batch(raw: "Union[None, int, str]") -> "tuple[int, bool]":
+    """Parse a batch knob into ``(cap, adaptive)``.
+
+    Accepts ``None``/``1`` (no batching — one spec per dispatch frame, the
+    historical behaviour), a positive integer (fixed batch size), or the
+    strings ``"adaptive"`` / ``"adaptive:CAP"`` (grow from 1 toward the cap
+    based on observed per-spec wall-time).
+    """
+    if raw is None:
+        return 1, False
+    if isinstance(raw, bool):  # bool is an int subclass; reject it explicitly
+        raise ValueError(f"invalid batch size {raw!r}")
+    if not isinstance(raw, int):
+        text = str(raw).strip()
+        if text.startswith("adaptive"):
+            name, sep, cap_text = text.partition(":")
+            try:
+                if name != "adaptive":
+                    raise ValueError(text)
+                cap = int(cap_text) if sep else DEFAULT_BATCH_CAP
+            except ValueError as exc:
+                raise ValueError(
+                    f"invalid batch spec {text!r} "
+                    "(expected N, 'adaptive' or 'adaptive:N')"
+                ) from exc
+            if cap < 1:
+                raise ValueError("adaptive batch cap must be >= 1")
+            return cap, True
+        try:
+            raw = int(text)
+        except ValueError as exc:
+            raise ValueError(
+                f"invalid batch spec {text!r} "
+                "(expected N, 'adaptive' or 'adaptive:N')"
+            ) from exc
+    if raw < 1:
+        raise ValueError("batch size must be >= 1")
+    return raw, False
 
 
 class ExperimentExecutionError(RuntimeError):
@@ -159,6 +199,8 @@ class ProcessPoolBackend:
             workers = self.max_workers or os.cpu_count() or 1
             share = -(-len(unique_specs) // workers)  # ceil division
             chunksize = max(1, min(self.chunksize, share))
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
                 return list(
                     pool.map(run_spec_outcome, unique_specs,
@@ -200,8 +242,6 @@ def make_named_backend(
     serial backend executes in-process, where there is no round-trip to
     amortise, so the knob is accepted and ignored.
     """
-    from repro.exp.distributed import parse_batch
-
     batch_cap, batch_adaptive = parse_batch(batch)  # validate for every name
     if name == "auto" and hosts:
         name = "multihost"

@@ -79,7 +79,14 @@ from typing import (
 )
 
 from repro.exp import protocol
-from repro.exp.backends import Outcome, Store, _raise_on_failure, map_unique
+from repro.exp.backends import (
+    DEFAULT_BATCH_CAP,
+    Outcome,
+    Store,
+    _raise_on_failure,
+    map_unique,
+    parse_batch,
+)
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
 
 
@@ -88,54 +95,11 @@ from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
 #: plus importing the simulation stack can take seconds on a loaded host.
 _STARTUP_GRACE = 30.0
 
-#: Batch cap used when ``batch="adaptive"`` names no explicit cap.
-DEFAULT_BATCH_CAP = 16
-
 #: Adaptive sizing aims for batches of roughly this much work: sub-second
 #: specs are packed until a batch is worth a couple of seconds (amortising
 #: the dispatch round-trip), while specs at or above it stay unbatched so a
 #: worker death never forfeits more than one spec's worth of progress.
 ADAPTIVE_TARGET_SECONDS = 2.0
-
-
-def parse_batch(raw: "Union[None, int, str]") -> "tuple[int, bool]":
-    """Parse a batch knob into ``(cap, adaptive)``.
-
-    Accepts ``None``/``1`` (no batching — one spec per dispatch frame, the
-    historical behaviour), a positive integer (fixed batch size), or the
-    strings ``"adaptive"`` / ``"adaptive:CAP"`` (grow from 1 toward the cap
-    based on observed per-spec wall-time).
-    """
-    if raw is None:
-        return 1, False
-    if isinstance(raw, bool):  # bool is an int subclass; reject it explicitly
-        raise ValueError(f"invalid batch size {raw!r}")
-    if not isinstance(raw, int):
-        text = str(raw).strip()
-        if text.startswith("adaptive"):
-            name, sep, cap_text = text.partition(":")
-            try:
-                if name != "adaptive":
-                    raise ValueError(text)
-                cap = int(cap_text) if sep else DEFAULT_BATCH_CAP
-            except ValueError as exc:
-                raise ValueError(
-                    f"invalid batch spec {text!r} "
-                    "(expected N, 'adaptive' or 'adaptive:N')"
-                ) from exc
-            if cap < 1:
-                raise ValueError("adaptive batch cap must be >= 1")
-            return cap, True
-        try:
-            raw = int(text)
-        except ValueError as exc:
-            raise ValueError(
-                f"invalid batch spec {text!r} "
-                "(expected N, 'adaptive' or 'adaptive:N')"
-            ) from exc
-    if raw < 1:
-        raise ValueError("batch size must be >= 1")
-    return raw, False
 
 
 class AdaptiveBatchSizer:

@@ -50,9 +50,10 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro.core.config import FidelityConfig, StratifiedConfig
 from repro.core.controller import TaskPointController
-from repro.core.fidelity import FidelityConfig, FidelityController
-from repro.core.stratified import StratifiedConfig, StratifiedController
+from repro.core.fidelity import FidelityController
+from repro.core.stratified import StratifiedController
 from repro.exp.spec import ExperimentResult, ExperimentSpec
 from repro.exp.tracecache import TraceCache
 from repro.sim.simulator import TaskSimSimulator

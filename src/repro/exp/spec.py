@@ -31,10 +31,8 @@ from repro.arch.config import (
     MemoryConfig,
     high_performance_config,
 )
-from repro.core.config import TaskPointConfig
+from repro.core.config import FidelityConfig, StratifiedConfig, TaskPointConfig
 from repro.core.controller import TaskPointStatistics
-from repro.core.fidelity import FidelityConfig
-from repro.core.stratified import StratifiedConfig
 
 #: The sampling configurations a spec can carry.  ``None`` marks a detailed
 #: baseline run.

@@ -11,27 +11,17 @@ about task readiness and assignment, while the simulator decides how long
 each assigned instance takes.
 """
 
-from repro.runtime.task import TaskInstance, TaskState, TaskType
-from repro.runtime.dependencies import DependencyTracker, TaskGraphBuilder
-from repro.runtime.scheduler import (
-    FifoScheduler,
-    LocalityScheduler,
-    RandomScheduler,
-    Scheduler,
-    make_scheduler,
-)
-from repro.runtime.runtime import RuntimeSystem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TaskType",
-    "TaskInstance",
-    "TaskState",
-    "DependencyTracker",
-    "TaskGraphBuilder",
-    "Scheduler",
-    "FifoScheduler",
-    "LocalityScheduler",
-    "RandomScheduler",
-    "make_scheduler",
-    "RuntimeSystem",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.task": ["TaskType", "TaskInstance", "TaskState"],
+    "repro.runtime.dependencies": ["DependencyTracker", "TaskGraphBuilder"],
+    "repro.runtime.scheduler": [
+        "Scheduler",
+        "FifoScheduler",
+        "LocalityScheduler",
+        "RandomScheduler",
+        "make_scheduler",
+    ],
+    "repro.runtime.runtime": ["RuntimeSystem"],
+})

@@ -20,25 +20,16 @@ keeps the pool alive instead::
   one connection per call, so watchers can drop and re-attach freely.
 """
 
-from repro.serve.client import ServiceClient, ServiceError
-from repro.serve.daemon import (
-    JobRecord,
-    SimulationService,
-    job_id_for,
-    results_digest,
-    store_digest,
-)
-from repro.serve.queue import AGING_TICKS, FairShareQueue, ServiceJob
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AGING_TICKS",
-    "FairShareQueue",
-    "JobRecord",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceJob",
-    "SimulationService",
-    "job_id_for",
-    "results_digest",
-    "store_digest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.queue": ["AGING_TICKS", "FairShareQueue", "ServiceJob"],
+    "repro.serve.daemon": [
+        "JobRecord",
+        "SimulationService",
+        "job_id_for",
+        "results_digest",
+        "store_digest",
+    ],
+    "repro.serve.client": ["ServiceClient", "ServiceError"],
+})

@@ -14,28 +14,18 @@ everything in detail, and :class:`repro.core.TaskPointController` implements
 the paper's sampling methodology.
 """
 
-from repro.sim.modes import (
-    AlwaysDetailedController,
-    FixedIpcController,
-    ModeController,
-    ModeDecision,
-    SimulationMode,
-)
-from repro.sim.cost import SimulationCost
-from repro.sim.results import InstanceResult, SimulationResult
-from repro.sim.engine import SimulationEngine
-from repro.sim.simulator import TaskSimSimulator, simulate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SimulationMode",
-    "ModeDecision",
-    "ModeController",
-    "AlwaysDetailedController",
-    "FixedIpcController",
-    "SimulationCost",
-    "InstanceResult",
-    "SimulationResult",
-    "SimulationEngine",
-    "TaskSimSimulator",
-    "simulate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.modes": [
+        "SimulationMode",
+        "ModeDecision",
+        "ModeController",
+        "AlwaysDetailedController",
+        "FixedIpcController",
+    ],
+    "repro.sim.cost": ["SimulationCost"],
+    "repro.sim.results": ["InstanceResult", "SimulationResult"],
+    "repro.sim.engine": ["SimulationEngine"],
+    "repro.sim.simulator": ["TaskSimSimulator", "simulate"],
+})

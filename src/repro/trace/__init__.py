@@ -17,32 +17,18 @@ substrate for the reproduction:
 * :mod:`repro.trace.io` serialises traces to and from JSON files.
 """
 
-from repro.trace.records import ExecutionBlock, MemoryEvent, TaskTraceRecord
-from repro.trace.columns import ColumnBuilder, TaskTypeTable, TraceColumns
-from repro.trace.trace import ApplicationTrace, TraceStatistics
-from repro.trace.generator import TraceBuilder
-from repro.trace.patterns import (
-    AddressSpace,
-    random_accesses,
-    reuse_accesses,
-    strided_accesses,
-)
-from repro.trace.io import load_trace, save_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MemoryEvent",
-    "ExecutionBlock",
-    "TaskTraceRecord",
-    "ColumnBuilder",
-    "TaskTypeTable",
-    "TraceColumns",
-    "ApplicationTrace",
-    "TraceStatistics",
-    "TraceBuilder",
-    "AddressSpace",
-    "strided_accesses",
-    "random_accesses",
-    "reuse_accesses",
-    "load_trace",
-    "save_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trace.records": ["MemoryEvent", "ExecutionBlock", "TaskTraceRecord"],
+    "repro.trace.columns": ["ColumnBuilder", "TaskTypeTable", "TraceColumns"],
+    "repro.trace.trace": ["ApplicationTrace", "TraceStatistics"],
+    "repro.trace.generator": ["TraceBuilder"],
+    "repro.trace.patterns": [
+        "AddressSpace",
+        "strided_accesses",
+        "random_accesses",
+        "reuse_accesses",
+    ],
+    "repro.trace.io": ["load_trace", "save_trace"],
+})

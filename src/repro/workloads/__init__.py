@@ -18,25 +18,29 @@ Use :func:`repro.workloads.registry.get_workload` to obtain a workload by
 name and :func:`repro.workloads.registry.list_workloads` to enumerate them.
 """
 
-from repro.workloads.base import Workload, WorkloadInfo
-from repro.workloads.registry import (
-    APPLICATION_NAMES,
-    KERNEL_NAMES,
-    PARSEC_NAMES,
-    SENSITIVITY_SUBSET,
-    all_workloads,
-    get_workload,
-    list_workloads,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Workload",
-    "WorkloadInfo",
-    "get_workload",
-    "list_workloads",
-    "all_workloads",
-    "KERNEL_NAMES",
-    "APPLICATION_NAMES",
-    "PARSEC_NAMES",
-    "SENSITIVITY_SUBSET",
+#: The benchmarks used by the paper's sensitivity analysis (Section V-A):
+#: those with an error above 5% for at least one history size.  Defined here,
+#: not in the registry, so the CLI parser can read it without loading the
+#: trace generators.
+SENSITIVITY_SUBSET = [
+    "2d-convolution",
+    "3d-stencil",
+    "atomic-monte-carlo-dynamics",
+    "knn",
+    "blackscholes",
 ]
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.base": ["Workload", "WorkloadInfo"],
+    "repro.workloads.registry": [
+        "get_workload",
+        "list_workloads",
+        "all_workloads",
+        "KERNEL_NAMES",
+        "APPLICATION_NAMES",
+        "PARSEC_NAMES",
+    ],
+})
+__all__.append("SENSITIVITY_SUBSET")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Type
 
+from repro.workloads import SENSITIVITY_SUBSET
 from repro.workloads.applications import (
     CheckSparseLU,
     Cholesky,
@@ -69,16 +70,6 @@ APPLICATION_NAMES: List[str] = [
     cls.name for cls in _WORKLOAD_CLASSES if cls.category == "application"
 ]
 PARSEC_NAMES: List[str] = [cls.name for cls in _WORKLOAD_CLASSES if cls.category == "parsec"]
-
-#: The benchmarks used by the paper's sensitivity analysis (Section V-A):
-#: those with an error above 5% for at least one history size.
-SENSITIVITY_SUBSET: List[str] = [
-    "2d-convolution",
-    "3d-stencil",
-    "atomic-monte-carlo-dynamics",
-    "knn",
-    "blackscholes",
-]
 
 
 def list_workloads(category: str | None = None) -> List[str]:

@@ -22,6 +22,8 @@ from repro.analysis.variation import (
     variation_grid,
 )
 from repro.core.config import lazy_config
+from repro.core.fidelity import FidelityConfig
+from repro.core.stratified import StratifiedConfig
 from repro.exp import MemoryResultStore
 from repro.sim.simulator import simulate
 from repro.workloads.registry import get_workload
@@ -150,6 +152,30 @@ class TestAccuracy:
         by_threads = group_by_threads(results)
         assert set(by_threads) == {1, 2}
         assert all(s.count == 2 for s in by_threads.values())
+
+    #: The fields only the interval-reporting engines fill.
+    CI_AND_BUDGET_FIELDS = (
+        "ci_half_width_percent",
+        "ci_lower_cycles",
+        "ci_upper_cycles",
+        "ci_covers_detailed",
+        "error_budget_percent",
+        "within_budget",
+    )
+
+    @pytest.mark.parametrize("config", [StratifiedConfig(), FidelityConfig()],
+                             ids=["stratified", "fidelity"])
+    def test_evaluate_benchmark_reports_the_grid_rows_interval_and_budget(
+        self, config
+    ):
+        trace = get_workload("swaptions").generate(scale=0.004, seed=1)
+        single = evaluate_benchmark(trace, num_threads=2, config=config)
+        (row,) = evaluate_grid(["swaptions"], [2], config=config,
+                               scale=0.004, seed=1)
+        assert single.sampled_cycles == row.sampled_cycles
+        assert row.ci_half_width_percent is not None
+        for name in self.CI_AND_BUDGET_FIELDS:
+            assert getattr(single, name) == getattr(row, name), name
 
     def test_summarize_empty_rejected(self):
         with pytest.raises(ValueError):

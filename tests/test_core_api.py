@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.api import compare_with_detailed, sampled_simulation
-from repro.core.config import TaskPointConfig, lazy_config
+from repro.core.config import TaskPointConfig, lazy_config, periodic_config
 from repro.core.controller import TaskPointStatistics
 from repro.core.fidelity import FidelityConfig, FidelityStatistics
 from repro.core.stratified import StratifiedConfig, StratifiedStatistics
 from repro.sim.modes import SimulationMode
+from repro.sim.simulator import simulate
+from repro.workloads.registry import get_workload
 
 from tests.conftest import build_two_type_trace, build_uniform_trace
 
@@ -45,6 +47,26 @@ class TestSampledSimulation:
         assert result.metadata["confidence"] == stats.confidence_summary(
             result.total_cycles
         )
+
+
+class TestClockTypes:
+    """Every engine runs the simulated clock on Python floats."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return get_workload("swaptions").generate(scale=0.004, seed=1)
+
+    @pytest.mark.parametrize("config", [
+        None, periodic_config(), lazy_config(), StratifiedConfig(), FidelityConfig(),
+    ], ids=["detailed", "periodic", "lazy", "stratified", "fidelity"])
+    def test_cycles_and_ipc_are_floats(self, trace, config):
+        if config is None:
+            result = simulate(trace, num_threads=2)
+        else:
+            result = sampled_simulation(trace, num_threads=2, config=config)
+        assert type(result.total_cycles) is float
+        assert {type(instance.cycles) for instance in result.instances} == {float}
+        assert {type(instance.ipc) for instance in result.instances} == {float}
 
 
 class TestCompareWithDetailed:
