@@ -5,8 +5,9 @@ Runs the full paper grid — all 19 benchmarks of Table I x both Table II
 architectures, sampled + detailed baseline — twice: once on the in-process
 ``SerialBackend`` and once through :class:`repro.exp.hosts.MultiHostBackend`
 with (by default) two simulated hosts of two workers each, every worker a
-connect-back TCP subprocess speaking the compressed frame protocol.  Both
-runs persist into on-disk :class:`ResultStore` caches, and the demo asserts
+subprocess speaking the compressed frame protocol on its stdin/stdout (over
+``ssh`` for a host whose name does not start with ``local``).  Both runs
+persist into on-disk :class:`ResultStore` caches, and the demo asserts
 the stores are **byte-identical** (failure diagnostics excluded, per the
 store convention) — the multi-host transport's headline guarantee.
 
@@ -16,7 +17,7 @@ Usage::
     PYTHONPATH=src python scripts/multihost_sweep_demo.py \\
         --hosts local0:4,local1:4 --scale 0.05       # bigger grid
     PYTHONPATH=src python scripts/multihost_sweep_demo.py \\
-        --hosts big0:16,big1:16 --listen 0.0.0.0:9000  # real SSH hosts
+        --hosts big0:16,big1:16                        # real SSH hosts
 
 Paper scale is ``--scale 1.0``; the default (0.01) keeps the demo in the
 minutes range on a laptop while still covering every benchmark and both
@@ -89,9 +90,6 @@ def main(argv=None) -> int:
     parser.add_argument("--hosts", default="local0:2,local1:2",
                         help="host budgets (default two simulated local "
                              "hosts, two workers each)")
-    parser.add_argument("--listen", default=None,
-                        help="listener bind address: PORT or HOST:PORT "
-                             "(default: ephemeral loopback)")
     parser.add_argument("--scale", type=float, default=0.01,
                         help="workload scale; 1.0 is paper scale "
                              "(default 0.01)")
@@ -134,10 +132,6 @@ def main(argv=None) -> int:
     print(f"grid: {len(benchmarks)} benchmarks x 2 architectures "
           f"-> {unique} unique experiments at scale {args.scale}")
 
-    from repro.exp.hosts import parse_listen
-
-    listen_host, listen_port = parse_listen(args.listen)
-
     with tempfile.TemporaryDirectory() as scratch:
         root = pathlib.Path(args.keep) if args.keep else pathlib.Path(scratch)
         serial_dir, multi_dir = root / "serial", root / "multihost"
@@ -151,8 +145,6 @@ def main(argv=None) -> int:
         multi_store = ResultStore(multi_dir)
         backend = MultiHostBackend(
             args.hosts,
-            listen_host=listen_host,
-            listen_port=listen_port,
             compress=not args.no_compress,
             batch=args.batch,
             store=multi_store,

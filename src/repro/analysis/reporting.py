@@ -6,10 +6,11 @@ so every regenerated table/figure has a consistent, diff-friendly format.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
-from repro.analysis.accuracy import AccuracyResult, group_by_threads, summarize
-from repro.analysis.variation import VariationReport
+if TYPE_CHECKING:  # the analysis layers load numpy; format_table needs none
+    from repro.analysis.accuracy import AccuracyResult
+    from repro.analysis.variation import VariationReport
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -48,6 +49,8 @@ def render_accuracy_table(results: Sequence[AccuracyResult], title: str = "") ->
     achieved error against the declared budget and the summary reports the
     budget hit rate.
     """
+    from repro.analysis.accuracy import group_by_threads, summarize
+
     with_ci = any(result.ci_covers_detailed is not None for result in results)
     with_budget = any(result.within_budget is not None for result in results)
     headers = ["benchmark", "threads", "error [%]", "speedup", "detailed frac", "resamples"]

@@ -28,8 +28,8 @@ backend explicitly (``auto`` is a process pool when ``--jobs`` > 1 and serial
 otherwise; ``async`` is the distributed asyncio supervisor over
 ``repro.exp.worker`` subprocesses, with heartbeats and retry on worker
 death; ``multihost`` fans workers out across machines),
-``--hosts host1:4,host2:8 [--listen PORT]`` to shard a grid over a cluster
-of connect-back workers (local subprocesses or SSH),
+``--hosts host1:4,host2:8`` to shard a grid over workers on many hosts
+(local subprocesses, or started through ``ssh``),
 ``--batch {N,adaptive[:N]}`` to pack several specs into one dispatch frame
 (amortising per-spec round-trips for sub-second experiments), and
 ``--cache-dir DIR`` to persist every result on disk, keyed by experiment
@@ -228,14 +228,9 @@ def _backend_and_store(args: argparse.Namespace):
             "--jobs requires --backend auto, pool or async "
             "(multihost budgets live in --hosts)"
         )
-    if args.listen and not multihost:
-        raise ValueError(
-            "--listen only applies to the multihost backend (pass --hosts)"
-        )
     backend = make_named_backend(
         args.backend, workers=args.jobs or 1, store=store,
-        hosts=args.hosts, listen=args.listen, connect_host=args.connect_host,
-        batch=args.batch,
+        hosts=args.hosts, batch=args.batch,
     )
     return backend, store
 
@@ -326,14 +321,6 @@ def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
                              "'host1:4,host2:8' (names starting with "
                              "'local' run subprocesses, others SSH; "
                              "implies --backend multihost)")
-    parser.add_argument("--listen", default=None,
-                        help="bind address of the multihost connect-back "
-                             "listener: PORT or HOST:PORT (default: an "
-                             "ephemeral loopback port)")
-    parser.add_argument("--connect-host", default=None,
-                        help="address remote workers dial back to (default: "
-                             "127.0.0.1 for local hosts, this machine's "
-                             "hostname for SSH hosts)")
     parser.add_argument("--batch", default=None,
                         help="specs per dispatch: N, 'adaptive' or "
                              "'adaptive:N' (async/multihost send that many "
@@ -416,12 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--hosts", default=None,
                        help="multi-host worker budgets, e.g. 'host1:4,host2:8' "
                             "(switches the pool to the multihost backend)")
-    serve.add_argument("--worker-listen", default=None,
-                       help="bind address of the multihost connect-back "
-                            "worker listener, PORT or HOST:PORT (distinct "
-                            "from --listen, which serves clients)")
-    serve.add_argument("--connect-host", default=None,
-                       help="address remote workers dial back to")
     serve.add_argument("--batch", default=None,
                        help="specs per dispatch frame: N, 'adaptive' or "
                             "'adaptive:N'")
@@ -747,9 +728,7 @@ async def _serve_async(args: argparse.Namespace) -> int:
     )
     backend = make_named_backend(
         "multihost" if args.hosts else "async",
-        workers=args.workers, store=None,
-        hosts=args.hosts, listen=args.worker_listen,
-        connect_host=args.connect_host, batch=args.batch,
+        workers=args.workers, store=None, hosts=args.hosts, batch=args.batch,
     )
     service = SimulationService(
         backend,
@@ -848,8 +827,6 @@ def _command_status(args: argparse.Namespace) -> int:
         return 0
     if args.job is None:
         reply = client.status()
-        # Imported only now: the reporting layer loads numpy, which a
-        # refused connection should not pay for.
         from repro.analysis.reporting import format_table
 
         rows = [

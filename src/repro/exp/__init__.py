@@ -21,10 +21,10 @@ describes, schedules, executes and caches those experiments:
   and batched dispatch (``batch=``: several specs per ``run_batch`` frame,
   per-spec result acks, adaptive sizing via :class:`AdaptiveBatchSizer`),
 * :mod:`repro.exp.hosts` — :class:`MultiHostBackend`, the multi-host
-  transport on top of it: a TCP listener (:class:`HostPool`) accepting
-  connect-back workers launched locally or via SSH, per-host worker
-  budgets, host-level quarantine of crash-looping machines and zlib frame
-  compression for high-latency links,
+  backend on top of it: workers started locally or through ``ssh``, whose
+  stdin/stdout carry the same frames, per-host worker budgets, host-level
+  quarantine of crash-looping machines and zlib frame compression for
+  high-latency links,
 * :mod:`repro.exp.store` — the persistent on-disk :class:`ResultStore`
   (content-hash keyed, shard-per-key-prefix, advisory file locking for
   concurrent multi-process writers, size-bounded LRU compaction with
@@ -48,7 +48,7 @@ Typical use::
     )
 
 The names above are imported lazily: ``from repro.exp import ResultStore``
-loads the store and the spec layer, not asyncio or the transports, and
+loads the store and the spec layer, not asyncio or the worker backends, and
 ``from repro.exp import AsyncWorkerBackend`` loads those only then.  So a
 serial ``repro grid`` never imports :mod:`repro.exp.distributed`,
 :mod:`repro.exp.hosts` or the worker protocol.
@@ -75,7 +75,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.exp.distributed": ["AsyncWorkerBackend", "AdaptiveBatchSizer"],
     "repro.exp.hosts": [
         "MultiHostBackend",
-        "HostPool",
         "HostSpec",
         "parse_hosts",
         "parse_listen",

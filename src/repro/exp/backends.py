@@ -26,7 +26,7 @@ Four backends ship with the repository:
   over worker subprocesses speaking the length-prefixed JSON protocol, with
   heartbeats, retry/requeue on worker death and graceful cancellation,
 * :class:`~repro.exp.hosts.MultiHostBackend` — the same supervisor over
-  connect-back workers on many machines.
+  workers on many machines, started locally or through ``ssh``.
 
 All four are result-identical: the same spec grid produces bit-identical
 results (and byte-identical store entries) regardless of the backend, worker
@@ -218,8 +218,6 @@ def make_named_backend(
     workers: Optional[int] = None,
     store: Optional[Store] = None,
     hosts: Optional[str] = None,
-    listen: Optional[str] = None,
-    connect_host: Optional[str] = None,
     batch: Union[None, int, str] = None,
 ) -> ExecutionBackend:
     """Backend selected by name: ``auto``, ``serial``, ``pool``, ``async``
@@ -229,8 +227,7 @@ def make_named_backend(
     ``hosts`` is given, which selects ``multihost``.  ``async`` builds an
     :class:`~repro.exp.distributed.AsyncWorkerBackend`; ``multihost`` builds
     a :class:`~repro.exp.hosts.MultiHostBackend` from the ``hosts`` budget
-    string (``"host1:4,host2:8"``) and the optional ``listen`` bind address
-    (``"PORT"`` or ``"HOST:PORT"``).  For both, when ``store`` is an on-disk
+    string (``"host1:4,host2:8"``).  For both, when ``store`` is an on-disk
     :class:`ResultStore` it is attached so completed experiments are
     streamed into it as they finish (and survive a cancelled run).
 
@@ -245,13 +242,12 @@ def make_named_backend(
     batch_cap, batch_adaptive = parse_batch(batch)  # validate for every name
     if name == "auto" and hosts:
         name = "multihost"
-    if name != "multihost" and (hosts or listen or connect_host):
+    if name != "multihost" and hosts:
         # Silently dropping a host list would run single-host while the
         # caller (e.g. REPRO_BENCH_BACKEND=async REPRO_BENCH_HOSTS=...)
         # believes the grid fanned out across machines.
         raise ValueError(
-            "hosts/listen/connect_host only apply to the multihost backend "
-            f"(got backend {name!r})"
+            f"hosts only apply to the multihost backend (got backend {name!r})"
         )
     if name == "auto":
         if workers is None or workers <= 1:
@@ -273,22 +269,14 @@ def make_named_backend(
             store=streaming,
         )
     if name == "multihost":
-        from repro.exp.hosts import MultiHostBackend, parse_listen
+        from repro.exp.hosts import MultiHostBackend
 
         if not hosts:
             raise ValueError(
                 "the multihost backend needs a host list "
                 "(--hosts host1:4,host2:8)"
             )
-        listen_host, listen_port = parse_listen(listen)
-        return MultiHostBackend(
-            hosts,
-            listen_host=listen_host,
-            listen_port=listen_port,
-            connect_host=connect_host,
-            batch=batch,
-            store=streaming,
-        )
+        return MultiHostBackend(hosts, batch=batch, store=streaming)
     raise ValueError(f"unknown backend {name!r} (choose from {BACKEND_NAMES})")
 
 

@@ -3,11 +3,10 @@
 :class:`AsyncWorkerBackend` dispatches :class:`~repro.exp.spec.ExperimentSpec`
 batches over an asyncio work queue to ``repro.exp.worker`` subprocesses
 speaking the length-prefixed JSON protocol of :mod:`repro.exp.protocol` over
-their stdin/stdout pipes.  The supervisor is transport-agnostic: a
-:class:`_Worker` is just a pair of asyncio streams plus kill/wait handles, so
-the same dispatch loop drives local pipe workers here and connect-back TCP
-workers on other machines in :class:`repro.exp.hosts.MultiHostBackend`,
-which subclasses this backend and overrides only how workers are acquired.
+their stdin/stdout pipes.  Every worker is such a child process: a local
+``python -m repro.exp.worker`` here, or an ``ssh`` client whose pipes carry a
+remote worker's in :class:`repro.exp.hosts.MultiHostBackend`, which
+subclasses this backend and overrides only the command a slot launches.
 
 Fault model
 -----------
@@ -90,9 +89,9 @@ from repro.exp.backends import (
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
 
 
-#: Minimum time a freshly spawned worker gets to send its ``hello`` frame
-#: before the heartbeat monitor may declare it wedged — interpreter startup
-#: plus importing the simulation stack can take seconds on a loaded host.
+#: Seconds a freshly launched worker gets to send its ``hello`` frame —
+#: interpreter startup plus importing the simulation stack (and, for a
+#: remote host, the SSH session) can take seconds on a loaded host.
 _STARTUP_GRACE = 30.0
 
 #: Adaptive sizing aims for batches of roughly this much work: sub-second
@@ -148,16 +147,15 @@ class WorkerDied(RuntimeError):
 
 
 class SpawnError(OSError):
-    """A worker could not be brought up (spawn, connect-back or version)."""
+    """A worker could not be brought up (launch, hello or version)."""
 
 
 def worker_environment(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
-    """Environment for a worker process that can import this repro package.
+    """Environment for a local worker process that can import this repro.
 
     Workers must import the same ``repro`` as the supervisor even when it
     only lives on the supervisor's ``sys.path`` (src checkouts), so the
-    package root is prepended to ``PYTHONPATH``.  Shared by the local
-    subprocess transport here and the launchers of :mod:`repro.exp.hosts`.
+    package root is prepended to ``PYTHONPATH``.
     """
     env = dict(os.environ)
     import repro
@@ -184,87 +182,35 @@ class _Job:
 
 
 class _Worker:
-    """One live worker and its supervisor-side state, transport-agnostic.
+    """One live worker process and its supervisor-side state.
 
-    A worker is a frame source (``reader``, an ``asyncio.StreamReader``), a
-    frame sink (``writer``, anything with ``write``/``drain``/``close``) and
-    a pair of process handles (``kill_process``, ``wait_process``).  The
-    subprocess transport builds one from a pipe pair
-    (:meth:`from_process`); the multi-host transport builds one from an
-    accepted TCP connection plus its launcher handle
-    (:meth:`from_connection`).
+    Frames travel over the process's stdin (``writer``) and stdout
+    (``reader``) pipes.  For a remote host the process is the local ``ssh``
+    client, whose pipes carry the remote worker's; killing it tears the
+    session down.
     """
 
     def __init__(
         self,
-        reader: "asyncio.StreamReader",
-        writer,
-        pid: int,
-        kill_process: Callable[[], None],
-        wait_process: Callable[[], Awaitable[object]],
-        host: Optional[str] = None,
+        proc: "asyncio.subprocess.Process",
         compress_out: bool = False,
-        handshaked: bool = False,
     ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.pid = pid
-        self._kill_process = kill_process
-        self._wait_process = wait_process
-        self.host = host
+        self.proc = proc
+        self.reader = proc.stdout
+        self.writer = proc.stdin
+        self.pid = proc.pid
         #: Whether frames *to* this worker are compressed.
         self.compress_out = compress_out
         self.alive = True
-        self.spawned_at = asyncio.get_running_loop().time()
-        self.last_seen = self.spawned_at
-        self.handshaked = handshaked  # True once any frame (hello) arrived
+        self.last_seen = asyncio.get_running_loop().time()
         self.pending: Dict[int, "asyncio.Future[Outcome]"] = {}
         self.completed = 0
         self.reader_task: Optional["asyncio.Task"] = None
         self.monitor_task: Optional["asyncio.Task"] = None
 
-    @classmethod
-    def from_process(cls, proc: "asyncio.subprocess.Process") -> "_Worker":
-        """Worker over a subprocess's stdin/stdout pipe pair."""
-        return cls(
-            reader=proc.stdout,
-            writer=proc.stdin,
-            pid=proc.pid,
-            kill_process=proc.kill,
-            wait_process=proc.wait,
-        )
-
-    @classmethod
-    def from_connection(
-        cls,
-        reader: "asyncio.StreamReader",
-        writer: "asyncio.StreamWriter",
-        pid: int,
-        kill_process: Callable[[], None],
-        wait_process: Callable[[], Awaitable[object]],
-        host: str,
-        compress_out: bool = False,
-    ) -> "_Worker":
-        """Worker over an accepted connect-back TCP stream pair.
-
-        The hello frame was already consumed by the acceptor, so the worker
-        starts handshaked: heartbeat staleness applies immediately instead
-        of the startup grace.
-        """
-        return cls(
-            reader=reader,
-            writer=writer,
-            pid=pid,
-            kill_process=kill_process,
-            wait_process=wait_process,
-            host=host,
-            compress_out=compress_out,
-            handshaked=True,
-        )
-
     # ------------------------------------------------------------------
     async def send(self, message: Dict[str, object]) -> None:
-        if self.writer is None or not self.alive:
+        if not self.alive:
             raise WorkerDied(f"worker {self.pid} is gone")
         try:
             self.writer.write(
@@ -275,20 +221,24 @@ class _Worker:
             raise WorkerDied(f"worker {self.pid} pipe closed: {exc}") from exc
 
     def kill(self) -> None:
-        """Forcefully terminate the worker process (best effort)."""
-        try:
-            self._kill_process()
-        except (OSError, ProcessLookupError):
-            pass
+        """Forcefully terminate the worker process (best effort).
+
+        Signals the pid directly: ``Process.kill`` polls the child first,
+        and a poll racing the event loop's child watcher can reap an
+        exiting worker, which the watcher then logs as an unknown pid.
+        """
+        if self.proc.returncode is None:
+            try:
+                os.kill(self.pid, getattr(signal, "SIGKILL", signal.SIGTERM))
+            except (OSError, ProcessLookupError):
+                pass
 
     async def wait(self) -> None:
-        """Reap the worker process (or its launcher)."""
-        await self._wait_process()
+        """Reap the worker process."""
+        await self.proc.wait()
 
     def close_gracefully(self) -> None:
         """Ask the worker to exit: shutdown frame, then close its input."""
-        if self.writer is None:
-            return
         try:
             self.writer.write(protocol.encode_frame({"type": "shutdown"}))
             self.writer.close()
@@ -422,28 +372,81 @@ class AsyncWorkerBackend:
             self._pids.discard(pid)
         self._workers.clear()
 
-    def _worker_environment(self) -> Dict[str, str]:
-        return worker_environment(self.worker_env)
-
-    async def _spawn_worker(self) -> _Worker:
-        proc = await asyncio.create_subprocess_exec(
-            self.python or sys.executable,
-            "-m", "repro.exp.worker",
-            stdin=asyncio.subprocess.PIPE,
-            stdout=asyncio.subprocess.PIPE,
-            env=self._worker_environment(),
+    async def _spawn_local_worker(self) -> _Worker:
+        return await self._spawn_worker(
+            [self.python or sys.executable, "-m", "repro.exp.worker"],
+            worker_environment(self.worker_env),
         )
-        worker = _Worker.from_process(proc)
-        self._register_worker(worker)
-        return worker
 
-    def _register_worker(self, worker: _Worker) -> None:
-        """Track a freshly acquired worker and start its reader + monitor."""
-        self._count("spawns")
+    async def _spawn_worker(
+        self,
+        argv: Sequence[str],
+        env: Optional[Dict[str, str]],
+        host: Optional[str] = None,
+        compress: bool = False,
+    ) -> _Worker:
+        """Launch ``argv`` and admit it as a worker once it says hello.
+
+        The process speaks frames on its stdin/stdout.  Its ``hello`` must
+        arrive within :data:`_STARTUP_GRACE` seconds and name this
+        supervisor's protocol version; otherwise the launch fails with a
+        :class:`SpawnError`, which the slot's spawn-failure path handles
+        (jobs requeued, retry budgets untouched).  With ``compress`` a
+        ``hello_ack`` grants the worker compressed frames, and frames to it
+        are compressed too.
+        """
+        where = f"on host {host!r}" if host else "locally"
+        try:
+            proc = await asyncio.create_subprocess_exec(
+                *argv,
+                stdin=asyncio.subprocess.PIPE,
+                stdout=asyncio.subprocess.PIPE,
+                env=env,
+            )
+        except (OSError, ValueError) as exc:
+            raise SpawnError(f"cannot launch a worker {where}: {exc}") from exc
+        worker = _Worker(proc, compress_out=compress)
         self._pids.add(worker.pid)
+        try:
+            try:
+                hello = await asyncio.wait_for(
+                    protocol.read_frame_async(proc.stdout), _STARTUP_GRACE
+                )
+            except (
+                asyncio.TimeoutError,
+                asyncio.IncompleteReadError,
+                protocol.ProtocolError,
+                OSError,
+            ) as exc:
+                raise SpawnError(f"worker launched {where} sent no hello") from exc
+            worker.last_seen = asyncio.get_running_loop().time()
+            version = hello.get("protocol") if hello.get("type") == "hello" else None
+            if version != protocol.PROTOCOL_VERSION:
+                raise SpawnError(
+                    f"worker launched {where} speaks protocol {version!r}, "
+                    f"this supervisor speaks protocol {protocol.PROTOCOL_VERSION}"
+                )
+            if compress:
+                try:
+                    await worker.send({"type": "hello_ack", "compress": True})
+                except WorkerDied as exc:
+                    raise SpawnError(
+                        f"worker launched {where} hung up before its hello_ack"
+                    ) from exc
+        except BaseException:
+            # Failed launch or shutdown mid-handshake: leave no process behind.
+            worker.kill()
+            try:
+                await asyncio.wait_for(worker.wait(), timeout=5.0)
+            except asyncio.TimeoutError:  # pragma: no cover - pipe held open
+                pass
+            self._pids.discard(worker.pid)
+            raise
+        self._count("spawns")
         self._workers.append(worker)
         worker.reader_task = asyncio.ensure_future(self._read_worker(worker))
         worker.monitor_task = asyncio.ensure_future(self._monitor_worker(worker))
+        return worker
 
     def _release_worker(self, worker: _Worker) -> None:
         worker.alive = False
@@ -458,7 +461,6 @@ class AsyncWorkerBackend:
             while True:
                 message = await protocol.read_frame_async(worker.reader)
                 worker.last_seen = loop.time()
-                worker.handshaked = True
                 kind = message.get("type")
                 if kind in ("result", "error"):
                     future = worker.pending.get(message.get("job"))
@@ -471,7 +473,7 @@ class AsyncWorkerBackend:
                             future.set_result(
                                 ExperimentFailure.from_dict(message["error"])
                             )
-                # hello/pong only refresh last_seen, handled above
+                # pong only refreshes last_seen, handled above
         except asyncio.CancelledError:
             pass  # supervisor-initiated shutdown; it owns process cleanup
         except (
@@ -505,22 +507,10 @@ class AsyncWorkerBackend:
             await asyncio.sleep(self.heartbeat_interval)
             if not worker.alive:
                 return
-            # Cold start (importing the simulation stack) does not count
-            # against the heartbeat; before the hello frame only the far
-            # more generous startup deadline applies.
-            if worker.handshaked:
-                silent = loop.time() - worker.last_seen > self.heartbeat_timeout
-            else:
-                silent = (
-                    loop.time() - worker.spawned_at
-                    > max(self.heartbeat_timeout, _STARTUP_GRACE)
-                )
-            if silent:
+            if loop.time() - worker.last_seen > self.heartbeat_timeout:
                 self._count("heartbeat_kills")
                 worker.kill()
                 return  # the reader's EOF turns this into the death path
-            if not worker.handshaked:
-                continue
             sequence += 1
             try:
                 await worker.send({"type": "ping", "seq": sequence})
@@ -629,14 +619,14 @@ class AsyncWorkerBackend:
     ) -> None:
         """One dispatch loop: owns (at most) one live worker at a time.
 
-        ``spawn`` acquires a fresh worker (defaults to the local subprocess
-        transport) and ``host`` is the optional host-accounting object of
+        ``spawn`` acquires a fresh worker (defaults to a local worker
+        subprocess) and ``host`` is the optional host-accounting object of
         the multi-host backend: its ``record_death``/``record_success``
         methods aggregate failures across every slot of one machine, and a
         quarantined host retires its slots (requeueing any job in hand) so
         the remaining hosts drain the queue.
         """
-        spawn = spawn if spawn is not None else self._spawn_worker
+        spawn = spawn if spawn is not None else self._spawn_local_worker
         try:
             await self._dispatch_loop(queue, finish, spawn, host)
         finally:
@@ -775,16 +765,15 @@ class AsyncWorkerBackend:
         """Forgive a supervisor-side event-loop stall of ``ended - started``.
 
         A synchronous call on the event loop (a shard-locked store write on
-        a slow filesystem, say) freezes frame reading: no pongs or hellos
-        arrive while it runs.  When the stall exceeded half a heartbeat
-        interval, restart every worker's staleness and startup clock so
-        healthy workers are not killed for the supervisor's own pause.  Used
-        by the streaming ``finish`` here and by the service daemon's.
+        a slow filesystem, say) freezes frame reading: no pongs arrive while
+        it runs.  When the stall exceeded half a heartbeat interval, restart
+        every worker's staleness clock so healthy workers are not killed for
+        the supervisor's own pause.  Used by the streaming ``finish`` here
+        and by the service daemon's.
         """
         if ended - started > self.heartbeat_interval / 2:
             for other in self._workers:
                 other.last_seen = max(other.last_seen, ended)
-                other.spawned_at = max(other.spawned_at, ended)
 
     # ------------------------------------------------------------------
     # Service mode: a persistent daemon (repro.serve) runs the pool against
@@ -822,7 +811,7 @@ class AsyncWorkerBackend:
         self._live_slots = len(self._service_tasks)
 
     async def stop_service(self) -> None:
-        """Stop the slots, reap every worker and release the transport."""
+        """Stop the slots, reap every worker and run the teardown."""
         tasks, self._service_tasks = self._service_tasks, []
         for task in tasks:
             task.cancel()
@@ -847,10 +836,10 @@ class AsyncWorkerBackend:
 
     # ------------------------------------------------------------------
     async def _startup(self) -> None:
-        """Transport setup before any slot runs (multi-host: the listener)."""
+        """Setup before any slot runs (multi-host: the host accounting)."""
 
     async def _teardown(self) -> None:
-        """Transport cleanup after every worker was reaped."""
+        """Cleanup after every worker was reaped."""
 
     def _slot_coroutines(
         self,

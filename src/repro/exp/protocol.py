@@ -1,12 +1,11 @@
 """Length-prefixed JSON framing shared by the async supervisor and workers.
 
 The distributed backend (:mod:`repro.exp.distributed`), the multi-host
-transport (:mod:`repro.exp.hosts`) and the worker entrypoint
+backend (:mod:`repro.exp.hosts`) and the worker entrypoint
 (:mod:`repro.exp.worker`) exchange *frames*: a 4-byte big-endian header
-followed by a UTF-8 JSON object.  The framing is transport-agnostic — the
-same bytes flow over subprocess pipes, TCP sockets and SSH channels — which
-is why the worker accepts ``--connect HOST PORT`` in addition to its default
-stdio mode.
+followed by a UTF-8 JSON object.  A worker speaks them on its stdin/stdout
+pipes, which an ``ssh -T`` session carries unchanged to a remote host; the
+service client and daemon (:mod:`repro.serve`) speak them over TCP.
 
 Compression
 -----------
@@ -17,8 +16,9 @@ both forms.  Encoders only compress when asked to (``compress=True``) *and*
 the payload is large enough to plausibly win
 (:data:`COMPRESS_MIN_BYTES`) *and* compression actually shrinks it —
 heartbeat pings therefore always travel uncompressed.  The supervisor
-decides whether a link compresses: its ``hello_ack`` to a connect-back
-worker carries the setting, and the stdio transport never compresses.
+decides whether a link compresses: it answers the worker's ``hello`` with a
+``hello_ack`` granting compression, or sends no ack, and then neither side
+compresses.
 
 Batching
 --------
@@ -33,9 +33,9 @@ Versions
 --------
 Workers, supervisor and daemon ship from one tree, so both ends of a link
 must speak the same :data:`PROTOCOL_VERSION`; there is no negotiation and
-no fallback.  A multi-host supervisor fails the launch of a connect-back
-worker whose ``hello`` names another version (an SSH host runs whatever
-``repro`` it has installed).
+no fallback.  A supervisor fails the launch of a worker whose ``hello``
+names another version (an SSH host runs whatever ``repro`` it has
+installed).
 
 Frame types
 -----------
@@ -46,18 +46,16 @@ Supervisor to worker:
   answered by its own ``result``/``error`` frame.
 * ``{"type": "ping", "seq": <int>}`` — heartbeat probe; answered immediately
   by the worker's reader thread even while a simulation is running.
-* ``{"type": "hello_ack", "compress": <bool>}`` — answers a connect-back
-  worker's ``hello``; ``compress`` tells the worker whether it may compress
-  the frames it sends.  (Not sent on the stdio transport, where links are
-  local pipes and compression never pays.)
+* ``{"type": "hello_ack", "compress": <bool>}`` — answers the worker's
+  ``hello`` when the supervisor compresses (the multi-host backend's
+  ``compress=True``); ``compress`` tells the worker it may compress the
+  frames it sends.  Without an ack the worker never compresses.
 * ``{"type": "shutdown"}`` — finish the current job (if any) and exit.
 
 Worker to supervisor:
 
-* ``{"type": "hello", "pid": <int>, "protocol": <int>[, "token": <str>]}``
-  — sent once on startup.  The ``token`` echoes ``--token`` and lets a
-  multi-host supervisor match the inbound TCP connection to the launch that
-  created it.
+* ``{"type": "hello", "pid": <int>, "protocol": <int>}`` — sent once on
+  startup; the supervisor admits the worker only after it.
 * ``{"type": "result", "job": <int>, "result": <ExperimentResult.to_dict()>}``
 * ``{"type": "error", "job": <int>, "error": <ExperimentFailure.to_dict()>}``
   — the spec raised; the worker stays alive and takes the next job.

@@ -1,15 +1,11 @@
 """Experiment worker process (``python -m repro.exp.worker``).
 
 A worker speaks the length-prefixed JSON protocol of
-:mod:`repro.exp.protocol` over its stdin/stdout pipes (default) or over a TCP
-socket (``--connect HOST PORT``), which is what lets the same entrypoint run
-on a remote host behind ``ssh host python -m repro.exp.worker`` without a new
-protocol.  In connect mode the initial TCP connect is retried with
-exponential backoff (``--connect-retries`` / ``--connect-backoff``), so
-workers launched before the supervisor's listener is up still join instead of
-dying on the first refused connection; ``--token`` is echoed in the ``hello``
-frame so a multi-host supervisor can match the inbound connection to the
-launch that created it.
+:mod:`repro.exp.protocol` over its stdin/stdout pipes, and only there.  The
+same entrypoint runs on a remote host behind ``ssh -T HOST python3 -m
+repro.exp.worker``: the SSH session carries the pipes, so a remote worker
+needs no other transport.  It opens with a ``hello`` frame naming its pid and
+protocol version.
 
 Two threads cooperate:
 
@@ -27,8 +23,8 @@ Two threads cooperate:
   that raises produces an ``error`` frame and the worker stays alive.
 
 Stray ``print`` calls anywhere in the simulation stack cannot corrupt the
-frame stream: in stdio mode ``sys.stdout`` is rebound to stderr before any
-job runs, and all frame writes go through one lock-guarded writer.
+frame stream: ``sys.stdout`` is rebound to stderr before any job runs, and
+all frame writes go through one lock-guarded writer.
 
 Fault injection (tests only): the ``REPRO_EXP_WORKER_FAULT`` environment
 variable, formatted ``<key-prefix>:<flag-file>[:<mode>]``, makes the worker
@@ -56,7 +52,6 @@ import argparse
 import os
 import queue
 import signal
-import socket
 import sys
 import threading
 import time
@@ -75,20 +70,12 @@ EXEC_LOG_ENV = "REPRO_EXP_WORKER_EXECLOG"
 #: Test/benchmark-only simulated per-frame link latency (seconds).
 DELAY_ENV = "REPRO_EXP_WORKER_DELAY"
 
-#: Default bounded-retry budget for ``--connect`` (first attempt excluded).
-DEFAULT_CONNECT_RETRIES = 12
-
-#: Initial backoff between connect attempts; doubles per attempt, capped.
-DEFAULT_CONNECT_BACKOFF = 0.2
-
-_CONNECT_BACKOFF_CAP = 2.0
-
 
 class _FrameWriter:
     """Serialises frame writes from the main and reader threads.
 
-    ``compress`` starts off (stdio links never compress) and is flipped by
-    the reader thread when a ``hello_ack`` grants it; a plain bool
+    ``compress`` starts off and is flipped by the reader thread when the
+    supervisor's ``hello_ack`` grants it; a plain bool
     assignment is atomic under the GIL, and frame ordering guarantees the ack
     is processed before any job whose answer could be compressed.
     """
@@ -146,22 +133,15 @@ def _maybe_inject_fault(spec_key: str) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def serve(
-    reader_stream: BinaryIO,
-    writer_stream: BinaryIO,
-    token: Optional[str] = None,
-) -> None:
+def serve(reader_stream: BinaryIO, writer_stream: BinaryIO) -> None:
     """Serve the worker protocol until ``shutdown`` or EOF."""
     delay = _frame_delay()
     out = _FrameWriter(writer_stream, delay=delay)
-    hello: Dict[str, object] = {
+    out.send({
         "type": "hello",
         "pid": os.getpid(),
         "protocol": protocol.PROTOCOL_VERSION,
-    }
-    if token is not None:
-        hello["token"] = token
-    out.send(hello)
+    })
     jobs: "queue.Queue[Optional[Dict[str, object]]]" = queue.Queue()
     # Set on shutdown/EOF: the main thread stops *before* the next job, so
     # a worker holding a deep run_batch queue exits after the job in hand
@@ -230,90 +210,18 @@ def serve(
             out.send({"type": "error", "job": job_id, "error": failure.to_dict()})
 
 
-def connect_with_retry(
-    host: str,
-    port: int,
-    retries: int = DEFAULT_CONNECT_RETRIES,
-    backoff: float = DEFAULT_CONNECT_BACKOFF,
-) -> socket.socket:
-    """Connect to the supervisor, retrying refused/unreachable attempts.
-
-    A connect-back worker routinely races its supervisor's listener (the
-    launcher fires before ``asyncio.start_server`` finished binding, or an
-    SSH session comes up faster than the supervisor), so a failed TCP
-    connect is retried ``retries`` times with exponential backoff
-    (``backoff``, ``2*backoff``, ... capped at 2 s) before giving up.
-    """
-    attempt = 0
-    while True:
-        try:
-            connection = socket.create_connection((host, port), timeout=10.0)
-            # The 10s deadline is for the *connect* only.  It must not leak
-            # into the connection's lifetime: reads block between frames for
-            # arbitrarily long (pings only arrive every heartbeat interval,
-            # and a supervisor stalled on a slow store write sends nothing),
-            # and a socket.timeout is an OSError the reader would mistake
-            # for EOF, silently killing every idle worker.
-            connection.settimeout(None)
-            return connection
-        except OSError:
-            if attempt >= retries:
-                raise
-            time.sleep(min(backoff * (2.0 ** attempt), _CONNECT_BACKOFF_CAP))
-            attempt += 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Worker entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(
+    argparse.ArgumentParser(
         prog="repro.exp.worker",
-        description="experiment worker speaking the repro.exp frame protocol",
-    )
-    parser.add_argument(
-        "--connect", nargs=2, metavar=("HOST", "PORT"), default=None,
-        help="connect to a supervisor socket instead of using stdin/stdout",
-    )
-    parser.add_argument(
-        "--connect-retries", type=int, default=DEFAULT_CONNECT_RETRIES,
-        help="failed TCP connects tolerated before giving up "
-             f"(default {DEFAULT_CONNECT_RETRIES})",
-    )
-    parser.add_argument(
-        "--connect-backoff", type=float, default=DEFAULT_CONNECT_BACKOFF,
-        help="initial sleep between connect attempts, doubled per attempt "
-             f"(default {DEFAULT_CONNECT_BACKOFF}s, capped at "
-             f"{_CONNECT_BACKOFF_CAP}s)",
-    )
-    parser.add_argument(
-        "--token", default=None,
-        help="opaque launch token echoed in the hello frame (multi-host "
-             "supervisors use it to match connections to launches)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.connect is not None:
-        host, port = args.connect
-        try:
-            connection = connect_with_retry(
-                host, int(port),
-                retries=max(0, args.connect_retries),
-                backoff=max(0.0, args.connect_backoff),
-            )
-        except OSError as exc:
-            print(f"repro.exp.worker: cannot reach supervisor "
-                  f"{host}:{port}: {exc}", file=sys.stderr)
-            return 1
-        with connection:
-            with connection.makefile("rb") as reader_stream, \
-                    connection.makefile("wb") as writer_stream:
-                serve(reader_stream, writer_stream, token=args.token)
-        return 0
-
+        description="experiment worker speaking the repro.exp frame protocol "
+                    "on stdin/stdout",
+    ).parse_args(argv)
     reader_stream = sys.stdin.buffer
     writer_stream = sys.stdout.buffer
     # Frames own the real stdout; reroute stray prints to stderr.
     sys.stdout = sys.stderr
-    serve(reader_stream, writer_stream, token=args.token)
+    serve(reader_stream, writer_stream)
     return 0
 
 

@@ -21,7 +21,6 @@ The headline suite for ``run_batch`` dispatch.  Covers:
 import io
 import json
 import pathlib
-import socket
 import struct
 import subprocess
 import sys
@@ -51,7 +50,7 @@ from repro.exp import protocol
 from repro.exp.distributed import DEFAULT_BATCH_CAP
 from repro.exp.worker import DELAY_ENV, EXEC_LOG_ENV, FAULT_ENV
 
-from exp_helpers import deterministic_fields, store_result_bytes
+from exp_helpers import deterministic_fields, pipe_worker, store_result_bytes
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -218,49 +217,31 @@ class TestBatchedDispatchProtocol:
 
     def test_hello_advertises_batch_and_run_batch_streams_answers(self):
         specs = [small_spec(), small_spec(benchmark="vector-operation")]
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-            server.bind(("127.0.0.1", 0))
-            server.listen(1)
-            port = server.getsockname()[1]
-            worker = subprocess.Popen(
-                [sys.executable, "-m", "repro.exp.worker",
-                 "--connect", "127.0.0.1", str(port)],
-                env=subprocess_env(),
-            )
-            try:
-                server.settimeout(30.0)
-                connection, _ = server.accept()
-                with connection, \
-                        connection.makefile("rb") as reader, \
-                        connection.makefile("wb") as writer:
-                    hello = protocol.read_frame(reader)
-                    assert hello["type"] == "hello"
-                    # The version is the whole advertisement: every worker
-                    # of this protocol version takes run_batch frames.
-                    assert hello["protocol"] == protocol.PROTOCOL_VERSION
-                    protocol.write_frame(writer, {
-                        "type": "run_batch",
-                        "jobs": [
-                            {"job": index, "spec": spec.to_dict()}
-                            for index, spec in enumerate(specs)
-                        ],
-                    })
-                    # One result frame per job, in batch order: the per-spec
-                    # acknowledgements batching's requeue logic relies on.
-                    for index, spec in enumerate(specs):
-                        message = protocol.read_frame(reader)
-                        assert message["type"] == "result"
-                        assert message["job"] == index
-                        local = deterministic_fields(run_spec(spec))
-                        remote = dict(message["result"])
-                        remote.pop("wall_seconds")
-                        assert remote == local
-                    protocol.write_frame(writer, {"type": "shutdown"})
-                assert worker.wait(timeout=30) == 0
-            finally:
-                if worker.poll() is None:
-                    worker.kill()
-                    worker.wait()
+        with pipe_worker() as worker:
+            hello = protocol.read_frame(worker.stdout)
+            assert hello["type"] == "hello"
+            # The version is the whole advertisement: every worker of this
+            # protocol version takes run_batch frames.
+            assert hello["protocol"] == protocol.PROTOCOL_VERSION
+            protocol.write_frame(worker.stdin, {
+                "type": "run_batch",
+                "jobs": [
+                    {"job": index, "spec": spec.to_dict()}
+                    for index, spec in enumerate(specs)
+                ],
+            })
+            # One result frame per job, in batch order: the per-spec
+            # acknowledgements batching's requeue logic relies on.
+            for index, spec in enumerate(specs):
+                message = protocol.read_frame(worker.stdout)
+                assert message["type"] == "result"
+                assert message["job"] == index
+                local = deterministic_fields(run_spec(spec))
+                remote = dict(message["result"])
+                remote.pop("wall_seconds")
+                assert remote == local
+            protocol.write_frame(worker.stdin, {"type": "shutdown"})
+            assert worker.wait(timeout=30) == 0
 
 
 class TestBatchedEquivalence:

@@ -5,7 +5,7 @@ protocol: bit-exact equivalence with the serial backend (results and store
 bytes), deterministic worker-kill/requeue convergence, poison specs that are
 recorded without stalling the queue, SIGINT shutdown with no orphan
 processes or half-written store entries, heartbeat detection of stopped
-workers, and the worker's socket transport.
+workers, and the worker's frames on its stdin/stdout.
 """
 
 import json
@@ -38,7 +38,7 @@ from repro.exp import (
 from repro.exp import protocol
 from repro.exp.worker import FAULT_ENV
 
-from exp_helpers import deterministic_fields, store_result_bytes
+from exp_helpers import deterministic_fields, pipe_worker, store_result_bytes
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -372,90 +372,54 @@ def _pid_alive(pid):
 
 
 class TestWorkerTransport:
-    """The worker speaks the same frames over a TCP socket (SSH-ready)."""
+    """The worker's frames on its stdin/stdout (what an SSH session carries)."""
 
-    def test_tcp_worker_round_trip(self):
+    def test_pipe_worker_round_trip(self):
         spec = small_spec()
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-            server.bind(("127.0.0.1", 0))
-            server.listen(1)
-            port = server.getsockname()[1]
-            worker = subprocess.Popen(
-                [sys.executable, "-m", "repro.exp.worker",
-                 "--connect", "127.0.0.1", str(port)],
-                env=subprocess_env(),
-            )
-            try:
-                server.settimeout(30.0)
-                connection, _ = server.accept()
-                with connection, \
-                        connection.makefile("rb") as reader, \
-                        connection.makefile("wb") as writer:
-                    hello = protocol.read_frame(reader)
-                    assert hello["type"] == "hello"
-                    assert hello["protocol"] == protocol.PROTOCOL_VERSION
-                    assert hello["pid"] == worker.pid
-                    protocol.write_frame(writer, {
-                        "type": "run_batch",
-                        "jobs": [{"job": 7, "spec": spec.to_dict()}],
-                    })
-                    message = protocol.read_frame(reader)
-                    assert message["type"] == "result"
-                    assert message["job"] == 7
-                    local = deterministic_fields(run_spec(spec))
-                    remote = dict(message["result"])
-                    remote.pop("wall_seconds")
-                    assert remote == local
-                    protocol.write_frame(writer, {"type": "shutdown"})
-                assert worker.wait(timeout=30) == 0
-            finally:
-                if worker.poll() is None:
-                    worker.kill()
-                    worker.wait()
+        with pipe_worker() as worker:
+            hello = protocol.read_frame(worker.stdout)
+            assert hello["type"] == "hello"
+            assert hello["protocol"] == protocol.PROTOCOL_VERSION
+            assert hello["pid"] == worker.pid
+            protocol.write_frame(worker.stdin, {
+                "type": "run_batch",
+                "jobs": [{"job": 7, "spec": spec.to_dict()}],
+            })
+            message = protocol.read_frame(worker.stdout)
+            assert message["type"] == "result"
+            assert message["job"] == 7
+            local = deterministic_fields(run_spec(spec))
+            remote = dict(message["result"])
+            remote.pop("wall_seconds")
+            assert remote == local
+            protocol.write_frame(worker.stdin, {"type": "shutdown"})
+            assert worker.wait(timeout=30) == 0
 
     def test_worker_pongs_while_simulating(self):
         # The reader thread answers pings mid-job, so supervisor heartbeats
         # measure liveness, not job length.
         busy_spec = ExperimentSpec("cholesky", num_threads=2, scale=1.0,
                                    trace_seed=1)
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-            server.bind(("127.0.0.1", 0))
-            server.listen(1)
-            port = server.getsockname()[1]
-            worker = subprocess.Popen(
-                [sys.executable, "-m", "repro.exp.worker",
-                 "--connect", "127.0.0.1", str(port)],
-                env=subprocess_env(),
-            )
-            try:
-                server.settimeout(30.0)
-                connection, _ = server.accept()
-                with connection, \
-                        connection.makefile("rb") as reader, \
-                        connection.makefile("wb") as writer:
-                    assert protocol.read_frame(reader)["type"] == "hello"
-                    protocol.write_frame(writer, {
-                        "type": "run_batch",
-                        "jobs": [{"job": 0, "spec": busy_spec.to_dict()}],
-                    })
-                    time.sleep(0.2)  # the simulation is now running
-                    protocol.write_frame(writer, {"type": "ping", "seq": 42})
-                    message = protocol.read_frame(reader)
-                    assert message["type"] == "pong"
-                    assert message["seq"] == 42
-                    # Pongs carry the worker's trace-memo counters; the
-                    # running job's trace was generated, so exactly one miss.
-                    memo = message["memo"]
-                    assert memo["misses"] >= 1
-                    assert memo["hits"] >= 0
-                    assert memo["entries"] <= memo["capacity"]
-                    assert protocol.read_frame(reader)["type"] == "result"
-                    protocol.write_frame(writer, {"type": "shutdown"})
-                assert worker.wait(timeout=30) == 0
-            finally:
-                if worker.poll() is None:
-                    worker.kill()
-                    worker.wait()
+        with pipe_worker() as worker:
+            assert protocol.read_frame(worker.stdout)["type"] == "hello"
+            protocol.write_frame(worker.stdin, {
+                "type": "run_batch",
+                "jobs": [{"job": 0, "spec": busy_spec.to_dict()}],
+            })
+            time.sleep(0.2)  # the simulation is now running
+            protocol.write_frame(worker.stdin, {"type": "ping", "seq": 42})
+            message = protocol.read_frame(worker.stdout)
+            assert message["type"] == "pong"
+            assert message["seq"] == 42
+            # Pongs carry the worker's trace-memo counters; the running
+            # job's trace was generated, so exactly one miss.
+            memo = message["memo"]
+            assert memo["misses"] >= 1
+            assert memo["hits"] >= 0
+            assert memo["entries"] <= memo["capacity"]
+            assert protocol.read_frame(worker.stdout)["type"] == "result"
+            protocol.write_frame(worker.stdin, {"type": "shutdown"})
+            assert worker.wait(timeout=30) == 0
 
     def test_worker_error_frame_carries_originating_traceback(self):
         # A poison spec's error frame must ship the full traceback — the

@@ -1,13 +1,14 @@
-"""Network-fault injection and equivalence tests for the multi-host transport.
+"""Fault injection and equivalence tests for the multi-host backend.
 
-Covers :mod:`repro.exp.hosts` (the :class:`HostPool` listener, launchers and
-:class:`MultiHostBackend`), the compressed frame protocol and the worker's
-connect-back path: byte-exact store equivalence with the serial backend, a
-worker's TCP connection severed mid-spec with requeue convergence, truncated
-and oversized frame handling, the hello/hello_ack handshake (compressed or
-raw frames, and a worker speaking another protocol version failing its
-launch at once), quarantine of a crash-looping host, connect retry with
-backoff, and a randomized-kill soak (``-m soak``, excluded from tier-1).
+Covers :mod:`repro.exp.hosts` (host parsing, the per-host worker commands
+and :class:`MultiHostBackend`), the compressed frame protocol and the
+worker handshake on stdin/stdout: byte-exact store equivalence with the
+serial backend over local hosts and over SSH (a stand-in ``ssh`` client),
+a worker killed mid-spec with requeue convergence, truncated and oversized
+frame handling, the hello/hello_ack handshake (compressed or raw frames, a
+worker speaking another protocol version or never saying hello failing its
+launch), quarantine of a crash-looping host, and a randomized-kill soak
+(``-m soak``, excluded from tier-1).
 """
 
 import asyncio
@@ -18,12 +19,10 @@ import random
 import signal
 import socket
 import struct
-import subprocess
 import sys
 import tempfile
 import textwrap
 import threading
-import time
 import zlib
 
 import pytest
@@ -45,10 +44,9 @@ from repro.exp import (
 )
 from repro.exp import protocol
 from repro.exp.distributed import SpawnError
-from repro.exp.hosts import HostPool
-from repro.exp.worker import FAULT_ENV
+from repro.exp.worker import EXEC_LOG_ENV, FAULT_ENV
 
-from exp_helpers import deterministic_fields, store_result_bytes
+from exp_helpers import deterministic_fields, pipe_worker, store_result_bytes
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -182,6 +180,10 @@ class TestHostParsing:
             parse_hosts("host:0")
         with pytest.raises(ValueError):
             parse_hosts(":4")
+        # One host named twice would split its budget and health
+        # accounting over two records reported under one name.
+        with pytest.raises(ValueError, match="'local0'"):
+            parse_hosts("local0:1,local0:2")
 
     def test_parse_listen(self):
         assert parse_listen(None) == ("127.0.0.1", 0)
@@ -203,165 +205,37 @@ class TestHostParsing:
         # REPRO_BENCH_HOSTS=... must not quietly run single-host).
         with pytest.raises(ValueError):
             make_named_backend("async", hosts="local0:1")
-        with pytest.raises(ValueError):
-            make_named_backend("serial", listen="9000")
-
-
-class TestHostPool:
-    """The listener only hands out connections with a valid hello + token."""
-
-    def run_pool(self, exercise):
-        async def main():
-            pool = HostPool("127.0.0.1", 0)
-            await pool.start()
-            try:
-                return await exercise(pool)
-            finally:
-                await pool.close()
-
-        return asyncio.run(main())
-
-    def test_valid_token_is_matched(self):
-        async def exercise(pool):
-            future = pool.expect("tok-1")
-            reader, writer = await asyncio.open_connection("127.0.0.1", pool.port)
-            writer.write(protocol.encode_frame(
-                {"type": "hello", "pid": 4242, "token": "tok-1",
-                 "protocol": protocol.PROTOCOL_VERSION}
-            ))
-            await writer.drain()
-            _, server_writer, hello = await asyncio.wait_for(future, 10.0)
-            assert hello["pid"] == 4242
-            server_writer.close()
-            writer.close()
-            return pool.rejected
-
-        assert self.run_pool(exercise) == 0
-
-    def test_unknown_token_is_dropped(self):
-        async def exercise(pool):
-            reader, writer = await asyncio.open_connection("127.0.0.1", pool.port)
-            writer.write(protocol.encode_frame(
-                {"type": "hello", "pid": 1, "token": "nobody-expects-me"}
-            ))
-            await writer.drain()
-            assert await asyncio.wait_for(reader.read(), 10.0) == b""  # closed
-            writer.close()
-            return pool.rejected
-
-        assert self.run_pool(exercise) == 1
-
-    def test_oversized_frame_header_is_dropped(self):
-        async def exercise(pool):
-            future = pool.expect("tok-1")
-            reader, writer = await asyncio.open_connection("127.0.0.1", pool.port)
-            writer.write(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1))
-            writer.write(b"garbage")
-            await writer.drain()
-            assert await asyncio.wait_for(reader.read(), 10.0) == b""  # closed
-            writer.close()
-            assert not future.done()
-            return pool.rejected
-
-        assert self.run_pool(exercise) == 1
-
-    def test_wrong_frame_type_does_not_consume_the_future(self):
-        # A malformed frame carrying a real token must not eat the launch's
-        # future: the genuine worker connecting later still claims it.
-        async def exercise(pool):
-            future = pool.expect("tok-1")
-            reader, writer = await asyncio.open_connection("127.0.0.1", pool.port)
-            writer.write(protocol.encode_frame({"type": "ping", "token": "tok-1"}))
-            await writer.drain()
-            assert await asyncio.wait_for(reader.read(), 10.0) == b""  # closed
-            writer.close()
-            assert not future.done()
-            reader2, writer2 = await asyncio.open_connection(
-                "127.0.0.1", pool.port
-            )
-            writer2.write(protocol.encode_frame(
-                {"type": "hello", "pid": 7, "token": "tok-1",
-                 "protocol": protocol.PROTOCOL_VERSION}
-            ))
-            await writer2.drain()
-            _, server_writer, hello = await asyncio.wait_for(future, 10.0)
-            assert hello["pid"] == 7
-            server_writer.close()
-            writer2.close()
-            return pool.rejected
-
-        assert self.run_pool(exercise) == 1
-
-    def test_truncated_hello_is_dropped(self):
-        async def exercise(pool):
-            future = pool.expect("tok-1")
-            reader, writer = await asyncio.open_connection("127.0.0.1", pool.port)
-            frame = protocol.encode_frame({"type": "hello", "token": "tok-1"})
-            writer.write(frame[:-4])  # header promises more than is sent
-            await writer.drain()
-            writer.close()  # sever mid-frame
-            deadline = asyncio.get_running_loop().time() + 10.0
-            while pool.rejected == 0:
-                assert asyncio.get_running_loop().time() < deadline
-                await asyncio.sleep(0.01)
-            assert not future.done()
-            return pool.rejected
-
-        assert self.run_pool(exercise) == 1
 
 
 class TestWorkerNegotiation:
-    """Worker-side hello/hello_ack handshake over a real TCP connection."""
+    """Worker-side hello/hello_ack handshake on the worker's pipes."""
 
     def handshake(self, ack_compress):
         spec = small_spec()
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-            server.bind(("127.0.0.1", 0))
-            server.listen(1)
-            port = server.getsockname()[1]
-            worker = subprocess.Popen(
-                [sys.executable, "-m", "repro.exp.worker",
-                 "--connect", "127.0.0.1", str(port),
-                 "--token", "negotiate-1"],
-                env=subprocess_env(),
+        with pipe_worker() as worker:
+            compressed, hello = read_raw_frame(worker.stdout)
+            assert not compressed  # the hello precedes the hello_ack
+            assert hello["type"] == "hello"
+            assert hello["protocol"] == protocol.PROTOCOL_VERSION
+            if ack_compress is not None:
+                protocol.write_frame(
+                    worker.stdin, {"type": "hello_ack", "compress": ack_compress}
+                )
+            protocol.write_frame(
+                worker.stdin,
+                {"type": "run_batch", "jobs": [{"job": 3, "spec": spec.to_dict()}]},
+                compress=bool(ack_compress),
             )
-            try:
-                server.settimeout(30.0)
-                connection, _ = server.accept()
-                with connection, \
-                        connection.makefile("rb") as reader, \
-                        connection.makefile("wb") as writer:
-                    compressed, hello = read_raw_frame(reader)
-                    assert not compressed  # the hello precedes the hello_ack
-                    assert hello["type"] == "hello"
-                    assert hello["token"] == "negotiate-1"
-                    assert hello["protocol"] == protocol.PROTOCOL_VERSION
-                    if ack_compress is not None:
-                        protocol.write_frame(
-                            writer,
-                            {"type": "hello_ack", "compress": ack_compress},
-                        )
-                    protocol.write_frame(
-                        writer,
-                        {"type": "run_batch",
-                         "jobs": [{"job": 3, "spec": spec.to_dict()}]},
-                        compress=bool(ack_compress),
-                    )
-                    compressed, message = read_raw_frame(reader)
-                    assert message["type"] == "result"
-                    assert message["job"] == 3
-                    local = deterministic_fields(run_spec(spec))
-                    remote = dict(message["result"])
-                    remote.pop("wall_seconds")
-                    assert remote == local
-                    protocol.write_frame(writer, {"type": "shutdown"})
-                    result_compressed = compressed
-                assert worker.wait(timeout=30) == 0
-                return result_compressed
-            finally:
-                if worker.poll() is None:
-                    worker.kill()
-                    worker.wait()
+            compressed, message = read_raw_frame(worker.stdout)
+            assert message["type"] == "result"
+            assert message["job"] == 3
+            local = deterministic_fields(run_spec(spec))
+            remote = dict(message["result"])
+            remote.pop("wall_seconds")
+            assert remote == local
+            protocol.write_frame(worker.stdin, {"type": "shutdown"})
+            assert worker.wait(timeout=30) == 0
+        return compressed
 
     def test_ack_enables_compressed_results(self):
         assert self.handshake(ack_compress=True) is True
@@ -370,50 +244,37 @@ class TestWorkerNegotiation:
         assert self.handshake(ack_compress=False) is False
 
     def test_no_ack_means_uncompressed(self):
-        # A supervisor that never acks (the stdio path) gets raw frames.
+        # A supervisor that does not compress sends no ack: raw frames.
         assert self.handshake(ack_compress=None) is False
 
 
-#: A connect-back worker of an older release: its hello carries the launch
-#: token but protocol 4, and it then waits for the supervisor to hang up.
+#: A worker of an older release: its hello names protocol 4, and it then
+#: waits for the supervisor to hang up.
 OLD_WORKER = textwrap.dedent("""
-    import socket, sys
+    import sys
     from repro.exp import protocol
-    host, port, token = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-    with socket.create_connection((host, port)) as connection:
-        with connection.makefile("wb") as out:
-            protocol.write_frame(out, {"type": "hello", "pid": 1,
-                                       "protocol": 4, "token": token})
-        connection.recv(1)
+    protocol.write_frame(sys.stdout.buffer,
+                         {"type": "hello", "pid": 1, "protocol": 4})
+    sys.stdin.buffer.read(1)
 """)
-
-
-class OldWorkerLauncher:
-    async def launch(self, *, connect_host, port, token, env=None):
-        return await asyncio.create_subprocess_exec(
-            sys.executable, "-c", OLD_WORKER, connect_host, str(port), token,
-            stdin=asyncio.subprocess.DEVNULL, env=subprocess_env(),
-        )
 
 
 class TestProtocolVersionCheck:
     def test_other_protocol_fails_the_launch_at_once(self):
-        # An SSH host runs whatever repro it has installed.  A hello with a
-        # known token but another protocol must fail that launch promptly,
-        # naming both versions, instead of waiting out the connect timeout.
+        # An SSH host runs whatever repro it has installed.  A hello naming
+        # another protocol must fail that launch promptly, naming both
+        # versions, instead of waiting out the startup grace.
         async def main():
-            backend = local_backend("local0:1", connect_timeout=60.0)
-            await backend._startup()
-            host = backend._hosts[0]
-            host.launcher = OldWorkerLauncher()
+            backend = local_backend("local0:1")
             loop = asyncio.get_running_loop()
             started = loop.time()
-            try:
-                with pytest.raises(SpawnError) as failure:
-                    await backend._spawn_host_worker(host)
-                return loop.time() - started, str(failure.value)
-            finally:
-                await backend._teardown()
+            with pytest.raises(SpawnError) as failure:
+                await backend._spawn_worker(
+                    [sys.executable, "-c", OLD_WORKER], subprocess_env(),
+                    host="local0",
+                )
+            assert backend.active_pids() == []  # killed and reaped
+            return loop.time() - started, str(failure.value)
 
         elapsed, message = asyncio.run(main())
         assert elapsed < 20.0
@@ -421,52 +282,64 @@ class TestProtocolVersionCheck:
         assert f"protocol {protocol.PROTOCOL_VERSION}" in message
 
 
-class TestConnectRetry:
-    """`--connect` survives a supervisor whose listener is not up yet."""
+class TestSpawnHandshake:
+    @pytest.mark.parametrize("first_bytes", [
+        struct.pack(">I", protocol.MAX_FRAME_BYTES + 1) + b"garbage",
+        protocol.encode_frame({"type": "hello", "pid": 1,
+                               "protocol": protocol.PROTOCOL_VERSION})[:-4],
+        protocol.encode_frame({"type": "pong", "seq": 1,
+                               "protocol": protocol.PROTOCOL_VERSION}),
+    ], ids=["oversized-header", "truncated-hello", "not-a-hello"])
+    def test_bad_first_frame_fails_the_launch_at_once(self, first_bytes):
+        # Whatever a process writes first must be a whole hello frame; any
+        # other opening fails its launch without waiting out the grace.
+        script = f"import sys; sys.stdout.buffer.write({first_bytes!r})"
 
-    def test_worker_retries_until_listener_appears(self):
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        # The port is now free (and refused): start the worker first.
-        worker = subprocess.Popen(
-            [sys.executable, "-m", "repro.exp.worker",
-             "--connect", "127.0.0.1", str(port),
-             "--connect-backoff", "0.1"],
-            env=subprocess_env(),
-        )
-        try:
-            time.sleep(1.0)  # several connect attempts fail meanwhile
-            assert worker.poll() is None, "worker gave up while retrying"
-            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-                server.bind(("127.0.0.1", port))
-                server.listen(1)
-                server.settimeout(30.0)
-                connection, _ = server.accept()
-                with connection, \
-                        connection.makefile("rb") as reader, \
-                        connection.makefile("wb") as writer:
-                    hello = protocol.read_frame(reader)
-                    assert hello["type"] == "hello"
-                    protocol.write_frame(writer, {"type": "shutdown"})
-            assert worker.wait(timeout=30) == 0
-        finally:
-            if worker.poll() is None:
-                worker.kill()
-                worker.wait()
+        async def main():
+            backend = AsyncWorkerBackend(num_workers=1)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(SpawnError):
+                await backend._spawn_worker(
+                    [sys.executable, "-c", script], subprocess_env()
+                )
+            assert backend.active_pids() == []
+            return loop.time() - started
 
-    def test_zero_retries_fails_fast(self):
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        worker = subprocess.run(
-            [sys.executable, "-m", "repro.exp.worker",
-             "--connect", "127.0.0.1", str(port),
-             "--connect-retries", "0"],
-            env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        assert asyncio.run(main()) < 20.0
+
+    def test_silent_worker_is_a_spawn_failure_not_a_job_death(
+        self, tmp_path, monkeypatch
+    ):
+        # A host whose "worker" never says hello fails each launch after
+        # the startup grace.  That is the slot's spawn-failure path: the
+        # jobs requeue without spending their retry budget (max_retries=0
+        # would fail them at the first death), and the host is quarantined.
+        import repro.exp.distributed as distributed
+
+        monkeypatch.setattr(distributed, "_STARTUP_GRACE", 0.5)
+        silent = tmp_path / "silent-python"
+        silent.write_text("#!/bin/sh\nexec sleep 60\n")
+        silent.chmod(0o755)
+        backend = MultiHostBackend(
+            [HostSpec("local-silent", workers=1, python=str(silent)),
+             HostSpec("local-good", workers=1)],
+            heartbeat_interval=0.5,
+            max_retries=0,
+            host_quarantine_retries=0,
+            spawn_retries=100,
         )
-        assert worker.returncode == 1
-        assert "cannot reach supervisor" in worker.stderr
+        # Two specs on two slots: the silent host's slot holds one until
+        # its launch fails, so exactly that one failure quarantines it.
+        specs = [small_spec(), small_spec().baseline()]
+        results = backend.run(specs)
+        for left, right in zip(SerialBackend().run(specs), results):
+            assert deterministic_fields(left) == deterministic_fields(right)
+        assert backend.host_stats["local-silent"] == {
+            "spawns": 0, "completed": 0, "quarantined": True,
+        }
+        assert backend.host_stats["local-good"]["completed"] == 2
+        assert backend.active_pids() == []
 
 
 class TestMultiHostEquivalence:
@@ -512,10 +385,110 @@ class TestMultiHostEquivalence:
 
     def test_no_workers_or_handles_outlive_the_run(self):
         backend = local_backend()
+        spawned = []
+        spawn = backend._spawn_worker
+
+        async def recording_spawn(*args, **kwargs):
+            worker = await spawn(*args, **kwargs)
+            spawned.append(worker.pid)
+            return worker
+
+        backend._spawn_worker = recording_spawn
         backend.run([small_spec()])
         assert backend.active_pids() == []
-        assert all(handle.returncode is not None for handle in backend._handles) \
-            or backend._handles == []
+        assert spawned  # the check below is not vacuous
+        for pid in spawned:  # every worker process was reaped
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_opens_no_listening_socket(self, monkeypatch):
+        # Workers talk over their pipes: nothing binds a port for them.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the multi-host backend opened a listener")
+
+        monkeypatch.setattr(asyncio, "start_server", refuse)
+        monkeypatch.setattr(socket.socket, "listen", refuse)
+        specs = small_grid()
+        results = local_backend().run(specs)
+        for left, right in zip(SerialBackend().run(specs), results):
+            assert deterministic_fields(left) == deterministic_fields(right)
+
+
+#: Stand-in ``ssh`` client: drops the options, then runs the remote command
+#: the way sshd does, as one string through a shell.
+FAKE_SSH = """#!/bin/sh
+while [ "${1#-}" != "$1" ]; do
+    if [ "$1" = "-o" ]; then shift; fi
+    shift
+done
+shift
+exec sh -c "$*"
+"""
+
+
+class TestSSHHosts:
+    """Non-local host names launch their workers through ``ssh``."""
+
+    def test_fake_ssh_run_matches_serial(self, tmp_path, monkeypatch):
+        ssh = tmp_path / "bin" / "ssh"
+        ssh.parent.mkdir()
+        ssh.write_text(FAKE_SSH)
+        ssh.chmod(0o755)
+        # The remote interpreter path and an env value both need quoting
+        # on the remote shell: a space in one, a space and a quote in the
+        # other (the execution log, which proves the value arrived intact).
+        python = tmp_path / "my env" / "python3"
+        python.parent.mkdir()
+        python.write_text(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n')
+        python.chmod(0o755)
+        log = tmp_path / "exec log's file"
+        src = str(pathlib.Path(protocol.__file__).resolve().parents[2])
+        env = {"PYTHONPATH": src, EXEC_LOG_ENV: str(log)}
+        frames_compressed = []
+        decode = protocol.decode_payload
+
+        def spy(payload, *, compressed=False):
+            frames_compressed.append(compressed)
+            return decode(payload, compressed=compressed)
+
+        monkeypatch.setattr(protocol, "decode_payload", spy)
+        backend = MultiHostBackend(
+            [HostSpec("alpha", workers=1, env=env),
+             HostSpec("beta", workers=1, env=env)],
+            ssh_command=(str(ssh), "-T", "-o", "BatchMode=yes"),
+            remote_python=str(python),
+            heartbeat_interval=0.5,
+        )
+        specs = small_grid()
+        unique = {spec.content_key() for spec in specs}
+        run_experiments(specs, backend=backend,
+                        store=ResultStore(tmp_path / "ssh"))
+        run_experiments(specs, backend=SerialBackend(),
+                        store=ResultStore(tmp_path / "serial"))
+        serial_bytes = store_result_bytes(tmp_path / "serial")
+        assert serial_bytes
+        assert store_result_bytes(tmp_path / "ssh") == serial_bytes
+        assert any(frames_compressed), "no compressed frame crossed SSH"
+        assert set(log.read_text(encoding="utf-8").split()) == unique
+        assert set(backend.host_stats) == {"alpha", "beta"}
+        assert sum(stats["completed"]
+                   for stats in backend.host_stats.values()) == len(unique)
+        assert all(stats["spawns"] >= 1 and not stats["quarantined"]
+                   for stats in backend.host_stats.values())
+
+    def test_remote_command_is_one_quoted_shell_string(self):
+        backend = MultiHostBackend(
+            [HostSpec("alpha", python="/opt/my env/bin/python3",
+                      env={"NOTE": "it's here"})],
+            worker_env={"PYTHONHASHSEED": "0"},
+        )
+        argv, env = backend._worker_command(backend.host_specs[0])
+        assert argv == [
+            "ssh", "-T", "-o", "BatchMode=yes", "alpha",
+            "env 'NOTE=it'\"'\"'s here' PYTHONHASHSEED=0 "
+            "'/opt/my env/bin/python3' -m repro.exp.worker",
+        ]
+        assert env is None  # the ssh client inherits; SSH forwards nothing
 
 
 class TestCliMultiHost:
@@ -542,21 +515,27 @@ class TestCliMultiHost:
         assert "--hosts requires" in capsys.readouterr().err
 
     def test_listen_without_hosts_is_rejected(self, capsys):
+        # Workers need no listener, so compare has no --listen or
+        # --connect-host flag at all, with or without --hosts.
         from repro.cli import main
 
-        code = main([
-            "compare", "swaptions", "--scale", "0.004", "--threads", "2",
-            "--listen", "9000",
-        ])
-        assert code == 2
-        assert "--listen" in capsys.readouterr().err
+        for flag in ("--listen", "--connect-host"):
+            for hosts in ([], ["--hosts", "local0:1"]):
+                with pytest.raises(SystemExit) as exit_info:
+                    main([
+                        "compare", "swaptions", "--scale", "0.004",
+                        "--threads", "2", flag, "9000", *hosts,
+                    ])
+                assert exit_info.value.code == 2
+                assert f"unrecognized arguments: {flag}" in \
+                    capsys.readouterr().err
 
 
 class TestNetworkFaults:
     def test_severed_connection_mid_spec_requeues_and_converges(self, tmp_path):
         # The fault hook SIGKILLs exactly one worker upon receiving the
-        # target spec: its TCP connection to the supervisor is severed with
-        # the spec in flight.  The supervisor must requeue the spec onto a
+        # target spec: its pipes to the supervisor are severed with the
+        # spec in flight.  The supervisor must requeue the spec onto a
         # fresh worker and still produce a store byte-identical to serial.
         specs = small_grid()
         target_key = specs[0].content_key()

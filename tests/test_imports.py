@@ -12,6 +12,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,40 @@ class TestImportBudgets:
         assert completed.returncode == 2
         assert "error: " in completed.stderr
         assert "repro.serve.client" in modules
+        assert loaded(modules, ("numpy",)) == []
+
+    def test_job_list_loads_no_numpy(self):
+        # `repro status` without a job id renders a table; a stub daemon
+        # answers its one service_status frame.
+        from repro.exp import protocol
+
+        requests = []
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen(1)
+            server.settimeout(60.0)
+
+            def answer():
+                connection, _ = server.accept()
+                with connection, connection.makefile("rwb") as stream:
+                    requests.append(protocol.read_frame(stream))
+                    protocol.write_frame(stream, {"type": "service_status", "jobs": [{
+                        "job": "job-1", "tenant": "ci", "status": "done",
+                        "counts": {"done": 2}, "total": 2, "cached": 1,
+                    }]})
+
+            daemon = threading.Thread(target=answer, daemon=True)
+            daemon.start()
+            completed, modules = run_importtime([
+                "-m", "repro", "status",
+                "--connect", f"127.0.0.1:{server.getsockname()[1]}",
+                "--timeout", "10",
+            ])
+            daemon.join(timeout=10.0)
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert requests == [{"type": "status"}]
+        assert "job-1  ci      done    2/2   1" in completed.stdout
+        assert "repro.analysis.reporting" in modules
         assert loaded(modules, ("numpy",)) == []
 
     def test_worker_loads_no_asyncio_or_service(self):
