@@ -67,12 +67,12 @@ def bench_jobs() -> int:
 
 
 def bench_backend_name() -> str:
-    """Execution backend name (auto/serial/pool/async/multihost).
+    """Execution backend name (auto/serial/pool/async).
 
     ``REPRO_BENCH_BACKEND=async`` runs every grid on the distributed
     asyncio-worker backend; the default ``auto`` keeps the historical
     semantics (a process pool when ``REPRO_BENCH_JOBS`` > 1, else serial —
-    unless ``REPRO_BENCH_HOSTS`` is set, which selects ``multihost``).
+    unless ``REPRO_BENCH_HOSTS`` is set, which selects ``async``).
     """
     return os.environ.get("REPRO_BENCH_BACKEND", "auto")
 
@@ -80,9 +80,9 @@ def bench_backend_name() -> str:
 def bench_hosts() -> Optional[str]:
     """Multi-host worker budgets (``REPRO_BENCH_HOSTS=host1:4,host2:8``).
 
-    When set, the whole benchmark session runs through the multi-host
-    transport (host names starting with ``local`` launch subprocess
-    workers, anything else SSH); unset keeps single-host execution.
+    When set, the whole benchmark session runs on async workers on those
+    hosts (host names starting with ``local`` launch subprocess workers,
+    anything else SSH); unset keeps single-host execution.
     """
     return os.environ.get("REPRO_BENCH_HOSTS") or None
 
@@ -90,7 +90,7 @@ def bench_hosts() -> Optional[str]:
 def bench_batch() -> Optional[str]:
     """Specs per dispatch frame (``REPRO_BENCH_BATCH=N|adaptive[:N]``).
 
-    Applies to the async/multihost backends (protocol-level ``run_batch``
+    Applies to the async backend (protocol-level ``run_batch``
     dispatch) and maps onto ``chunksize`` for the process pool; unset keeps
     one spec per dispatch.
     """

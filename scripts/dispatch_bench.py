@@ -103,7 +103,7 @@ def measure_trace_memo(specs, workers: int, batch):
     record = {"specs": len(specs), "batch": str(batch)}
     for label, env in (("memo_on", {}), ("memo_off", {TRACE_MEMO_ENV: "0"})):
         backend = AsyncWorkerBackend(
-            num_workers=workers, batch=batch, worker_env=dict(env),
+            workers, batch=batch, worker_env=dict(env),
         )
         started = time.monotonic()
         backend.run(specs)
@@ -122,7 +122,7 @@ def measure_trace_memo(specs, workers: int, batch):
 def measure_mode(batch, specs, workers: int, delay: float):
     """Run ``specs`` once with ``batch`` dispatch; return the mode record."""
     backend = AsyncWorkerBackend(
-        num_workers=workers,
+        workers,
         batch=batch,
         worker_env={DELAY_ENV: str(delay)},
     )

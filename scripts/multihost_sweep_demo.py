@@ -3,10 +3,11 @@
 
 Runs the full paper grid — all 19 benchmarks of Table I x both Table II
 architectures, sampled + detailed baseline — twice: once on the in-process
-``SerialBackend`` and once through :class:`repro.exp.hosts.MultiHostBackend`
-with (by default) two simulated hosts of two workers each, every worker a
-subprocess speaking the compressed frame protocol on its stdin/stdout (over
-``ssh`` for a host whose name does not start with ``local``).  Both runs
+``SerialBackend`` and once through
+:class:`repro.exp.distributed.AsyncWorkerBackend` with (by default) two
+simulated hosts of two workers each, every worker a subprocess speaking the
+frame protocol on its stdin/stdout (over ``ssh``, with compressed frames,
+for a host whose name does not start with ``local``).  Both runs
 persist into on-disk :class:`ResultStore` caches, and the demo asserts
 the stores are **byte-identical** (failure diagnostics excluded, per the
 store convention) — the multi-host transport's headline guarantee.
@@ -37,8 +38,8 @@ import time
 from repro.arch.config import high_performance_config, low_power_config
 from repro.core.config import lazy_config
 from repro.exp import (
+    AsyncWorkerBackend,
     ExperimentSpec,
-    MultiHostBackend,
     ResultStore,
     SerialBackend,
     run_experiments,
@@ -103,8 +104,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--threads-highperf", type=int, default=8)
     parser.add_argument("--threads-lowpower", type=int, default=4)
-    parser.add_argument("--no-compress", action="store_true",
-                        help="disable zlib frame compression")
     parser.add_argument("--keep", metavar="DIR", default=None,
                         help="keep the two stores under DIR instead of a "
                              "temporary directory")
@@ -143,11 +142,8 @@ def main(argv=None) -> int:
         print(f"serial reference: {serial_seconds:.1f}s")
 
         multi_store = ResultStore(multi_dir)
-        backend = MultiHostBackend(
-            args.hosts,
-            compress=not args.no_compress,
-            batch=args.batch,
-            store=multi_store,
+        backend = AsyncWorkerBackend(
+            args.hosts, batch=args.batch, store=multi_store
         )
         started = time.monotonic()
         # The same store object is attached to the backend (streaming) and

@@ -23,12 +23,12 @@ The CLI exposes the most common workflows without writing any Python:
 
 The experiment-driven commands (``compare``, ``grid``, ``sweep``) accept
 ``--jobs N`` to shard their experiments over N worker processes,
-``--backend {auto,serial,pool,async,multihost}`` to pick the execution
-backend explicitly (``auto`` is a process pool when ``--jobs`` > 1 and serial
+``--backend {auto,serial,pool,async}`` to pick the execution backend
+explicitly (``auto`` is a process pool when ``--jobs`` > 1 and serial
 otherwise; ``async`` is the distributed asyncio supervisor over
 ``repro.exp.worker`` subprocesses, with heartbeats and retry on worker
-death; ``multihost`` fans workers out across machines),
-``--hosts host1:4,host2:8`` to shard a grid over workers on many hosts
+death, where ``--jobs N`` means the host list ``local:N``),
+``--hosts host1:4,host2:8`` to shard a grid over async workers on many hosts
 (local subprocesses, or started through ``ssh``),
 ``--batch {N,adaptive[:N]}`` to pack several specs into one dispatch frame
 (amortising per-spec round-trips for sub-second experiments), and
@@ -65,7 +65,7 @@ if TYPE_CHECKING:
 
 # Each command handler imports the layers it runs, so a process loads only
 # those: ``repro watch`` never imports numpy, and only ``repro serve`` and
-# the async and multihost backends import asyncio.
+# the async backend import asyncio.
 
 
 def _architecture(name: str):
@@ -220,13 +220,12 @@ def _backend_and_store(args: argparse.Namespace):
     from repro.exp.store import ResultStore, default_store
 
     store = ResultStore(args.cache_dir) if args.cache_dir else default_store()
-    if args.hosts and args.backend not in ("auto", "multihost"):
-        raise ValueError("--hosts requires --backend multihost (or auto)")
-    multihost = bool(args.hosts) or args.backend == "multihost"
-    if args.jobs is not None and (multihost or args.backend == "serial"):
+    if args.hosts and args.backend not in ("auto", "async"):
+        raise ValueError("--hosts requires --backend async (or auto)")
+    if args.jobs is not None and (args.hosts or args.backend == "serial"):
         raise ValueError(
             "--jobs requires --backend auto, pool or async "
-            "(multihost budgets live in --hosts)"
+            "(with --hosts the budgets live in the host list)"
         )
     backend = make_named_backend(
         args.backend, workers=args.jobs or 1, store=store,
@@ -307,7 +306,8 @@ def _add_mode_alias(parser: argparse.ArgumentParser) -> None:
 def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=None,
                         help="parallel worker processes of the auto, pool or "
-                             "async backend (default 1)")
+                             "async backend; for async, the host list "
+                             "local:N (default 1)")
     parser.add_argument("--backend", choices=list(BACKEND_NAMES), default="auto",
                         help="execution backend (default: auto — a process "
                              "pool when --jobs > 1, serial otherwise; 'async' "
@@ -317,13 +317,13 @@ def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
                              "also caches the generated traces in DIR/traces "
                              "(default: $REPRO_CACHE_DIR if set)")
     parser.add_argument("--hosts", default=None,
-                        help="multi-host worker budgets, e.g. "
+                        help="async worker budgets per host, e.g. "
                              "'host1:4,host2:8' (names starting with "
                              "'local' run subprocesses, others SSH; "
-                             "implies --backend multihost)")
+                             "implies --backend async)")
     parser.add_argument("--batch", default=None,
                         help="specs per dispatch: N, 'adaptive' or "
-                             "'adaptive:N' (async/multihost send that many "
+                             "'adaptive:N' (async sends that many "
                              "specs per run_batch frame, amortising per-spec "
                              "round-trips; pool maps it onto chunksize; "
                              "default: one spec at a time)")
@@ -398,11 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: an ephemeral loopback port, printed "
                             "on startup)")
     serve.add_argument("--workers", type=_bounded_int("--workers", 1), default=2,
-                       help="local worker subprocesses (ignored with --hosts; "
-                            "default 2)")
+                       help="local worker subprocesses, the host list "
+                            "local:N (ignored with --hosts; default 2)")
     serve.add_argument("--hosts", default=None,
-                       help="multi-host worker budgets, e.g. 'host1:4,host2:8' "
-                            "(switches the pool to the multihost backend)")
+                       help="worker budgets per host, e.g. 'host1:4,host2:8' "
+                            "(names starting with 'local' run subprocesses, "
+                            "others SSH)")
     serve.add_argument("--batch", default=None,
                        help="specs per dispatch frame: N, 'adaptive' or "
                             "'adaptive:N'")
@@ -727,8 +728,8 @@ async def _serve_async(args: argparse.Namespace) -> int:
         else None
     )
     backend = make_named_backend(
-        "multihost" if args.hosts else "async",
-        workers=args.workers, store=None, hosts=args.hosts, batch=args.batch,
+        "async", workers=args.workers, store=None, hosts=args.hosts,
+        batch=args.batch,
     )
     service = SimulationService(
         backend,

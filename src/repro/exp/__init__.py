@@ -19,12 +19,13 @@ describes, schedules, executes and caches those experiments:
   length-prefixed JSON frame protocol (:mod:`repro.exp.protocol`), with
   heartbeats, bounded retry/requeue on worker death, graceful cancellation
   and batched dispatch (``batch=``: several specs per ``run_batch`` frame,
-  per-spec result acks, adaptive sizing via :class:`AdaptiveBatchSizer`),
-* :mod:`repro.exp.hosts` — :class:`MultiHostBackend`, the multi-host
-  backend on top of it: workers started locally or through ``ssh``, whose
-  stdin/stdout carry the same frames, per-host worker budgets, host-level
-  quarantine of crash-looping machines and zlib frame compression for
-  high-latency links,
+  per-spec result acks, adaptive sizing via :class:`AdaptiveBatchSizer`);
+  its workers run on hosts, as local subprocesses or started through
+  ``ssh`` with zlib-compressed frames,
+* :mod:`repro.exp.hosts` — :class:`HostSpec` and :func:`parse_hosts`, the
+  per-host worker budgets (``host1:4,host2:8``, or ``N`` for ``local:N``),
+  and the host-level health accounting that quarantines crash-looping
+  machines,
 * :mod:`repro.exp.store` — the persistent on-disk :class:`ResultStore`
   (content-hash keyed, shard-per-key-prefix, advisory file locking for
   concurrent multi-process writers, size-bounded LRU compaction with
@@ -43,15 +44,15 @@ Typical use::
     specs += [spec.baseline() for spec in specs]       # shared detailed runs
     results = run_experiments(
         specs,
-        backend=AsyncWorkerBackend(num_workers=4),
+        backend=AsyncWorkerBackend(hosts=4),
         store=ResultStore("~/.cache/repro"),
     )
 
 The names above are imported lazily: ``from repro.exp import ResultStore``
 loads the store and the spec layer, not asyncio or the worker backends, and
 ``from repro.exp import AsyncWorkerBackend`` loads those only then.  So a
-serial ``repro grid`` never imports :mod:`repro.exp.distributed`,
-:mod:`repro.exp.hosts` or the worker protocol.
+serial ``repro grid`` never imports :mod:`repro.exp.distributed` or the
+worker protocol.
 """
 
 from repro._lazy import lazy_exports
@@ -59,7 +60,7 @@ from repro._lazy import lazy_exports
 #: Backend names accepted by :func:`make_named_backend` and the CLI.  Defined
 #: here, not in :mod:`repro.exp.backends`, so the CLI parser can read them
 #: without loading the simulation stack.
-BACKEND_NAMES = ("auto", "serial", "pool", "async", "multihost")
+BACKEND_NAMES = ("auto", "serial", "pool", "async")
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.exp.spec": ["ExperimentSpec", "ExperimentResult", "ExperimentFailure"],
@@ -74,7 +75,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ],
     "repro.exp.distributed": ["AsyncWorkerBackend", "AdaptiveBatchSizer"],
     "repro.exp.hosts": [
-        "MultiHostBackend",
         "HostSpec",
         "parse_hosts",
         "parse_listen",

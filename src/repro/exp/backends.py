@@ -15,7 +15,7 @@ records failures in the store (as ``<key>.error.json`` diagnostics) and then
 either raises one aggregated :class:`ExperimentExecutionError` (default) or,
 with ``on_error="record"``, returns ``None`` at the failed positions.
 
-Four backends ship with the repository:
+Three backends ship with the repository:
 
 * :class:`SerialBackend` — in-process, one spec after another,
 * :class:`ProcessPoolBackend` — ``concurrent.futures`` process pool; where
@@ -24,11 +24,10 @@ Four backends ship with the repository:
   short runs,
 * :class:`~repro.exp.distributed.AsyncWorkerBackend` — asyncio supervisor
   over worker subprocesses speaking the length-prefixed JSON protocol, with
-  heartbeats, retry/requeue on worker death and graceful cancellation,
-* :class:`~repro.exp.hosts.MultiHostBackend` — the same supervisor over
-  workers on many machines, started locally or through ``ssh``.
+  heartbeats, retry/requeue on worker death and graceful cancellation; its
+  workers run on one or many hosts, started locally or through ``ssh``.
 
-All four are result-identical: the same spec grid produces bit-identical
+All three are result-identical: the same spec grid produces bit-identical
 results (and byte-identical store entries) regardless of the backend, worker
 count or completion order.
 """
@@ -220,19 +219,18 @@ def make_named_backend(
     hosts: Optional[str] = None,
     batch: Union[None, int, str] = None,
 ) -> ExecutionBackend:
-    """Backend selected by name: ``auto``, ``serial``, ``pool``, ``async``
-    or ``multihost``.
+    """Backend selected by name: ``auto``, ``serial``, ``pool`` or ``async``.
 
     ``auto`` is a pool when ``workers`` > 1 and serial otherwise — unless
-    ``hosts`` is given, which selects ``multihost``.  ``async`` builds an
-    :class:`~repro.exp.distributed.AsyncWorkerBackend`; ``multihost`` builds
-    a :class:`~repro.exp.hosts.MultiHostBackend` from the ``hosts`` budget
-    string (``"host1:4,host2:8"``).  For both, when ``store`` is an on-disk
+    ``hosts`` is given, which selects ``async``.  ``async`` builds an
+    :class:`~repro.exp.distributed.AsyncWorkerBackend` over the ``hosts``
+    budget string (``"host1:4,host2:8"``) or, without one, over ``workers``
+    local workers (``local:N``, default 2).  When ``store`` is an on-disk
     :class:`ResultStore` it is attached so completed experiments are
     streamed into it as they finish (and survive a cancelled run).
 
     ``batch`` (``N``, ``"adaptive"`` or ``"adaptive:N"``) bounds how many
-    specs one dispatch carries.  For ``async``/``multihost`` it is the
+    specs one dispatch carries.  For ``async`` it is the
     protocol-level ``run_batch`` frame size (adaptive sizing grows it from 1
     as specs prove cheap); for ``pool`` the cap maps onto the executor's
     ``chunksize`` (its native amortisation knob, with no adaptivity); a
@@ -241,13 +239,13 @@ def make_named_backend(
     """
     batch_cap, batch_adaptive = parse_batch(batch)  # validate for every name
     if name == "auto" and hosts:
-        name = "multihost"
-    if name != "multihost" and hosts:
+        name = "async"
+    if name != "async" and hosts:
         # Silently dropping a host list would run single-host while the
-        # caller (e.g. REPRO_BENCH_BACKEND=async REPRO_BENCH_HOSTS=...)
+        # caller (e.g. REPRO_BENCH_BACKEND=pool REPRO_BENCH_HOSTS=...)
         # believes the grid fanned out across machines.
         raise ValueError(
-            f"hosts only apply to the multihost backend (got backend {name!r})"
+            f"hosts only apply to the async backend (got backend {name!r})"
         )
     if name == "auto":
         if workers is None or workers <= 1:
@@ -257,26 +255,16 @@ def make_named_backend(
         return SerialBackend()  # in-process: no round-trip, batch is moot
     if name == "pool":
         return ProcessPoolBackend(max_workers=workers, chunksize=batch_cap)
-    streaming = store if isinstance(store, ResultStore) else None
     if name == "async":
         from repro.exp.distributed import AsyncWorkerBackend
 
         # None defaults to 2; anything else (including 0) goes through the
-        # backend's own validation instead of being silently reinterpreted.
+        # host parser's validation instead of being silently reinterpreted.
         return AsyncWorkerBackend(
-            num_workers=2 if workers is None else workers,
+            hosts or (2 if workers is None else workers),
             batch=batch,
-            store=streaming,
+            store=store if isinstance(store, ResultStore) else None,
         )
-    if name == "multihost":
-        from repro.exp.hosts import MultiHostBackend
-
-        if not hosts:
-            raise ValueError(
-                "the multihost backend needs a host list "
-                "(--hosts host1:4,host2:8)"
-            )
-        return MultiHostBackend(hosts, batch=batch, store=streaming)
     raise ValueError(f"unknown backend {name!r} (choose from {BACKEND_NAMES})")
 
 

@@ -3,10 +3,11 @@
 :class:`AsyncWorkerBackend` dispatches :class:`~repro.exp.spec.ExperimentSpec`
 batches over an asyncio work queue to ``repro.exp.worker`` subprocesses
 speaking the length-prefixed JSON protocol of :mod:`repro.exp.protocol` over
-their stdin/stdout pipes.  Every worker is such a child process: a local
-``python -m repro.exp.worker`` here, or an ``ssh`` client whose pipes carry a
-remote worker's in :class:`repro.exp.hosts.MultiHostBackend`, which
-subclasses this backend and overrides only the command a slot launches.
+their stdin/stdout pipes.  Every dispatch slot is bound to a host
+(:mod:`repro.exp.hosts`) and every worker is a child process: a local
+``python -m repro.exp.worker`` on a ``local*`` host, or an ``ssh`` client
+whose pipes carry a remote worker's on any other host.  ``hosts=N`` is the
+host ``local`` with N slots.
 
 Fault model
 -----------
@@ -16,12 +17,13 @@ Fault model
   Deterministic failures are *not* retried.
 * **Worker death** — a worker that exits or is killed mid-job has its job
   requeued (``max_retries`` times, then recorded as a failure) and the slot
-  respawns a fresh worker.  A slot whose workers die repeatedly without ever
-  completing a job gives up; when every slot has given up the remaining jobs
-  are failed instead of waiting forever.  (The multi-host backend adds a
-  second, host-level layer of this accounting: a *host* whose workers
-  crash-loop is quarantined and its slots retire, leaving its jobs to the
-  healthy hosts.)
+  respawns a fresh worker.  Deaths and failed launches count against the
+  slot's *host*: one whose workers die more than ``spawn_retries`` times in
+  a row without completing a job is crash-looping and quarantined.  Its
+  slots retire, leaving its jobs to the healthy hosts; when every slot has
+  retired the remaining jobs are failed instead of waiting forever.  In
+  service mode (the daemon) the slots back off and retry instead, and the
+  host's next completed job clears the quarantine.
 * **Hung workers** — the supervisor pings every worker on a heartbeat
   interval; the worker's reader thread pongs even while a simulation is
   running, so a silence longer than ``heartbeat_timeout`` means the process
@@ -55,27 +57,19 @@ order, and the workers funnel through the same
 bit-identical to :class:`~repro.exp.backends.SerialBackend` regardless of
 worker count, batch size, scheduling or retries (see
 ``tests/test_exp_distributed.py``, ``tests/test_exp_multihost.py`` and
-``tests/test_exp_batching.py``).
+``tests/test_exp_batching.py``).  Frames are zlib-compressed exactly when a
+host is reached over SSH; the store bytes do not depend on it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+import shlex
 import signal
 import sys
 from pathlib import Path
-from typing import (
-    Awaitable,
-    Callable,
-    Coroutine,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exp import protocol
 from repro.exp.backends import (
@@ -86,6 +80,7 @@ from repro.exp.backends import (
     map_unique,
     parse_batch,
 )
+from repro.exp.hosts import Hosts, HostSpec, HostState, parse_hosts
 from repro.exp.spec import ExperimentFailure, ExperimentResult, ExperimentSpec
 
 
@@ -191,9 +186,7 @@ class _Worker:
     """
 
     def __init__(
-        self,
-        proc: "asyncio.subprocess.Process",
-        compress_out: bool = False,
+        self, proc: "asyncio.subprocess.Process", compress_out: bool
     ) -> None:
         self.proc = proc
         self.reader = proc.stdout
@@ -251,8 +244,12 @@ class AsyncWorkerBackend:
 
     Parameters
     ----------
-    num_workers:
-        Number of worker subprocesses (and of concurrent experiments).
+    hosts:
+        Where the workers run: ``"host1:4,host2:8"``, a sequence of such
+        strings or :class:`~repro.exp.hosts.HostSpec` objects, or an int
+        ``N`` meaning ``local:N`` (see :func:`~repro.exp.hosts.parse_hosts`).
+        Each unit of a host's budget is one dispatch slot, and so one
+        concurrent experiment; :attr:`num_workers` is their sum.
     max_retries:
         How many times a job is requeued after the worker holding it died
         before it is recorded as a failure.  Failures *reported* by a live
@@ -261,8 +258,9 @@ class AsyncWorkerBackend:
         Ping cadence and the silence threshold after which a worker is
         declared hung and killed.  The timeout defaults to four intervals.
     spawn_retries:
-        Consecutive worker deaths (without a completed job in between) a
-        slot tolerates before giving up.
+        Consecutive worker deaths, failed launches included, that a host
+        tolerates without a completed job in between.  One more quarantines
+        it: its slots retire in a finite run and back off in service mode.
     batch:
         Specs per dispatch frame: ``None``/``1`` (default, one spec at a
         time), a fixed size ``N``, or ``"adaptive"`` / ``"adaptive:N"``
@@ -280,7 +278,15 @@ class AsyncWorkerBackend:
         Extra environment variables for the worker processes (tests use
         this for ``PYTHONHASHSEED`` and fault injection).
     python:
-        Interpreter to launch workers with; defaults to ``sys.executable``.
+        Interpreter to launch local workers with, unless their
+        :class:`~repro.exp.hosts.HostSpec` names one; defaults to
+        ``sys.executable``.
+    ssh_command:
+        SSH client argv prefix for remote hosts; the host name and the
+        remote command follow it.
+    remote_python:
+        Interpreter remote hosts start workers with, unless their
+        :class:`~repro.exp.hosts.HostSpec` names one.
 
     The backend is synchronous to its callers (it owns its event loop via
     ``asyncio.run``), so it drops into :func:`repro.exp.run_experiments`
@@ -289,7 +295,7 @@ class AsyncWorkerBackend:
 
     def __init__(
         self,
-        num_workers: int = 2,
+        hosts: Hosts = 2,
         *,
         max_retries: int = 2,
         heartbeat_interval: float = 5.0,
@@ -299,9 +305,10 @@ class AsyncWorkerBackend:
         store: Optional[Store] = None,
         worker_env: Optional[Dict[str, str]] = None,
         python: Optional[str] = None,
+        ssh_command: Sequence[str] = ("ssh", "-T", "-o", "BatchMode=yes"),
+        remote_python: str = "python3",
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
+        self.host_specs = parse_hosts(hosts)
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if heartbeat_interval <= 0:
@@ -311,7 +318,6 @@ class AsyncWorkerBackend:
             # pinging; a timeout at or below the interval would kill every
             # healthy worker on its first wakeup.
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
-        self.num_workers = num_workers
         self.max_retries = max_retries
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = (
@@ -323,16 +329,32 @@ class AsyncWorkerBackend:
         self.store = store
         self.worker_env = dict(worker_env) if worker_env else {}
         self.python = python
+        self.ssh_command = tuple(ssh_command)
+        self.remote_python = remote_python
+        #: Service mode (the persistent daemon): slots never give up — a
+        #: crash-looping host's slots back off and retry instead of
+        #: retiring, because an idle service must recover when it heals.
+        self._service_mode = False
+        self._service_tasks: List["asyncio.Task"] = []
+        self._reset()
+
+    def _reset(self) -> None:
+        """Fresh counters, host accounting and batch sizer for one run."""
         self.stats: Dict[str, int] = {}
         self._pids: set = set()
         self._workers: List[_Worker] = []
-        self._sizer: Optional[AdaptiveBatchSizer] = None
+        self._hosts = [
+            HostState(spec, self.spawn_retries) for spec in self.host_specs
+        ]
+        self._sizer = (
+            AdaptiveBatchSizer(self.batch_cap) if self.batch_adaptive else None
+        )
         self._live_slots = 0
-        #: Service mode (the persistent daemon): slots never give up — a
-        #: crash-looping slot backs off and retries instead of retiring,
-        #: because an idle service must recover when the machine heals.
-        self._service_mode = False
-        self._service_tasks: List["asyncio.Task"] = []
+
+    @property
+    def num_workers(self) -> int:
+        """Concurrent workers: the sum of the host budgets."""
+        return sum(spec.workers for spec in self.host_specs)
 
     # ------------------------------------------------------------------
     def active_pids(self) -> List[int]:
@@ -372,30 +394,42 @@ class AsyncWorkerBackend:
             self._pids.discard(pid)
         self._workers.clear()
 
-    async def _spawn_local_worker(self) -> _Worker:
-        return await self._spawn_worker(
-            [self.python or sys.executable, "-m", "repro.exp.worker"],
-            worker_environment(self.worker_env),
-        )
+    def _worker_command(
+        self, spec: HostSpec
+    ) -> Tuple[List[str], Optional[Dict[str, str]]]:
+        """``(argv, env)`` that starts one worker on ``spec``'s host.
 
-    async def _spawn_worker(
-        self,
-        argv: Sequence[str],
-        env: Optional[Dict[str, str]],
-        host: Optional[str] = None,
-        compress: bool = False,
-    ) -> _Worker:
-        """Launch ``argv`` and admit it as a worker once it says hello.
+        A local host gets the supervisor's environment (plus the extra
+        variables); an SSH host inherits it for the ``ssh`` client, and the
+        extra variables travel as an ``env KEY=VALUE ...`` prefix of the
+        remote command, since SSH does not forward a client's environment.
+        """
+        extra = dict(self.worker_env)
+        extra.update(spec.env or {})
+        if spec.is_local:
+            python = spec.python or self.python or sys.executable
+            return [python, "-m", "repro.exp.worker"], worker_environment(extra)
+        remote = [spec.python or self.remote_python, "-m", "repro.exp.worker"]
+        if extra:
+            remote[:0] = ["env"] + [
+                f"{key}={value}" for key, value in sorted(extra.items())
+            ]
+        return [*self.ssh_command, spec.name, shlex.join(remote)], None
+
+    async def _spawn_worker(self, host: HostState) -> _Worker:
+        """Launch a worker on ``host`` and admit it once it says hello.
 
         The process speaks frames on its stdin/stdout.  Its ``hello`` must
         arrive within :data:`_STARTUP_GRACE` seconds and name this
         supervisor's protocol version; otherwise the launch fails with a
         :class:`SpawnError`, which the slot's spawn-failure path handles
-        (jobs requeued, retry budgets untouched).  With ``compress`` a
-        ``hello_ack`` grants the worker compressed frames, and frames to it
-        are compressed too.
+        (jobs requeued, retry budgets untouched).  A host reached over SSH
+        gets a ``hello_ack`` granting the worker compressed frames, and
+        frames to it are compressed too.
         """
-        where = f"on host {host!r}" if host else "locally"
+        argv, env = self._worker_command(host.spec)
+        compress = not host.spec.is_local
+        where = f"on host {host.name!r}"
         try:
             proc = await asyncio.create_subprocess_exec(
                 *argv,
@@ -443,6 +477,7 @@ class AsyncWorkerBackend:
             self._pids.discard(worker.pid)
             raise
         self._count("spawns")
+        host.spawns += 1
         self._workers.append(worker)
         worker.reader_task = asyncio.ensure_future(self._read_worker(worker))
         worker.monitor_task = asyncio.ensure_future(self._monitor_worker(worker))
@@ -544,9 +579,9 @@ class AsyncWorkerBackend:
         worker: _Worker,
         jobs: List[_Job],
         finish: Callable[[_Job, Outcome], None],
-        host,
-    ) -> "Tuple[List[_Job], bool]":
-        """Dispatch ``jobs`` to one live worker; ``(died_jobs, any_completed)``.
+        host: HostState,
+    ) -> List[_Job]:
+        """Dispatch ``jobs`` to one live worker; return those it died holding.
 
         The jobs go out as one ``run_batch`` frame.  The worker's per-spec
         ``result``/``error`` frames are the acknowledgements, and each job is
@@ -598,8 +633,7 @@ class AsyncWorkerBackend:
                     continue
                 completed += 1
                 worker.completed += 1
-                if host is not None:
-                    host.record_success()
+                host.record_success()
                 if isinstance(outcome, ExperimentFailure):
                     outcome.attempts = job.attempts + 1
                 finish(job, outcome)
@@ -608,42 +642,30 @@ class AsyncWorkerBackend:
                 worker.pending.pop(job.index, None)
             if self._sizer is not None and completed:
                 self._sizer.record((loop.time() - started) / completed)
-        return died, completed > 0
+        return died
 
     async def _worker_slot(
         self,
         queue: "asyncio.Queue[_Job]",
         finish: Callable[[_Job, Outcome], None],
-        spawn: Optional[Callable[[], Awaitable[_Worker]]] = None,
-        host=None,
+        host: HostState,
     ) -> None:
-        """One dispatch loop: owns (at most) one live worker at a time.
-
-        ``spawn`` acquires a fresh worker (defaults to a local worker
-        subprocess) and ``host`` is the optional host-accounting object of
-        the multi-host backend: its ``record_death``/``record_success``
-        methods aggregate failures across every slot of one machine, and a
-        quarantined host retires its slots (requeueing any job in hand) so
-        the remaining hosts drain the queue.
-        """
-        spawn = spawn if spawn is not None else self._spawn_local_worker
+        """One dispatch loop on ``host``: owns at most one live worker at a time."""
         try:
-            await self._dispatch_loop(queue, finish, spawn, host)
+            await self._dispatch_loop(queue, finish, host)
         finally:
-            # However this slot ends (retirement, give-up, cancellation),
-            # the fair-share denominator follows the surviving slots.
+            # However this slot ends (retirement, cancellation), the
+            # fair-share denominator follows the surviving slots.
             self._live_slots = max(0, self._live_slots - 1)
 
     async def _dispatch_loop(
         self,
         queue: "asyncio.Queue[_Job]",
         finish: Callable[[_Job, Outcome], None],
-        spawn: Callable[[], Awaitable[_Worker]],
-        host,
+        host: HostState,
     ) -> None:
         """The body of one slot: spawn, dispatch batches, handle deaths."""
         worker: Optional[_Worker] = None
-        consecutive_deaths = 0
         while True:
             job = await queue.get()
             jobs = [job]
@@ -656,7 +678,7 @@ class AsyncWorkerBackend:
                     jobs.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            if host is not None and host.quarantined:
+            if host.quarantined and not self._service_mode:
                 for requeued in jobs:
                     queue.put_nowait(requeued)
                 # A sibling slot's deaths quarantined the host while this
@@ -668,29 +690,16 @@ class AsyncWorkerBackend:
                 return
             if worker is None or not worker.alive:
                 try:
-                    worker = await spawn()
+                    worker = await self._spawn_worker(host)
                 except (OSError, ValueError) as exc:
                     print(f"repro.exp.distributed: {exc}", file=sys.stderr)
-                    consecutive_deaths += 1
                     for requeued in jobs:  # spawn failure is not the jobs' fault
                         queue.put_nowait(requeued)
-                    if self._record_host_death(host):
+                    if not await self._survive_death(host, launch_failed=True):
                         return
-                    if consecutive_deaths > self.spawn_retries:
-                        if not self._service_mode:
-                            return
-                        # A service slot never retires on spawn failures: it
-                        # backs off (bounded) and keeps trying, so the pool
-                        # heals itself when the machine does.
-                        self._count("slot_backoffs")
-                        await asyncio.sleep(self._backoff_delay(consecutive_deaths))
-                        continue
-                    await asyncio.sleep(0.05 * consecutive_deaths)
                     continue
             try:
-                died, completed_any = await self._execute_batch(
-                    worker, jobs, finish, host
-                )
+                died = await self._execute_batch(worker, jobs, finish, host)
             except Exception as exc:  # supervisor bug: fail the jobs, stay live
                 # Jobs already finished before the exception are protected
                 # by finish()'s exactly-once guard.  Unserialisable specs
@@ -700,14 +709,11 @@ class AsyncWorkerBackend:
                 for failed in jobs:
                     finish(failed, ExperimentFailure.from_exception(failed.key, exc))
                 continue
-            if completed_any:
-                consecutive_deaths = 0
             if not died:
                 continue
             # One worker death, however many unacknowledged jobs it held:
-            # host/slot health accounting counts processes, not specs.
+            # host health accounting counts processes, not specs.
             self._count("worker_deaths")
-            consecutive_deaths += 1
             worker = None
             # Jobs execute and are acknowledged in dispatch order, so only
             # the *first* unacknowledged job can have been executing when
@@ -732,27 +738,34 @@ class AsyncWorkerBackend:
                 else:
                     self._count("requeues")
                     queue.put_nowait(lost)
-            if self._record_host_death(host):
+            if not await self._survive_death(host):
                 return
-            if consecutive_deaths > self.spawn_retries:
-                if not self._service_mode:
-                    return  # crash-looping; let the remaining slots (if any) work
-                # Service mode: back off instead of retiring — queued work
-                # must eventually run once workers stop dying, and retry
-                # budgets above already bound how often one spec recycles.
-                self._count("slot_backoffs")
-                await asyncio.sleep(self._backoff_delay(consecutive_deaths))
 
-    def _record_host_death(self, host) -> bool:
-        """Feed one worker death into ``host``; True when the slot must retire."""
-        if host is None:
-            return False
+    async def _survive_death(
+        self, host: HostState, launch_failed: bool = False
+    ) -> bool:
+        """Count one worker death against ``host``; ``False`` retires the slot.
+
+        A quarantined (crash-looping) host retires its slots in a finite
+        run, leaving the queue to the other hosts.  A service slot backs off
+        instead and keeps trying, so the pool heals itself when the machine
+        does; retry budgets already bound how often one spec recycles.
+        Below the quarantine a failed launch pauses briefly, since a missing
+        interpreter fails at once.
+        """
         if host.record_death():
             self._count("hosts_quarantined")
-        return host.quarantined
+        if host.quarantined:
+            if not self._service_mode:
+                return False
+            self._count("slot_backoffs")
+            await asyncio.sleep(self._backoff_delay(host.consecutive_deaths))
+        elif launch_failed:
+            await asyncio.sleep(0.05 * host.consecutive_deaths)
+        return True
 
     def _backoff_delay(self, consecutive_deaths: int) -> float:
-        """Service-mode retry delay once a slot exceeds its spawn budget.
+        """Service-mode retry delay once a host exceeds its spawn budget.
 
         Doubles from 0.5 s and saturates at 30 s: fast enough that a healed
         machine resumes promptly, slow enough that a broken interpreter does
@@ -797,21 +810,11 @@ class AsyncWorkerBackend:
         if self._service_tasks:
             raise RuntimeError("service already started")
         self._service_mode = True
-        self.stats = {}
-        self._workers = []
-        self._pids = set()
-        self._sizer = (
-            AdaptiveBatchSizer(self.batch_cap) if self.batch_adaptive else None
-        )
-        await self._startup()
-        coroutines = self._slot_coroutines(queue, finish, self.num_workers)
-        self._service_tasks = [
-            asyncio.ensure_future(coroutine) for coroutine in coroutines
-        ]
-        self._live_slots = len(self._service_tasks)
+        self._reset()
+        self._service_tasks = self._start_slots(queue, finish)
 
     async def stop_service(self) -> None:
-        """Stop the slots, reap every worker and run the teardown."""
+        """Stop the slots and reap every worker."""
         tasks, self._service_tasks = self._service_tasks, []
         for task in tasks:
             task.cancel()
@@ -822,7 +825,6 @@ class AsyncWorkerBackend:
                 pass
         try:
             await self._shutdown_workers()
-            await self._teardown()
         finally:
             self._service_mode = False
 
@@ -834,24 +836,33 @@ class AsyncWorkerBackend:
             "counters": dict(self.stats),
         }
 
+    def host_snapshot(self) -> Dict[str, Dict[str, object]]:
+        """Per-host health accounting: live while running, final after."""
+        return {host.name: host.snapshot() for host in self._hosts}
+
+    @property
+    def host_stats(self) -> Dict[str, Dict[str, object]]:
+        """Spawns, completed jobs and quarantine of each host."""
+        return {
+            name: {key: snapshot[key]
+                   for key in ("spawns", "completed", "quarantined")}
+            for name, snapshot in self.host_snapshot().items()
+        }
+
     # ------------------------------------------------------------------
-    async def _startup(self) -> None:
-        """Setup before any slot runs (multi-host: the host accounting)."""
-
-    async def _teardown(self) -> None:
-        """Cleanup after every worker was reaped."""
-
-    def _slot_coroutines(
+    def _start_slots(
         self,
         queue: "asyncio.Queue[_Job]",
         finish: Callable[[_Job, Outcome], None],
-        num_jobs: int,
-    ) -> List[Coroutine]:
-        """Dispatch-loop coroutines to run; one per concurrent worker."""
-        return [
-            self._worker_slot(queue, finish)
-            for _ in range(min(self.num_workers, num_jobs))
+    ) -> List["asyncio.Task"]:
+        """One dispatch-loop task per unit of every host's budget."""
+        slots = [
+            asyncio.ensure_future(self._worker_slot(queue, finish, host))
+            for host in self._hosts
+            for _ in range(host.budget)
         ]
+        self._live_slots = len(slots)
+        return slots
 
     async def _shutdown_workers(self) -> None:
         """Terminate and reap every live worker; tolerate cancellation.
@@ -889,13 +900,7 @@ class AsyncWorkerBackend:
     async def _supervise(self, specs: Sequence[ExperimentSpec]) -> List[Outcome]:
         """Run unique ``specs`` to completion; one outcome per spec, in order."""
         loop = asyncio.get_running_loop()
-        self.stats = {}
-        self._workers = []
-        self._pids = set()
-        self._sizer = (
-            AdaptiveBatchSizer(self.batch_cap) if self.batch_adaptive else None
-        )
-        self._live_slots = 0
+        self._reset()
 
         queue: "asyncio.Queue[_Job]" = asyncio.Queue()
         jobs = [
@@ -963,7 +968,7 @@ class AsyncWorkerBackend:
                 return  # cancellation, not exhaustion: leave jobs unwritten
             if not all(task.done() for task in slots):
                 return
-            # Every slot gave up (crash-looping workers): fail what is left.
+            # Every slot retired (crash-looping hosts): fail what is left.
             while not queue.empty():
                 job = queue.get_nowait()
                 if outcomes[job.index] is None:
@@ -976,12 +981,7 @@ class AsyncWorkerBackend:
             done.set()
 
         try:
-            await self._startup()
-            slots.extend(
-                asyncio.ensure_future(coroutine)
-                for coroutine in self._slot_coroutines(queue, finish, len(jobs))
-            )
-            self._live_slots = len(slots)
+            slots.extend(self._start_slots(queue, finish))
             for slot in slots:
                 slot.add_done_callback(on_slot_done)
             await done.wait()
@@ -1000,7 +1000,6 @@ class AsyncWorkerBackend:
                 except BaseException:
                     pass
             await self._shutdown_workers()
-            await self._teardown()
 
         if interrupted:
             raise KeyboardInterrupt

@@ -1,73 +1,33 @@
-"""Multi-host dispatch for the experiment orchestrator.
+"""Execution hosts of the worker backend.
 
-This module turns :class:`~repro.exp.distributed.AsyncWorkerBackend` into a
-cluster supervisor.  Every worker is a child process speaking frames on its
-stdin/stdout, like a local one: a local host runs ``python -m
-repro.exp.worker``, any other host runs ``ssh -T -o BatchMode=yes HOST
-'<env prefix> python3 -m repro.exp.worker'``, whose pipes carry the remote
-worker's frames.  Without a pseudo-terminal (``-T``) an SSH session is
-transparent to binary data, and nothing listens for connections.  The
-moving parts:
+:class:`~repro.exp.distributed.AsyncWorkerBackend` binds every dispatch slot
+to a host.  Every worker is a child process speaking frames on its
+stdin/stdout: a local host runs ``python -m repro.exp.worker``, any other
+host runs ``ssh -T -o BatchMode=yes HOST '<env prefix> python3 -m
+repro.exp.worker'``, whose pipes carry the remote worker's frames.  Without
+a pseudo-terminal (``-T``) an SSH session is transparent to binary data, and
+nothing listens for connections.  This module holds the host side of that:
 
 * :class:`HostSpec` / :func:`parse_hosts` — per-host worker budgets, parsed
-  from the CLI syntax ``host1:4,host2:8``.  Host names beginning with
-  ``local`` (``local``, ``localhost``, ``local0`` ...) launch via
-  subprocess; anything else launches via SSH.  A host named twice is an
-  error: its budgets and health accounting would split.
-* :class:`HostState` — host-level health accounting shared by every slot of
-  one machine: worker deaths count against the *host* as well as the slot,
-  and a host whose workers crash-loop (``host_quarantine_retries``
-  consecutive deaths with no completed job in between) is **quarantined** —
-  its slots retire, requeueing any spec in hand, and the healthy hosts
-  drain the queue.
-* **Protocol check** — a worker whose ``hello`` names another
-  :data:`~repro.exp.protocol.PROTOCOL_VERSION` (an SSH host with a
-  different ``repro`` installed) fails its launch at once with a
-  :class:`~repro.exp.distributed.SpawnError` naming both versions.
-* **Compression** — the supervisor's ``hello_ack`` tells each worker to
-  compress (``compress=`` on the backend), so spec and result frames
-  shrink on high-latency links while pings stay raw.
+  from the CLI syntax ``host1:4,host2:8``, or from an int ``N`` meaning
+  ``local:N``.  Host names beginning with ``local`` (``local``,
+  ``localhost``, ``local0`` ...) launch via subprocess; anything else
+  launches via SSH.  A host named twice is an error: its budgets and health
+  accounting would split.
+* :class:`HostState` — the health accounting shared by every slot of one
+  host, and the backend's one crash-loop detector: a host whose workers die
+  more than ``retries`` times in a row with no completed job in between is
+  **quarantined**.  Its next completed job clears the quarantine.
 
 A remote host needs ``python3`` (or ``remote_python`` / ``HostSpec.python``)
 with ``repro`` and numpy importable, and non-interactive shells that print
 nothing on stdout — the same rule as for rsync.
-
-Results are byte-identical to a serial run at the :class:`ResultStore`
-level: workers funnel through the same :func:`repro.exp.runner.run_spec`,
-payloads are normalised before persistence, and ``put_if_absent`` makes
-concurrent writers converge (``tests/test_exp_multihost.py`` asserts all of
-this under fault injection, over local and fake-SSH hosts).
 """
 
 from __future__ import annotations
 
-import asyncio
-import shlex
-import sys
 from dataclasses import dataclass, field
-from functools import partial
-from typing import (
-    Callable,
-    Coroutine,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
-
-from repro.exp.backends import Outcome
-from repro.exp.distributed import (
-    AsyncWorkerBackend,
-    _Job,
-    _Worker,
-    worker_environment,
-)
-
-
-def _is_local_name(name: str) -> bool:
-    return name == "127.0.0.1" or name.startswith("local")
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -83,9 +43,6 @@ class HostSpec:
         ``local1``) simulate distinct hosts for tests and demos.
     workers:
         Worker budget: how many concurrent workers this host runs.
-    via:
-        Transport override: ``"auto"`` (from the name), ``"local"`` or
-        ``"ssh"``.
     python:
         Interpreter to start workers with on this host (default: the
         backend's ``python`` locally, ``python3`` over SSH).
@@ -96,7 +53,6 @@ class HostSpec:
 
     name: str
     workers: int = 1
-    via: str = "auto"
     python: Optional[str] = None
     env: Optional[Dict[str, str]] = field(default=None)
 
@@ -105,24 +61,29 @@ class HostSpec:
             raise ValueError("host name must be non-empty")
         if self.workers < 1:
             raise ValueError(f"host {self.name!r} needs a worker budget >= 1")
-        if self.via not in ("auto", "local", "ssh"):
-            raise ValueError(f"unknown transport {self.via!r}")
 
     @property
     def is_local(self) -> bool:
         """Whether workers launch as local subprocesses (no SSH)."""
-        if self.via == "auto":
-            return _is_local_name(self.name)
-        return self.via == "local"
+        return self.name == "127.0.0.1" or self.name.startswith("local")
 
 
-def parse_hosts(raw: Union[str, Sequence[Union[str, HostSpec]]]) -> List[HostSpec]:
+#: What :func:`parse_hosts` accepts: ``"host1:4,host2:8"``, a sequence of
+#: ``name[:workers]`` strings or :class:`HostSpec` objects, or an int ``N``
+#: meaning ``local:N``.
+Hosts = Union[int, str, Sequence[Union[str, HostSpec]]]
+
+
+def parse_hosts(raw: Hosts) -> List[HostSpec]:
     """Parse the CLI host syntax ``host1:4,host2:8`` into :class:`HostSpec`\\ s.
 
     Accepts a comma-separated string, a sequence of ``name[:workers]``
-    strings, or ready-made :class:`HostSpec` objects (passed through).  A
-    bare name gets a budget of one worker; a name given twice is rejected.
+    strings or ready-made :class:`HostSpec` objects (passed through), or an
+    int ``N``, which is the host ``local`` with a budget of ``N``.  A bare
+    name gets a budget of one worker; a name given twice is rejected.
     """
+    if isinstance(raw, int):
+        return [HostSpec("local", workers=raw)]
     parts: List[Union[str, HostSpec]]
     if isinstance(raw, str):
         parts = [part.strip() for part in raw.split(",")]
@@ -174,15 +135,20 @@ def parse_listen(raw: Union[None, int, str]) -> Tuple[str, int]:
 
 
 class HostState:
-    """Runtime health accounting of one host, shared by all its slots."""
+    """Runtime health accounting of one host, shared by all its slots.
 
-    def __init__(self, spec: HostSpec, quarantine_after: int) -> None:
+    ``consecutive_deaths`` counts worker deaths (failed launches included)
+    since the host last completed a job.  Past ``retries`` of them the host
+    is quarantined; its next completed job resets the count and so clears
+    the quarantine.
+    """
+
+    def __init__(self, spec: HostSpec, retries: int) -> None:
         self.spec = spec
-        self.quarantine_after = quarantine_after
+        self.retries = retries
         self.consecutive_deaths = 0
         self.completed = 0
         self.spawns = 0
-        self.quarantined = False
 
     @property
     def name(self) -> str:
@@ -192,156 +158,25 @@ class HostState:
     def budget(self) -> int:
         return self.spec.workers
 
+    @property
+    def quarantined(self) -> bool:
+        return self.consecutive_deaths > self.retries
+
     def record_death(self) -> bool:
         """Count one worker death; ``True`` when this newly quarantines."""
         self.consecutive_deaths += 1
-        if not self.quarantined and self.consecutive_deaths > self.quarantine_after:
-            self.quarantined = True
-            return True
-        return False
+        return self.consecutive_deaths == self.retries + 1
 
     def record_success(self) -> None:
         self.consecutive_deaths = 0
         self.completed += 1
 
-
-class MultiHostBackend(AsyncWorkerBackend):
-    """Cluster supervisor dispatching experiments to workers on many hosts.
-
-    The dispatch loop, heartbeats, retry/requeue, streaming store and
-    determinism guarantees are inherited from
-    :class:`~repro.exp.distributed.AsyncWorkerBackend`; this subclass only
-    changes *which command* a slot launches: each of the ``sum(budgets)``
-    slots is bound to a host and starts its workers there, as a local
-    subprocess or through ``ssh``.
-
-    Parameters (beyond the base class)
-    ----------------------------------
-    hosts:
-        ``"host1:4,host2:8"``, or a sequence of such strings /
-        :class:`HostSpec` objects.  Budgets replace ``num_workers``.
-    compress:
-        Exchange zlib-compressed frames with each worker (on by default;
-        frames below the protocol's size floor always stay raw).
-    host_quarantine_retries:
-        Consecutive worker deaths (without a completed job in between) a
-        *host* tolerates before it is quarantined; defaults to
-        ``spawn_retries``.
-    ssh_command:
-        SSH client argv prefix for SSH hosts; the host name and the remote
-        command follow it.
-    remote_python:
-        Interpreter SSH hosts start workers with, unless their
-        :class:`HostSpec` names one.
-    """
-
-    def __init__(
-        self,
-        hosts: Union[str, Sequence[Union[str, HostSpec]]],
-        *,
-        compress: bool = True,
-        host_quarantine_retries: Optional[int] = None,
-        ssh_command: Sequence[str] = ("ssh", "-T", "-o", "BatchMode=yes"),
-        remote_python: str = "python3",
-        **kwargs,
-    ) -> None:
-        self.host_specs = parse_hosts(hosts)
-        super().__init__(
-            num_workers=sum(spec.workers for spec in self.host_specs), **kwargs
-        )
-        self.compress = compress
-        self.host_quarantine_retries = (
-            host_quarantine_retries
-            if host_quarantine_retries is not None
-            else self.spawn_retries
-        )
-        self.ssh_command = tuple(ssh_command)
-        self.remote_python = remote_python
-        self.host_stats: Dict[str, Dict[str, object]] = {}
-        self._hosts: List[HostState] = []
-
-    # ------------------------------------------------------------------
-    async def _startup(self) -> None:
-        self._hosts = [
-            HostState(spec, self.host_quarantine_retries)
-            for spec in self.host_specs
-        ]
-        self.host_stats = {}
-
-    async def _teardown(self) -> None:
-        self.host_stats = {
-            host.name: {
-                "spawns": host.spawns,
-                "completed": host.completed,
-                "quarantined": host.quarantined,
-            }
-            for host in self._hosts
-        }
-
-    def host_snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Live per-host health accounting (the service's ``stats`` frame).
-
-        ``host_stats`` is only written at :meth:`_teardown`, which a
-        persistent service never reaches while serving; this reads the same
-        numbers from the live :class:`HostState` objects instead.
-        """
+    def snapshot(self) -> Dict[str, object]:
+        """The accounting as plain data (the service's ``stats`` frame)."""
         return {
-            host.name: {
-                "budget": host.budget,
-                "spawns": host.spawns,
-                "completed": host.completed,
-                "consecutive_deaths": host.consecutive_deaths,
-                "quarantined": host.quarantined,
-            }
-            for host in self._hosts
+            "budget": self.budget,
+            "spawns": self.spawns,
+            "completed": self.completed,
+            "consecutive_deaths": self.consecutive_deaths,
+            "quarantined": self.quarantined,
         }
-
-    def _slot_coroutines(
-        self,
-        queue: "asyncio.Queue[_Job]",
-        finish: Callable[[_Job, Outcome], None],
-        num_jobs: int,
-    ) -> List[Coroutine]:
-        coroutines: List[Coroutine] = []
-        for host in self._hosts:
-            for _ in range(host.budget):
-                coroutines.append(
-                    self._worker_slot(
-                        queue,
-                        finish,
-                        spawn=partial(self._spawn_host_worker, host),
-                        host=host,
-                    )
-                )
-        return coroutines
-
-    def _worker_command(
-        self, spec: HostSpec
-    ) -> Tuple[List[str], Optional[Dict[str, str]]]:
-        """``(argv, env)`` that starts one worker on ``spec``'s host.
-
-        A local host gets the supervisor's environment (plus the extra
-        variables); an SSH host inherits it for the ``ssh`` client, and the
-        extra variables travel as an ``env KEY=VALUE ...`` prefix of the
-        remote command, since SSH does not forward a client's environment.
-        """
-        extra = dict(self.worker_env)
-        extra.update(spec.env or {})
-        if spec.is_local:
-            python = spec.python or self.python or sys.executable
-            return [python, "-m", "repro.exp.worker"], worker_environment(extra)
-        remote = [spec.python or self.remote_python, "-m", "repro.exp.worker"]
-        if extra:
-            remote[:0] = ["env"] + [
-                f"{key}={value}" for key, value in sorted(extra.items())
-            ]
-        return [*self.ssh_command, spec.name, shlex.join(remote)], None
-
-    async def _spawn_host_worker(self, host: HostState) -> _Worker:
-        """Launch one worker on ``host``."""
-        argv, env = self._worker_command(host.spec)
-        worker = await self._spawn_worker(
-            argv, env, host=host.name, compress=self.compress
-        )
-        host.spawns += 1
-        return worker

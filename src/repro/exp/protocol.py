@@ -1,8 +1,7 @@
 """Length-prefixed JSON framing shared by the async supervisor and workers.
 
-The distributed backend (:mod:`repro.exp.distributed`), the multi-host
-backend (:mod:`repro.exp.hosts`) and the worker entrypoint
-(:mod:`repro.exp.worker`) exchange *frames*: a 4-byte big-endian header
+The distributed backend (:mod:`repro.exp.distributed`) and the worker
+entrypoint (:mod:`repro.exp.worker`) exchange *frames*: a 4-byte big-endian header
 followed by a UTF-8 JSON object.  A worker speaks them on its stdin/stdout
 pipes, which an ``ssh -T`` session carries unchanged to a remote host; the
 service client and daemon (:mod:`repro.serve`) speak them over TCP.
@@ -47,9 +46,8 @@ Supervisor to worker:
 * ``{"type": "ping", "seq": <int>}`` — heartbeat probe; answered immediately
   by the worker's reader thread even while a simulation is running.
 * ``{"type": "hello_ack", "compress": <bool>}`` — answers the worker's
-  ``hello`` when the supervisor compresses (the multi-host backend's
-  ``compress=True``); ``compress`` tells the worker it may compress the
-  frames it sends.  Without an ack the worker never compresses.
+  ``hello`` when the supervisor compresses (for a worker on an SSH host);
+  ``compress`` tells the worker it may compress the frames it sends.  Without an ack the worker never compresses.
 * ``{"type": "shutdown"}`` — finish the current job (if any) and exit.
 
 Worker to supervisor:

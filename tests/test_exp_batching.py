@@ -10,7 +10,8 @@ The headline suite for ``run_batch`` dispatch.  Covers:
   execution-count probe), and the result store stays byte-identical to a
   serial run,
 * store byte-identity for batch sizes {1, 4, 16, adaptive} across the
-  serial/pool/async/multihost backends (parametrised + hypothesis grids),
+  serial/pool/async backends, async on one host and on two (parametrised +
+  hypothesis grids),
 * frame compression behaviour around the 512-byte threshold, and
 * the user-facing surfaces: ``make_named_backend(batch=...)``, the CLI
   ``--batch`` flag, ``scripts/dispatch_bench.py`` (which records
@@ -37,7 +38,6 @@ from repro.exp import (
     AsyncWorkerBackend,
     ExperimentFailure,
     ExperimentSpec,
-    MultiHostBackend,
     ProcessPoolBackend,
     ResultStore,
     SerialBackend,
@@ -93,7 +93,7 @@ def unique_grid(count=8):
 
 
 def fast_backend(**kwargs):
-    kwargs.setdefault("num_workers", 2)
+    kwargs.setdefault("hosts", 2)
     kwargs.setdefault("heartbeat_interval", 0.5)
     return AsyncWorkerBackend(**kwargs)
 
@@ -130,9 +130,9 @@ class TestParseBatch:
 
     def test_backend_validates_batch(self):
         with pytest.raises(ValueError):
-            AsyncWorkerBackend(num_workers=1, batch="bogus")
+            AsyncWorkerBackend(hosts=1, batch="bogus")
         with pytest.raises(ValueError):
-            AsyncWorkerBackend(num_workers=1, batch=0)
+            AsyncWorkerBackend(hosts=1, batch=0)
 
 
 class TestAdaptiveBatchSizer:
@@ -183,9 +183,9 @@ class TestMakeNamedBackendBatch:
         backend = make_named_backend("async", workers=2, batch="adaptive:8")
         assert (backend.batch_cap, backend.batch_adaptive) == (8, True)
         backend = make_named_backend(
-            "multihost", hosts="local0:1", batch="adaptive"
+            "auto", hosts="local0:1", batch="adaptive"
         )
-        assert isinstance(backend, MultiHostBackend)
+        assert isinstance(backend, AsyncWorkerBackend)
         assert (backend.batch_cap, backend.batch_adaptive) == (
             DEFAULT_BATCH_CAP, True
         )
@@ -209,7 +209,7 @@ class TestMakeNamedBackendBatch:
             with pytest.raises(ValueError):
                 make_named_backend(name, workers=2, batch="bogus")
         with pytest.raises(ValueError):
-            make_named_backend("multihost", hosts="local0:1", batch="bogus")
+            make_named_backend("async", hosts="local0:1", batch="bogus")
 
 
 class TestBatchedDispatchProtocol:
@@ -262,7 +262,7 @@ class TestBatchedEquivalence:
         specs = unique_grid(6)
         run_experiments(specs, backend=SerialBackend(),
                         store=ResultStore(tmp_path / "serial"))
-        backend = MultiHostBackend(
+        backend = AsyncWorkerBackend(
             "local0:1,local1:1", heartbeat_interval=0.5, batch=batch,
         )
         run_experiments(specs, backend=backend,
@@ -274,7 +274,7 @@ class TestBatchedEquivalence:
 
     def test_batching_actually_batches(self):
         specs = unique_grid(8)
-        backend = fast_backend(num_workers=1, batch=4)
+        backend = fast_backend(hosts=1, batch=4)
         backend.run(specs)
         assert backend.stats["dispatch_frames"] == 2
         assert backend.stats["max_batch"] == 4
@@ -284,7 +284,7 @@ class TestBatchedEquivalence:
         # swallow everything while its siblings idle: the drain is capped at
         # the slot's fair share of the remaining work.
         specs = unique_grid(12)
-        backend = fast_backend(num_workers=3, batch=16)
+        backend = fast_backend(hosts=3, batch=16)
         backend.run(specs)
         assert backend.stats["max_batch"] <= 4  # ceil(12 / 3)
         assert backend.stats["spawns"] == 3  # every slot actually worked
@@ -292,7 +292,7 @@ class TestBatchedEquivalence:
     def test_fair_share_follows_surviving_slots(self):
         # Retired slots (quarantined hosts, crash-looped spawns) must not
         # shrink the survivors' batches for the rest of the run.
-        backend = fast_backend(num_workers=4, batch=16)
+        backend = fast_backend(hosts=4, batch=16)
         backend._live_slots = 4
         assert backend._batch_limit(16) == 4
         backend._live_slots = 2  # two slots retired mid-run
@@ -302,7 +302,7 @@ class TestBatchedEquivalence:
 
     def test_adaptive_sizer_engages_for_cheap_specs(self):
         specs = unique_grid(10)
-        backend = fast_backend(num_workers=1, batch="adaptive")
+        backend = fast_backend(hosts=1, batch="adaptive")
         backend.run(specs)
         # Starts at 1, then grows: strictly fewer dispatches than specs.
         assert backend.stats["max_batch"] > 1
@@ -327,7 +327,7 @@ class TestRoundTripAmortisation:
     def _measure(self, batch):
         specs = unique_grid(self.SPECS)
         backend = AsyncWorkerBackend(
-            num_workers=1,
+            hosts=1,
             heartbeat_interval=30.0,  # no ping frames during the run
             batch=batch,
             worker_env={DELAY_ENV: str(self.DELAY)},
@@ -371,7 +371,7 @@ class TestPartialBatchFaultInjection:
         flag = tmp_path / "died-once"
         log = tmp_path / "execlog"
         backend = fast_backend(
-            num_workers=1,
+            hosts=1,
             batch=len(specs),
             worker_env={
                 FAULT_ENV: f"{target[:16]}:{flag}",
@@ -409,7 +409,7 @@ class TestPartialBatchFaultInjection:
         target = specs[0].content_key()
         flag = tmp_path / "crash-always"
         backend = fast_backend(
-            num_workers=1,
+            hosts=1,
             batch=8,
             max_retries=1,
             spawn_retries=100,
@@ -429,7 +429,7 @@ class TestPartialBatchFaultInjection:
         specs = unique_grid(6)
         target = specs[0].content_key()
         flag = tmp_path / "died-once"
-        backend = MultiHostBackend(
+        backend = AsyncWorkerBackend(
             "local0:1,local1:1",
             heartbeat_interval=0.5,
             batch=4,
@@ -456,7 +456,7 @@ BATCHED_SIGINT_DRIVER = textwrap.dedent("""
         for seed in range(1, 13)
     ]
     backend = AsyncWorkerBackend(
-        num_workers=1, heartbeat_interval=0.5, batch=len(specs),
+        hosts=1, heartbeat_interval=0.5, batch=len(specs),
         store=ResultStore(store_dir),
     )
 
@@ -715,9 +715,7 @@ if HAVE_HYPOTHESIS:
                 make_named_backend("serial", batch=batch),
                 make_named_backend("pool", workers=2, batch=batch),
                 fast_backend(batch=batch),
-                MultiHostBackend(
-                    "local0:1,local1:1", heartbeat_interval=0.5, batch=batch,
-                ),
+                fast_backend(hosts="local0:1,local1:1", batch=batch),
             )
             snapshots = []
             for backend in backends:

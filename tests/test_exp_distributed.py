@@ -78,7 +78,7 @@ def small_grid():
 
 
 def fast_backend(**kwargs):
-    kwargs.setdefault("num_workers", 2)
+    kwargs.setdefault("hosts", 2)
     kwargs.setdefault("heartbeat_interval", 0.5)
     return AsyncWorkerBackend(**kwargs)
 
@@ -139,7 +139,7 @@ class TestAsyncEquivalence:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AsyncWorkerBackend(num_workers=0)
+            AsyncWorkerBackend(hosts=0)
         with pytest.raises(ValueError):
             AsyncWorkerBackend(max_retries=-1)
         with pytest.raises(ValueError):
@@ -242,7 +242,7 @@ class TestFaultInjection:
             for threads in (1, 2) for seed in (1, 2, 3)
         ]
         backend = AsyncWorkerBackend(
-            num_workers=1, heartbeat_interval=0.2, heartbeat_timeout=0.8,
+            hosts=1, heartbeat_interval=0.2, heartbeat_timeout=0.8,
         )
         results = {}
 
@@ -278,7 +278,7 @@ SIGINT_DRIVER = textwrap.dedent("""
         ExperimentSpec("cholesky", num_threads=threads, scale=0.2, trace_seed=seed)
         for threads in (1, 2, 3, 4) for seed in (1, 2, 3, 4, 5)
     ]
-    backend = AsyncWorkerBackend(num_workers=2, heartbeat_interval=0.5, store=store)
+    backend = AsyncWorkerBackend(hosts=2, heartbeat_interval=0.5, store=store)
 
     def announce():
         while True:
@@ -337,6 +337,7 @@ class TestSigintShutdown:
             if process.poll() is None:
                 process.kill()
                 process.wait()
+            process.stdout.close()
         assert returncode == 3, f"driver output: {remaining!r}"
         assert "INTERRUPTED" in remaining
         # The supervisor reported an empty live-worker set on the way out...
@@ -486,7 +487,7 @@ HASHSEED_SNIPPET = textwrap.dedent("""
     backends = (
         SerialBackend(),
         ProcessPoolBackend(max_workers=2),
-        AsyncWorkerBackend(num_workers=2, heartbeat_interval=0.5),
+        AsyncWorkerBackend(hosts=2, heartbeat_interval=0.5),
     )
     for backend in backends:
         with tempfile.TemporaryDirectory() as directory:

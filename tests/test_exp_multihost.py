@@ -1,14 +1,15 @@
-"""Fault injection and equivalence tests for the multi-host backend.
+"""Fault injection and equivalence tests for workers on many hosts.
 
-Covers :mod:`repro.exp.hosts` (host parsing, the per-host worker commands
-and :class:`MultiHostBackend`), the compressed frame protocol and the
-worker handshake on stdin/stdout: byte-exact store equivalence with the
-serial backend over local hosts and over SSH (a stand-in ``ssh`` client),
-a worker killed mid-spec with requeue convergence, truncated and oversized
-frame handling, the hello/hello_ack handshake (compressed or raw frames, a
-worker speaking another protocol version or never saying hello failing its
-launch), quarantine of a crash-looping host, and a randomized-kill soak
-(``-m soak``, excluded from tier-1).
+Covers :mod:`repro.exp.hosts` (host parsing and accounting), the per-host
+worker commands of :class:`AsyncWorkerBackend`, the compressed frame
+protocol and the worker handshake on stdin/stdout: byte-exact store
+equivalence with the serial backend over local hosts and over SSH (a
+stand-in ``ssh`` client), a worker killed mid-spec with requeue
+convergence, truncated and oversized frame handling, the hello/hello_ack
+handshake (compressed or raw frames, a worker speaking another protocol
+version or never saying hello failing its launch), quarantine of a
+crash-looping host, and a randomized-kill soak (``-m soak``, excluded from
+tier-1).
 """
 
 import asyncio
@@ -32,7 +33,6 @@ from repro.exp import (
     AsyncWorkerBackend,
     ExperimentSpec,
     HostSpec,
-    MultiHostBackend,
     ProcessPoolBackend,
     ResultStore,
     SerialBackend,
@@ -77,14 +77,14 @@ def small_grid():
 
 def local_backend(hosts="local0:1,local1:1", **kwargs):
     kwargs.setdefault("heartbeat_interval", 0.5)
-    return MultiHostBackend(hosts, **kwargs)
+    return AsyncWorkerBackend(hosts, **kwargs)
 
 
-def subprocess_env(**overrides):
-    """Environment for worker subprocesses that can import repro."""
-    from repro.exp.distributed import worker_environment
-
-    return worker_environment(overrides)
+def fake_python(path, code):
+    """An executable standing in for a host's Python: it runs ``code``."""
+    path.write_text(f"#!{sys.executable}\n{code}")
+    path.chmod(0o755)
+    return str(path)
 
 
 def read_raw_frame(stream):
@@ -170,6 +170,8 @@ class TestHostParsing:
             ("alpha", 4), ("beta", 8), ("local0", 1)
         ]
         assert not specs[0].is_local and specs[2].is_local
+        # An int N is the host "local" with a budget of N.
+        assert parse_hosts(3) == [HostSpec("local", workers=3)]
 
     def test_parse_hosts_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -178,6 +180,8 @@ class TestHostParsing:
             parse_hosts("host:zero")
         with pytest.raises(ValueError):
             parse_hosts("host:0")
+        with pytest.raises(ValueError):
+            parse_hosts(0)
         with pytest.raises(ValueError):
             parse_hosts(":4")
         # One host named twice would split its budget and health
@@ -191,20 +195,22 @@ class TestHostParsing:
         assert parse_listen("0.0.0.0:9000") == ("0.0.0.0", 9000)
 
     def test_make_named_backend_multihost(self):
-        backend = make_named_backend("multihost", hosts="local0:1,local1:2")
-        assert isinstance(backend, MultiHostBackend)
+        backend = make_named_backend("async", hosts="local0:1,local1:2")
+        assert [spec.name for spec in backend.host_specs] == ["local0", "local1"]
         assert backend.num_workers == 3
-        # --hosts implies multihost under the default backend name.
-        assert isinstance(
-            make_named_backend("auto", hosts="local0:1"), MultiHostBackend
-        )
+        # --hosts implies async under the default backend name.
+        backend = make_named_backend("auto", hosts="local0:1")
+        assert isinstance(backend, AsyncWorkerBackend)
+        # Without a host list the async workers run on the host "local".
+        backend = make_named_backend("async", workers=4)
+        assert backend.host_specs == [HostSpec("local", workers=4)]
         with pytest.raises(ValueError):
             make_named_backend("multihost")
-        # A host list with an explicitly single-host backend is a conflict,
-        # not something to ignore silently (REPRO_BENCH_BACKEND=async +
+        # A host list with a backend that runs no hosts is a conflict, not
+        # something to ignore silently (REPRO_BENCH_BACKEND=pool +
         # REPRO_BENCH_HOSTS=... must not quietly run single-host).
         with pytest.raises(ValueError):
-            make_named_backend("async", hosts="local0:1")
+            make_named_backend("pool", hosts="local0:1")
 
 
 class TestWorkerNegotiation:
@@ -260,19 +266,18 @@ OLD_WORKER = textwrap.dedent("""
 
 
 class TestProtocolVersionCheck:
-    def test_other_protocol_fails_the_launch_at_once(self):
+    def test_other_protocol_fails_the_launch_at_once(self, tmp_path):
         # An SSH host runs whatever repro it has installed.  A hello naming
         # another protocol must fail that launch promptly, naming both
         # versions, instead of waiting out the startup grace.
+        python = fake_python(tmp_path / "old-python", OLD_WORKER)
+
         async def main():
-            backend = local_backend("local0:1")
+            backend = local_backend([HostSpec("local0", python=python)])
             loop = asyncio.get_running_loop()
             started = loop.time()
             with pytest.raises(SpawnError) as failure:
-                await backend._spawn_worker(
-                    [sys.executable, "-c", OLD_WORKER], subprocess_env(),
-                    host="local0",
-                )
+                await backend._spawn_worker(backend._hosts[0])
             assert backend.active_pids() == []  # killed and reaped
             return loop.time() - started, str(failure.value)
 
@@ -290,19 +295,22 @@ class TestSpawnHandshake:
         protocol.encode_frame({"type": "pong", "seq": 1,
                                "protocol": protocol.PROTOCOL_VERSION}),
     ], ids=["oversized-header", "truncated-hello", "not-a-hello"])
-    def test_bad_first_frame_fails_the_launch_at_once(self, first_bytes):
+    def test_bad_first_frame_fails_the_launch_at_once(
+        self, first_bytes, tmp_path
+    ):
         # Whatever a process writes first must be a whole hello frame; any
         # other opening fails its launch without waiting out the grace.
-        script = f"import sys; sys.stdout.buffer.write({first_bytes!r})"
+        python = fake_python(
+            tmp_path / "python",
+            f"import sys; sys.stdout.buffer.write({first_bytes!r})",
+        )
 
         async def main():
-            backend = AsyncWorkerBackend(num_workers=1)
+            backend = AsyncWorkerBackend([HostSpec("local", python=python)])
             loop = asyncio.get_running_loop()
             started = loop.time()
             with pytest.raises(SpawnError):
-                await backend._spawn_worker(
-                    [sys.executable, "-c", script], subprocess_env()
-                )
+                await backend._spawn_worker(backend._hosts[0])
             assert backend.active_pids() == []
             return loop.time() - started
 
@@ -321,13 +329,12 @@ class TestSpawnHandshake:
         silent = tmp_path / "silent-python"
         silent.write_text("#!/bin/sh\nexec sleep 60\n")
         silent.chmod(0o755)
-        backend = MultiHostBackend(
+        backend = AsyncWorkerBackend(
             [HostSpec("local-silent", workers=1, python=str(silent)),
              HostSpec("local-good", workers=1)],
             heartbeat_interval=0.5,
             max_retries=0,
-            host_quarantine_retries=0,
-            spawn_retries=100,
+            spawn_retries=0,
         )
         # Two specs on two slots: the silent host's slot holds one until
         # its launch fails, so exactly that one failure quarantines it.
@@ -363,16 +370,6 @@ class TestMultiHostEquivalence:
         assert serial_bytes  # the comparison is not vacuous
         assert serial_bytes == multihost_bytes
 
-    def test_compression_does_not_change_store_bytes(self, tmp_path):
-        specs = small_grid()
-        run_experiments(specs, backend=local_backend(compress=True),
-                        store=ResultStore(tmp_path / "compressed"))
-        run_experiments(specs, backend=local_backend(compress=False),
-                        store=ResultStore(tmp_path / "raw"))
-        compressed = store_result_bytes(tmp_path / "compressed")
-        assert compressed
-        assert compressed == store_result_bytes(tmp_path / "raw")
-
     def test_work_is_spread_across_hosts(self):
         backend = local_backend("local0:1,local1:1")
         backend.run(small_grid())
@@ -404,7 +401,7 @@ class TestMultiHostEquivalence:
     def test_opens_no_listening_socket(self, monkeypatch):
         # Workers talk over their pipes: nothing binds a port for them.
         def refuse(*args, **kwargs):
-            raise AssertionError("the multi-host backend opened a listener")
+            raise AssertionError("the worker backend opened a listener")
 
         monkeypatch.setattr(asyncio, "start_server", refuse)
         monkeypatch.setattr(socket.socket, "listen", refuse)
@@ -452,7 +449,7 @@ class TestSSHHosts:
             return decode(payload, compressed=compressed)
 
         monkeypatch.setattr(protocol, "decode_payload", spy)
-        backend = MultiHostBackend(
+        backend = AsyncWorkerBackend(
             [HostSpec("alpha", workers=1, env=env),
              HostSpec("beta", workers=1, env=env)],
             ssh_command=(str(ssh), "-T", "-o", "BatchMode=yes"),
@@ -477,7 +474,7 @@ class TestSSHHosts:
                    for stats in backend.host_stats.values())
 
     def test_remote_command_is_one_quoted_shell_string(self):
-        backend = MultiHostBackend(
+        backend = AsyncWorkerBackend(
             [HostSpec("alpha", python="/opt/my env/bin/python3",
                       env={"NOTE": "it's here"})],
             worker_env={"PYTHONHASHSEED": "0"},
@@ -562,12 +559,11 @@ class TestNetworkFaults:
                        env={FAULT_ENV: f":{flag}:always"})
         good = HostSpec("local-good", workers=1)
         specs = small_grid()
-        backend = MultiHostBackend(
+        backend = AsyncWorkerBackend(
             [bad, good],
             heartbeat_interval=0.5,
             max_retries=100,
-            host_quarantine_retries=1,
-            spawn_retries=100,
+            spawn_retries=1,
         )
         results = backend.run(specs)
         assert flag.exists(), "the crash-loop hook never fired"
@@ -591,12 +587,11 @@ class TestNetworkFaults:
             HostSpec("local-b", workers=1,
                      env={FAULT_ENV: f":{flag_b}:always"}),
         ]
-        backend = MultiHostBackend(
+        backend = AsyncWorkerBackend(
             hosts,
             heartbeat_interval=0.5,
             max_retries=1000,
-            host_quarantine_retries=0,
-            spawn_retries=1000,
+            spawn_retries=0,
         )
         outcomes = backend.run_outcomes([small_spec(), small_spec().baseline()])
         assert backend.stats.get("hosts_quarantined", 0) == 2
@@ -633,7 +628,7 @@ if HAVE_HYPOTHESIS:
             backends = (
                 SerialBackend(),
                 ProcessPoolBackend(max_workers=2),
-                AsyncWorkerBackend(num_workers=2, heartbeat_interval=0.5),
+                AsyncWorkerBackend(hosts=2, heartbeat_interval=0.5),
                 local_backend(),
             )
             snapshots = []
@@ -670,12 +665,11 @@ class TestSoak:
         rng = random.Random(1234)
         specs = self._soak_specs()
         store_dir = tmp_path / "multihost"
-        backend = MultiHostBackend(
+        backend = AsyncWorkerBackend(
             "local0:2,local1:2",
             heartbeat_interval=0.5,
             max_retries=10_000,
             spawn_retries=10_000,
-            host_quarantine_retries=10_000,
             store=ResultStore(store_dir),
             **backend_kwargs,
         )

@@ -15,11 +15,14 @@ scheduling discipline in isolation:
   the same grid run serially,
 * a flooding tenant cannot starve a light tenant (acceptance criterion),
 * warm-cache resubmission reports all-cached with zero executions and the
-  hit counters to prove it (the stats-frame regression test).
+  hit counters to prove it (the stats-frame regression test),
+* a host whose workers cannot start backs off instead of retiring its
+  slots, and serves the queued job once it heals.
 """
 
 import asyncio
 import contextlib
+import sys
 import threading
 import time
 
@@ -29,6 +32,7 @@ from repro.core.config import lazy_config
 from repro.exp import (
     AsyncWorkerBackend,
     ExperimentSpec,
+    HostSpec,
     ResultStore,
     SerialBackend,
     run_experiments,
@@ -192,9 +196,11 @@ class TestFairShareQueue:
 class Harness:
     """Run a `SimulationService` on a background event-loop thread."""
 
-    def __init__(self, cache_dir, *, workers=2, tenants=None, **service_kwargs):
+    def __init__(self, cache_dir, *, workers=2, backend=None, tenants=None,
+                 **service_kwargs):
         self.cache_dir = cache_dir
         self.workers = workers
+        self.backend = backend
         self.tenants = tenants or {}
         self.service_kwargs = service_kwargs
         self.service = None
@@ -210,8 +216,8 @@ class Harness:
             self._ready.set()
 
     async def _main(self):
-        backend = AsyncWorkerBackend(
-            num_workers=self.workers, heartbeat_interval=0.5
+        backend = self.backend or AsyncWorkerBackend(
+            hosts=self.workers, heartbeat_interval=0.5
         )
         store = None
         if self.cache_dir is not None:
@@ -498,3 +504,42 @@ class TestServiceStats:
             assert stats["store"]["pinned"] == 0  # all pins released
             assert stats["dispatch"]["live_workers"] >= 1
             assert stats["queue"]["in_flight"] == 0
+            # Two local workers are the host list local:2.
+            assert stats["hosts"]["local"]["budget"] == 2
+            assert stats["hosts"]["local"]["completed"] == 1
+
+    def test_crash_looping_host_backs_off_and_heals(self, tmp_path):
+        # A service never retires a slot: a host whose workers cannot start
+        # backs off and keeps trying, and serves the queued job once its
+        # interpreter works again.
+        healed = tmp_path / "healed"
+        python = tmp_path / "python"
+        python.write_text(
+            f'#!/bin/sh\n[ -e "{healed}" ] || exit 1\n'
+            f'exec "{sys.executable}" "$@"\n'
+        )
+        python.chmod(0o755)
+        backend = AsyncWorkerBackend(
+            [HostSpec("local-broken", workers=2, python=str(python))],
+            heartbeat_interval=0.5,
+        )
+        with Harness(tmp_path / "cache", backend=backend) as harness:
+            client = harness.client()
+            job_id = client.submit([small_spec(seed=43)], tenant="t")["job"]
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                stats = client.stats()
+                if stats["dispatch"]["counters"].get("slot_backoffs", 0) >= 2:
+                    break
+                time.sleep(0.05)
+            assert stats["dispatch"]["counters"].get("slot_backoffs", 0) >= 2
+            assert stats["dispatch"]["live_slots"] == 2
+            assert stats["hosts"]["local-broken"]["quarantined"] is True
+            assert client.status(job_id)["status"] == "active"
+            healed.touch()
+            assert client.wait(job_id)["status"] == "done"
+            stats = client.stats()
+            assert stats["dispatch"]["live_slots"] == 2
+            # The completed job cleared the host's crash-loop count.
+            assert stats["hosts"]["local-broken"]["quarantined"] is False
+            assert stats["hosts"]["local-broken"]["completed"] == 1

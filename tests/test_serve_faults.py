@@ -77,14 +77,22 @@ class Daemon:
         host, _, port = address.partition(":")
         self.host, self.port = host, int(port)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.terminate()
+
     def client(self, timeout=120.0):
         return ServiceClient(self.host, self.port, timeout=timeout)
 
     def sigkill(self):
         self.proc.kill()
         self.proc.wait(timeout=30)
+        self.proc.stdout.close()
 
     def terminate(self):
+        """Stop the daemon if it still runs, close its pipe, return its code."""
         if self.proc.poll() is None:
             self.proc.terminate()
             try:
@@ -92,6 +100,7 @@ class Daemon:
             except subprocess.TimeoutExpired:  # pragma: no cover - safety net
                 self.proc.kill()
                 self.proc.wait(timeout=30)
+        self.proc.stdout.close()
         return self.proc.returncode
 
 
@@ -247,17 +256,17 @@ class TestClientDisconnect:
 
 class TestGracefulShutdown:
     def test_sigterm_exits_zero(self, tmp_path):
-        daemon = Daemon(tmp_path / "cache")
-        daemon.proc.send_signal(signal.SIGTERM)
-        assert daemon.proc.wait(timeout=30) == 0
-        output = daemon.proc.stdout.read()
+        with Daemon(tmp_path / "cache") as daemon:
+            daemon.proc.send_signal(signal.SIGTERM)
+            assert daemon.proc.wait(timeout=30) == 0
+            output = daemon.proc.stdout.read()
         assert "repro serve: stopped" in output
 
     def test_stop_frame_exits_zero(self, tmp_path):
-        daemon = Daemon(tmp_path / "cache")
-        reply = daemon.client().stop()
-        assert reply["type"] == "stopping"
-        assert daemon.proc.wait(timeout=30) == 0
+        with Daemon(tmp_path / "cache") as daemon:
+            reply = daemon.client().stop()
+            assert reply["type"] == "stopping"
+            assert daemon.proc.wait(timeout=30) == 0
 
 
 class TestStoreBudget:

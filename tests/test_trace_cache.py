@@ -310,7 +310,7 @@ class TestStoreIntegration:
         specs = [_spec(seed=13), _spec(seed=13, sampled=False)]
         store = ResultStore(tmp_path / "store")
         runner = (ProcessPoolBackend(max_workers=1) if backend == "pool"
-                  else AsyncWorkerBackend(num_workers=1))
+                  else AsyncWorkerBackend(hosts=1))
         results = run_experiments(specs, backend=runner, store=store)
         # The trace was generated in the worker process, not here.
         assert store.traces.hits == store.traces.misses == 0
