@@ -17,7 +17,7 @@ of simulator performance across PRs).
 
 Each configuration also records the grouped-dispatch coverage of the run:
 which fraction of detailed instances went through the vector kernel versus
-the scalar walks.  The engine switches to the kernel at the first group that
+the scalar walk.  The engine switches to the kernel at the first group that
 clears its width and event floors, so the coverage is a property of the
 configuration and is the same on every run; both backends are
 bit-identical.
@@ -62,9 +62,9 @@ from repro.workloads.registry import get_workload
 #: at 8 simulated threads, plus 32/64-thread configurations where dispatch
 #: groups widen past the vector kernel's amortisation point — the committed
 #: record of the kernel's engagement region (``vector_coverage`` > 0 on the
-#: high-performance configs; on the low-power hierarchy the kernel gains
-#: less over the cheaper p1s1 scalar walk, and the 64-thread config records
-#: where that balance lies).  Cholesky appears only
+#: high-performance configs; on the low-power hierarchy, one level shorter,
+#: the kernel gains less over the scalar walk, and the 64-thread config
+#: records where that balance lies).  Cholesky appears only
 #: at 8 threads: its wavefront parallelism saturates below 32 workers at
 #: the bench scale, so wider configs would measure scheduler idle time
 #: rather than walk throughput.
@@ -143,7 +143,7 @@ def _measure_config(
 
     # Grouped-dispatch coverage of the batched run: the fraction of detailed
     # instances the kernel rule sent through the vector kernel rather than
-    # the scalar walks (identical on every repeat).
+    # the scalar walk (identical on every repeat).
     coverage = batched_engine.vector_stats
     detailed_total = coverage["vector_instances"] + coverage["scalar_instances"]
 

@@ -30,7 +30,7 @@ setup(
     },
     entry_points={
         "console_scripts": [
-            "repro = repro.cli:main",
+            "repro = repro.__main__:run",
         ],
     },
     classifiers=[

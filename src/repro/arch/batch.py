@@ -31,14 +31,14 @@ while the batched path avoids the per-event method dispatch, dataclass
 allocation and latency-list construction that dominated the original
 profile.
 
-For the two concrete hierarchy shapes the Table II architectures produce
-(two private levels over one shared, and one private level over one shared),
-:meth:`BatchedCoreExecutor.execute_many` dispatches to a specialised walk
-with the outer-level loop unrolled, the flat counter-block writes replaced by
-local integer counters, and the per-level exposure constants hoisted into
-locals — worth ~6-12% of group-walk wall time on eviction-heavy traces.  The
-generic walk serves every other geometry an
-:class:`~repro.arch.config.ArchitectureConfig` can describe.
+One walk serves every hierarchy an
+:class:`~repro.arch.config.ArchitectureConfig` accepts: a private L1, any
+further private levels, then the shared levels, if any — the Table II shapes
+are two private levels over one shared (high-performance) and one private
+level over one shared (low-power).  As in
+:meth:`~repro.arch.hierarchy.CacheHierarchy.access`, an access crosses the
+interconnect when it leaves the last private level, or on a full miss when
+no level is shared.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class ExecutionPlan(NamedTuple):
     different thread count or controller reuses it.  The geometry columns are
     kept both as NumPy arrays (gathered from by the vectorised walk engine in
     :mod:`repro.arch.vector`) and as plain Python lists (bound by the scalar
-    walks of :meth:`BatchedCoreExecutor.execute_many`, where list indexing
+    walk of :meth:`BatchedCoreExecutor.execute_many`, where list indexing
     beats NumPy scalar indexing).  Every field is built with the plan except
     the per-record walk streams of ``record_blocks``, which are compiled on a
     record's first detailed execution.
@@ -108,7 +108,7 @@ class ExecutionPlan(NamedTuple):
     #: Per record, a tuple of ``(l1_events, dispatch, repeat)`` triples — one
     #: per block — where ``l1_events`` is the block's pre-zipped L1 walk
     #: stream of ``(l1_set, l1_tag, is_write, coherent_write, event_id)``
-    #: tuples.  The scalar walks iterate this structure with one tuple unpack
+    #: tuples.  The scalar walk iterates this structure with one tuple unpack
     #: per block and one per event.  The ``coherent_write`` flag
     #: pre-evaluates ``is_write and shared`` so the hot loop's coherence gate
     #: is a single truth test.  Indexed by record; each record's tuple is
@@ -280,7 +280,7 @@ def build_execution_plan(
             total += bd_list[block]
         static_cycles.append(total)
 
-    # Per-record block structure for the scalar walks, compiled lazily from
+    # Per-record block structure for the scalar walk, compiled lazily from
     # the per-event L1 columns.
     level_set_list = tuple(s.tolist() for s in level_set)
     level_tag_list = tuple(t.tolist() for t in level_tag)
@@ -410,17 +410,6 @@ class BatchedCoreExecutor:
                     )
             self._invalidate_targets.append(targets)
 
-        # Specialised grouped walks for the two concrete hierarchy shapes
-        # (see module docstring); the generic loop covers everything else.
-        # Kept as a plain function: a bound method stored on the instance
-        # would be a reference cycle holding the whole machine state until
-        # the cyclic garbage collector ran.
-        self._walk = BatchedCoreExecutor._execute_many_generic
-        if self._have_shared and self._num_private == 2 and self._num_levels == 3:
-            self._walk = BatchedCoreExecutor._execute_many_p2s1
-        elif self._have_shared and self._num_private == 1 and self._num_levels == 2:
-            self._walk = BatchedCoreExecutor._execute_many_p1s1
-
     # ------------------------------------------------------------------
     def contention_tables(self, active_cores: int) -> tuple:
         """Latency and exposure tables for one active-core count.
@@ -495,22 +484,20 @@ class BatchedCoreExecutor:
     def execute_many(self, entries: Sequence[tuple]) -> List[Tuple[float, float]]:
         """Execute ``(index, core_id, active_cores, noise)`` entries in order.
 
-        Returns ``(cycles, ipc)`` per entry, bit-identical to running each
-        record through ``DetailedCoreModel.execute`` in turn (same cache
-        walk, same float operation order, same statistics).  The per-call
-        setup is hoisted out of the loop: contention tables are re-resolved
-        only when the active-core count changes (within one dispatch instant
-        it never does), the interconnect/DRAM latency folds carry across
-        entries, hit/miss counters accumulate in locals and are written back
-        once per call (integer sums, so the aggregate is identical), and the
-        walk iterates the pre-zipped ``record_blocks`` structure.  The engine
-        sends whole deferred groups through here while the vector kernel is
-        not engaged, and shared-data writers as groups of one.
+        This is the scalar walk, for every accepted hierarchy shape.  Returns
+        ``(cycles, ipc)`` per entry, bit-identical to running each record
+        through ``DetailedCoreModel.execute`` in turn (same cache walk, same
+        float operation order, same statistics).  The per-call setup is
+        hoisted out of the loop: contention tables are re-resolved only when
+        the active-core count changes (within one dispatch instant it never
+        does), the interconnect/DRAM latency folds carry across entries,
+        hit/miss counters accumulate in locals and in the flat per-(core,
+        level) counter block and are written back once per call (integer
+        sums, so the aggregate is identical), and the walk iterates the
+        pre-zipped ``record_blocks`` structure.  The engine sends whole
+        deferred groups through here while the vector kernel is not engaged,
+        and shared-data writers as groups of one.
         """
-        return self._walk(self, entries)
-
-    def _execute_many_generic(self, entries: Sequence[tuple]) -> List[Tuple[float, float]]:
-        """:meth:`execute_many` for any hierarchy shape."""
         memory = self.memory_system
         interconnect = memory.interconnect
         dram = memory.dram
@@ -700,372 +687,6 @@ class BatchedCoreExecutor:
                 stats.misses += shared_totals[k + 1]
                 stats.evictions += shared_totals[k + 2]
                 stats.writebacks += shared_totals[k + 3]
-        return results
-
-    # ------------------------------------------------------------------
-    def _execute_many_p2s1(self, entries: Sequence[tuple]) -> List[Tuple[float, float]]:
-        """:meth:`execute_many` specialised for two private levels over one
-        shared level (the high-performance shape: L1/L2 private, L3 shared).
-
-        Same walk, same float operation order, same aggregate statistics —
-        the outer-level loop is unrolled into explicit L2/L3 blocks, the
-        hit/miss bookkeeping runs on local integer counters folded back once
-        per core at the end (integer sums commute), and the per-level
-        exposure constants are bound to locals.
-        """
-        memory = self.memory_system
-        interconnect = memory.interconnect
-        dram = memory.dram
-        record_blocks = self._record_blocks
-        max_outstanding = self._max_outstanding
-        instructions = self._instructions
-        core_level_data = self._core_level_data
-        core_levels = self._core_levels
-        contention_tables = self.contention_tables
-        invalidate_remote = self._invalidate_remote
-
-        ic_transfers = 0
-        ic_total = interconnect.stats.total_latency
-        dram_requests = 0
-        dram_total = dram.stats.total_latency
-
-        tables_for = -1
-        ic_latency = dram_latency = 0.0
-        l1_exposure = l2_exposure = l3_exposure = miss_exposure = None
-        l3_hits = l3_misses = l3_evictions = l3_writebacks = 0
-        percore: Dict[int, list] = {}
-        results: List[Tuple[float, float]] = []
-        for index, core_id, active_cores, noise in entries:
-            if active_cores < 1:
-                active_cores = 1
-            if active_cores != tables_for:
-                ic_latency, dram_latency, _, exposure = contention_tables(
-                    active_cores
-                )
-                l1_exposure, l2_exposure, l3_exposure, miss_exposure = exposure
-                tables_for = active_cores
-
-            level_data = core_level_data[core_id]
-            l1_sets, l1_assoc = level_data[0][0], level_data[0][1]
-            l2_sets, l2_assoc, l2_set_index, l2_tag_index = level_data[1]
-            l3_sets, l3_assoc, l3_set_index, l3_tag_index = level_data[2]
-            cacc = percore.get(core_id)
-            if cacc is None:
-                cacc = percore[core_id] = [0] * 8
-
-            l1_hits = l1_misses = l1_evictions = l1_writebacks = 0
-            l2_hits = l2_misses = l2_evictions = l2_writebacks = 0
-            total_cycles = 0.0
-            for l1_events, dispatch, repeat in record_blocks[index]:
-                exposed_sum = 0.0
-                exposed_max = 0.0
-                exposed_count = 0
-                for l1_set, tag, is_write, coherent, event in l1_events:
-                    lines = l1_sets[l1_set]
-                    if tag in lines:
-                        l1_hits += 1
-                        if is_write:
-                            line = lines[tag]
-                            line.dirty = True
-                            line.owner = core_id
-                            lines.move_to_end(tag)
-                            if coherent:
-                                invalidate_remote(core_id, event)
-                        else:
-                            lines.move_to_end(tag)
-                        if l1_exposure is not None:
-                            exposed_count += 1
-                            if l1_exposure > exposed_max:
-                                exposed_max = l1_exposure
-                            exposed_sum += l1_exposure
-                        continue
-                    l1_misses += 1
-                    if len(lines) >= l1_assoc:
-                        _, victim = lines.popitem(last=False)
-                        l1_evictions += 1
-                        if victim.dirty:
-                            l1_writebacks += 1
-                        victim.dirty = is_write
-                        victim.owner = core_id
-                        lines[tag] = victim
-                    else:
-                        lines[tag] = _Line(dirty=is_write, owner=core_id)
-                    # L2 (private).
-                    lines = l2_sets[l2_set_index[event]]
-                    tag = l2_tag_index[event]
-                    if tag in lines:
-                        l2_hits += 1
-                        if is_write:
-                            line = lines[tag]
-                            line.dirty = True
-                            line.owner = core_id
-                        lines.move_to_end(tag)
-                        exposed = l2_exposure
-                    else:
-                        l2_misses += 1
-                        if len(lines) >= l2_assoc:
-                            _, victim = lines.popitem(last=False)
-                            l2_evictions += 1
-                            if victim.dirty:
-                                l2_writebacks += 1
-                            victim.dirty = is_write
-                            victim.owner = core_id
-                            lines[tag] = victim
-                        else:
-                            lines[tag] = _Line(dirty=is_write, owner=core_id)
-                        # L3 (shared): the access crossed the interconnect.
-                        lines = l3_sets[l3_set_index[event]]
-                        tag = l3_tag_index[event]
-                        if tag in lines:
-                            l3_hits += 1
-                            if is_write:
-                                line = lines[tag]
-                                line.dirty = True
-                                line.owner = core_id
-                            lines.move_to_end(tag)
-                            ic_transfers += 1
-                            ic_total += ic_latency
-                            exposed = l3_exposure
-                        else:
-                            l3_misses += 1
-                            if len(lines) >= l3_assoc:
-                                _, victim = lines.popitem(last=False)
-                                l3_evictions += 1
-                                if victim.dirty:
-                                    l3_writebacks += 1
-                                victim.dirty = is_write
-                                victim.owner = core_id
-                                lines[tag] = victim
-                            else:
-                                lines[tag] = _Line(dirty=is_write, owner=core_id)
-                            dram_requests += 1
-                            dram_total += dram_latency
-                            ic_transfers += 1
-                            ic_total += ic_latency
-                            exposed = miss_exposure
-                    if coherent:
-                        invalidate_remote(core_id, event)
-                    if exposed is not None:
-                        exposed_count += 1
-                        if exposed > exposed_max:
-                            exposed_max = exposed
-                        exposed_sum += exposed
-                if exposed_sum <= 0.0:
-                    total_cycles += dispatch
-                    continue
-                mlp = float(exposed_count) if exposed_count > 1 else 1.0
-                if mlp > max_outstanding:
-                    mlp = max_outstanding
-                stall = exposed_sum / mlp
-                if exposed_max > stall:
-                    stall = exposed_max
-                stall += repeat
-                total_cycles += dispatch + stall
-
-            cacc[0] += l1_hits
-            cacc[1] += l1_misses
-            cacc[2] += l1_evictions
-            cacc[3] += l1_writebacks
-            cacc[4] += l2_hits
-            cacc[5] += l2_misses
-            cacc[6] += l2_evictions
-            cacc[7] += l2_writebacks
-            if total_cycles <= 0.0:
-                total_cycles = 1.0
-            if noise is not None and noise != 1.0:
-                total_cycles *= noise
-            if total_cycles <= 0.0:
-                results.append((total_cycles, 0.0))
-                continue
-            results.append((total_cycles, instructions[index] / total_cycles))
-
-        if ic_transfers:
-            interconnect.stats.transfers += ic_transfers
-            interconnect.stats.total_latency = ic_total
-        if dram_requests:
-            dram.stats.requests += dram_requests
-            dram.stats.total_latency = dram_total
-        for core_id, cacc in percore.items():
-            levels = core_levels[core_id]
-            stats = levels[0][1]
-            stats.hits += cacc[0]
-            stats.misses += cacc[1]
-            stats.evictions += cacc[2]
-            stats.writebacks += cacc[3]
-            stats = levels[1][1]
-            stats.hits += cacc[4]
-            stats.misses += cacc[5]
-            stats.evictions += cacc[6]
-            stats.writebacks += cacc[7]
-        if percore and (l3_hits or l3_misses):
-            stats = core_levels[next(iter(percore))][2][1]
-            stats.hits += l3_hits
-            stats.misses += l3_misses
-            stats.evictions += l3_evictions
-            stats.writebacks += l3_writebacks
-        return results
-
-    # ------------------------------------------------------------------
-    def _execute_many_p1s1(self, entries: Sequence[tuple]) -> List[Tuple[float, float]]:
-        """:meth:`execute_many` specialised for one private level over one
-        shared level (the low-power shape: L1 private, L2 shared).
-        """
-        memory = self.memory_system
-        interconnect = memory.interconnect
-        dram = memory.dram
-        record_blocks = self._record_blocks
-        max_outstanding = self._max_outstanding
-        instructions = self._instructions
-        core_level_data = self._core_level_data
-        core_levels = self._core_levels
-        contention_tables = self.contention_tables
-        invalidate_remote = self._invalidate_remote
-
-        ic_transfers = 0
-        ic_total = interconnect.stats.total_latency
-        dram_requests = 0
-        dram_total = dram.stats.total_latency
-
-        tables_for = -1
-        ic_latency = dram_latency = 0.0
-        l1_exposure = l2_exposure = miss_exposure = None
-        l2_hits = l2_misses = l2_evictions = l2_writebacks = 0
-        percore: Dict[int, list] = {}
-        results: List[Tuple[float, float]] = []
-        for index, core_id, active_cores, noise in entries:
-            if active_cores < 1:
-                active_cores = 1
-            if active_cores != tables_for:
-                ic_latency, dram_latency, _, exposure = contention_tables(
-                    active_cores
-                )
-                l1_exposure, l2_exposure, miss_exposure = exposure
-                tables_for = active_cores
-
-            level_data = core_level_data[core_id]
-            l1_sets, l1_assoc = level_data[0][0], level_data[0][1]
-            l2_sets, l2_assoc, l2_set_index, l2_tag_index = level_data[1]
-            cacc = percore.get(core_id)
-            if cacc is None:
-                cacc = percore[core_id] = [0] * 4
-
-            l1_hits = l1_misses = l1_evictions = l1_writebacks = 0
-            total_cycles = 0.0
-            for l1_events, dispatch, repeat in record_blocks[index]:
-                exposed_sum = 0.0
-                exposed_max = 0.0
-                exposed_count = 0
-                for l1_set, tag, is_write, coherent, event in l1_events:
-                    lines = l1_sets[l1_set]
-                    if tag in lines:
-                        l1_hits += 1
-                        if is_write:
-                            line = lines[tag]
-                            line.dirty = True
-                            line.owner = core_id
-                            lines.move_to_end(tag)
-                            if coherent:
-                                invalidate_remote(core_id, event)
-                        else:
-                            lines.move_to_end(tag)
-                        if l1_exposure is not None:
-                            exposed_count += 1
-                            if l1_exposure > exposed_max:
-                                exposed_max = l1_exposure
-                            exposed_sum += l1_exposure
-                        continue
-                    l1_misses += 1
-                    if len(lines) >= l1_assoc:
-                        _, victim = lines.popitem(last=False)
-                        l1_evictions += 1
-                        if victim.dirty:
-                            l1_writebacks += 1
-                        victim.dirty = is_write
-                        victim.owner = core_id
-                        lines[tag] = victim
-                    else:
-                        lines[tag] = _Line(dirty=is_write, owner=core_id)
-                    # L2 (shared): the access crossed the interconnect.
-                    lines = l2_sets[l2_set_index[event]]
-                    tag = l2_tag_index[event]
-                    if tag in lines:
-                        l2_hits += 1
-                        if is_write:
-                            line = lines[tag]
-                            line.dirty = True
-                            line.owner = core_id
-                        lines.move_to_end(tag)
-                        ic_transfers += 1
-                        ic_total += ic_latency
-                        exposed = l2_exposure
-                    else:
-                        l2_misses += 1
-                        if len(lines) >= l2_assoc:
-                            _, victim = lines.popitem(last=False)
-                            l2_evictions += 1
-                            if victim.dirty:
-                                l2_writebacks += 1
-                            victim.dirty = is_write
-                            victim.owner = core_id
-                            lines[tag] = victim
-                        else:
-                            lines[tag] = _Line(dirty=is_write, owner=core_id)
-                        dram_requests += 1
-                        dram_total += dram_latency
-                        ic_transfers += 1
-                        ic_total += ic_latency
-                        exposed = miss_exposure
-                    if coherent:
-                        invalidate_remote(core_id, event)
-                    if exposed is not None:
-                        exposed_count += 1
-                        if exposed > exposed_max:
-                            exposed_max = exposed
-                        exposed_sum += exposed
-                if exposed_sum <= 0.0:
-                    total_cycles += dispatch
-                    continue
-                mlp = float(exposed_count) if exposed_count > 1 else 1.0
-                if mlp > max_outstanding:
-                    mlp = max_outstanding
-                stall = exposed_sum / mlp
-                if exposed_max > stall:
-                    stall = exposed_max
-                stall += repeat
-                total_cycles += dispatch + stall
-
-            cacc[0] += l1_hits
-            cacc[1] += l1_misses
-            cacc[2] += l1_evictions
-            cacc[3] += l1_writebacks
-            if total_cycles <= 0.0:
-                total_cycles = 1.0
-            if noise is not None and noise != 1.0:
-                total_cycles *= noise
-            if total_cycles <= 0.0:
-                results.append((total_cycles, 0.0))
-                continue
-            results.append((total_cycles, instructions[index] / total_cycles))
-
-        if ic_transfers:
-            interconnect.stats.transfers += ic_transfers
-            interconnect.stats.total_latency = ic_total
-        if dram_requests:
-            dram.stats.requests += dram_requests
-            dram.stats.total_latency = dram_total
-        for core_id, cacc in percore.items():
-            levels = core_levels[core_id]
-            stats = levels[0][1]
-            stats.hits += cacc[0]
-            stats.misses += cacc[1]
-            stats.evictions += cacc[2]
-            stats.writebacks += cacc[3]
-        if percore and (l2_hits or l2_misses):
-            stats = core_levels[next(iter(percore))][1][1]
-            stats.hits += l2_hits
-            stats.misses += l2_misses
-            stats.evictions += l2_evictions
-            stats.writebacks += l2_writebacks
         return results
 
     # ------------------------------------------------------------------

@@ -106,7 +106,8 @@ class ArchitectureConfig:
     The cache hierarchy is described by up to three levels.  A level marked
     ``shared=True`` is instantiated once and shared by all cores; private
     levels are instantiated per core.  ``l3`` may be ``None`` for two-level
-    hierarchies such as the low-power configuration of Table II.
+    hierarchies such as the low-power configuration of Table II.  L1 must be
+    private, and no private level may follow a shared one.
     """
 
     name: str
@@ -121,6 +122,16 @@ class ArchitectureConfig:
         levels = [self.l1, self.l2] + ([self.l3] if self.l3 else [])
         if any(level.line_bytes != line for level in levels):
             raise ValueError("all cache levels must use the same line size")
+        # The memory system walks the private levels before the shared ones
+        # and charges the interconnect when an access leaves the last private
+        # level.  Only a private L1, then private levels, then shared ones is
+        # simulated as described, and the same way by every engine.
+        shared = [level.shared for level in levels]
+        if shared[0] or shared != sorted(shared):
+            raise ValueError(
+                "L1 must be private and no private cache level may follow a "
+                "shared one"
+            )
 
     @property
     def cache_levels(self) -> int:

@@ -26,7 +26,7 @@ fixed per-group cost (a structural rule, see the engine); from then on
 shared-data writers run as a group of one through
 :meth:`VectorWalkEngine.execute_writer`, which replays their coherence
 invalidations on the array state after the walk.  Before that point the
-scalar walks of :class:`~repro.arch.batch.BatchedCoreExecutor` run every
+scalar walk of :class:`~repro.arch.batch.BatchedCoreExecutor` runs every
 group, and the kernel has allocated nothing.
 
 State representation
@@ -43,7 +43,7 @@ export and the kernel's fixed overhead is the walk itself.
 Every floating-point reduction replays the scalar operation order (per-block
 exposure sums accumulate in event-rank order, per-instance totals in block
 order, interconnect/DRAM latency totals by sequential ``np.cumsum`` fold),
-so results are bit-identical to the scalar walks and to the per-record
+so results are bit-identical to the scalar walk and to the per-record
 :class:`~repro.sim.reference.ReferenceEngine`.
 """
 

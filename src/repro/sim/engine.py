@@ -37,11 +37,11 @@ close to ``num_threads`` even though the simulated schedule dispatches one
 instance per completion; one thread runs as groups of one.  Shared-data
 writers never defer: they drain the group and run alone.
 
-Groups execute through one of two backends: the scalar walks of
+Groups execute through one of two backends: the scalar walk of
 :meth:`~repro.arch.batch.BatchedCoreExecutor.execute_many` or the vectorised
 walk kernel (:class:`~repro.arch.vector.VectorWalkEngine`).  The kernel pays
 a fixed cost per group that only wide, event-rich groups amortise, so the
-choice follows the group structure alone: the scalar walks run until the
+choice follows the group structure alone: the scalar walk runs until the
 first group with at least :data:`KERNEL_MIN_GROUP` members and
 :data:`KERNEL_MIN_EVENTS` memory events per private cache level for every
 cache level (768 on the high-performance hierarchy, 1024 on the low-power

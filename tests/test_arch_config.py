@@ -1,5 +1,7 @@
 """Unit tests for architecture configurations (Table II presets)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.arch.config import (
@@ -100,3 +102,20 @@ class TestTable2Presets:
                 l2=CacheConfig(size_bytes=1024 * 1024, associativity=8, latency_cycles=10,
                                line_bytes=128),
             )
+
+    @pytest.mark.parametrize(
+        "shared",
+        [(True, False, True), (True, True, True), (False, True, False)],
+        ids=["shared-l1", "all-shared", "private-after-shared"],
+    )
+    def test_hierarchy_order_enforced(self, shared):
+        # Each shape would be walked out of its described order, or charged
+        # for the interconnect differently by the batched walk and the
+        # per-record oracle (every level shared).
+        good = high_performance_config()
+        l1, l2, l3 = (
+            replace(level, shared=flag)
+            for level, flag in zip((good.l1, good.l2, good.l3), shared)
+        )
+        with pytest.raises(ValueError, match="L1 must be private"):
+            ArchitectureConfig(name="bad", core=good.core, l1=l1, l2=l2, l3=l3)

@@ -26,7 +26,6 @@ import hashlib
 
 import pytest
 
-from repro.arch.batch import BatchedCoreExecutor
 from repro.arch.config import high_performance_config, low_power_config
 from repro.core.config import lazy_config, periodic_config
 from repro.core.controller import TaskPointController
@@ -179,8 +178,9 @@ def test_vector_path_matches_oracle_sampled(workload, mode):
 
 # ---------------------------------------------------------------------------
 # Cache geometries beyond Table II: ``ExperimentSpec`` accepts any
-# ArchitectureConfig, and these shapes take the generic scalar walk (and,
-# without a shared level, the kernel's interconnect-on-full-miss branch).
+# ArchitectureConfig, and the one scalar walk serves these shapes as it serves
+# Table II's (without a shared level they also take the kernel's
+# interconnect-on-full-miss branch).
 # ---------------------------------------------------------------------------
 def _geometry(name: str):
     hp = high_performance_config()
@@ -205,8 +205,6 @@ def _geometry(name: str):
 def test_generic_geometry_matches_oracle(geometry, workload, threads):
     architecture = _geometry(geometry)
     trace = get_workload(workload).generate(scale=SCALE, seed=SEED)
-    engine = SimulationEngine(trace, architecture, num_threads=threads)
-    assert engine.batched._walk is BatchedCoreExecutor._execute_many_generic
     _assert_equivalent(trace, architecture, "detailed", threads=threads)
 
 

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _resolve_sampling_args, _sampling_config, build_parser, main
@@ -209,6 +214,27 @@ class TestCommands:
     def test_unknown_benchmark_exit_code(self, capsys):
         assert main(["compare", "not-a-benchmark", "--scale", "0.01"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_entry_point_freezes_the_heap_and_returns_the_exit_code(self):
+        # In a child process: freezing here would pin every object of the
+        # test process for the rest of the session.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        script = (
+            "import gc, sys\n"
+            "from repro.__main__ import run\n"
+            "sys.argv = ['repro', 'compare', 'not-a-benchmark']\n"
+            "code = run()\n"
+            "print(code, gc.get_freeze_count() > 0)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert completed.stdout.splitlines()[-1] == "2 True", completed.stderr
+        # The installed `repro` script runs the same function.
+        setup = (root / "setup.py").read_text()
+        assert '"repro = repro.__main__:run"' in setup
 
     @pytest.mark.parametrize("backend", [
         ["--backend", "serial"], ["--hosts", "local0:1"],

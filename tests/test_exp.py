@@ -94,6 +94,13 @@ class TestExperimentSpec:
             assert restored == spec
             assert restored.content_key() == spec.content_key()
 
+    def test_from_dict_rejects_shared_l1(self):
+        # Specs sent to `repro submit` arrive through from_dict.
+        payload = json.loads(json.dumps(small_spec().to_dict()))
+        payload["architecture"]["l1"]["shared"] = True
+        with pytest.raises(ValueError, match="L1 must be private"):
+            ExperimentSpec.from_dict(payload)
+
     def test_content_key_distinguishes_experiments(self):
         base = small_spec()
         variants = [
