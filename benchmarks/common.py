@@ -11,8 +11,8 @@ directory.  They all build on the helpers here:
 * every experiment goes through the :mod:`repro.exp` orchestrator via the
   session-scoped :class:`ExperimentHarness`: detailed baselines are
   deduplicated and shared between figures (Figure 7 and Figure 9 use the same
-  baselines, for instance), ``REPRO_BENCH_JOBS=N`` runs each grid on an
-  N-process pool, and ``REPRO_BENCH_CACHE_DIR`` makes results persistent
+  baselines, for instance), ``REPRO_BENCH_JOBS=N`` runs each grid on N async
+  worker processes, and ``REPRO_BENCH_CACHE_DIR`` makes results persistent
   across pytest sessions, and
 * every harness writes its regenerated table to ``benchmarks/results/`` so
   the numbers quoted in EXPERIMENTS.md can be reproduced by re-running
@@ -67,12 +67,12 @@ def bench_jobs() -> int:
 
 
 def bench_backend_name() -> str:
-    """Execution backend name (auto/serial/pool/async).
+    """Execution backend name (auto/serial/async).
 
     ``REPRO_BENCH_BACKEND=async`` runs every grid on the distributed
-    asyncio-worker backend; the default ``auto`` keeps the historical
-    semantics (a process pool when ``REPRO_BENCH_JOBS`` > 1, else serial —
-    unless ``REPRO_BENCH_HOSTS`` is set, which selects ``async``).
+    asyncio-worker backend; the default ``auto`` picks it when
+    ``REPRO_BENCH_JOBS`` > 1 or ``REPRO_BENCH_HOSTS`` is set, and runs
+    serially otherwise.
     """
     return os.environ.get("REPRO_BENCH_BACKEND", "auto")
 
@@ -91,8 +91,8 @@ def bench_batch() -> Optional[str]:
     """Specs per dispatch frame (``REPRO_BENCH_BATCH=N|adaptive[:N]``).
 
     Applies to the async backend (protocol-level ``run_batch``
-    dispatch) and maps onto ``chunksize`` for the process pool; unset keeps
-    one spec per dispatch.
+    dispatch); the serial backend ignores it.  Unset keeps one spec per
+    dispatch.
     """
     return os.environ.get("REPRO_BENCH_BATCH") or None
 
@@ -135,8 +135,8 @@ def write_result(name: str, text: str) -> Path:
 class ExperimentHarness:
     """Session-wide front-end to the experiment orchestrator.
 
-    The harness owns one execution backend (serial, a process pool when
-    ``REPRO_BENCH_JOBS`` > 1, or the distributed async-worker backend when
+    The harness owns one execution backend (serial, or the distributed
+    async-worker backend when ``REPRO_BENCH_JOBS`` > 1 or
     ``REPRO_BENCH_BACKEND=async``) and one result store shared by every
     figure of the session — an in-memory store by default, or the persistent on-disk
     store when ``REPRO_BENCH_CACHE_DIR`` is set.  All experiment execution
@@ -158,7 +158,7 @@ class ExperimentHarness:
             self.backend = backend
         else:
             self.backend = make_named_backend(
-                bench_backend_name(), workers=bench_jobs(), store=self.store,
+                bench_backend_name(), workers=bench_jobs(),
                 hosts=bench_hosts(), batch=bench_batch(),
             )
 

@@ -141,14 +141,10 @@ def main(argv=None) -> int:
         serial_seconds = time.monotonic() - started
         print(f"serial reference: {serial_seconds:.1f}s")
 
-        multi_store = ResultStore(multi_dir)
-        backend = AsyncWorkerBackend(
-            args.hosts, batch=args.batch, store=multi_store
-        )
+        backend = AsyncWorkerBackend(args.hosts, batch=args.batch)
         started = time.monotonic()
-        # The same store object is attached to the backend (streaming) and
-        # passed to the driver, so the identity check skips re-persisting.
-        run_experiments(specs, backend=backend, store=multi_store)
+        # Each result is stored as its worker's answer arrives.
+        run_experiments(specs, backend=backend, store=ResultStore(multi_dir))
         multi_seconds = time.monotonic() - started
         print(f"multi-host ({args.hosts}): {multi_seconds:.1f}s  "
               f"stats={backend.stats}")

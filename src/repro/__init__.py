@@ -15,7 +15,7 @@ The library is organised in layers, from the substrate upwards:
 * :mod:`repro.core` — TaskPoint itself: sample histories, warm-up, the
   sampling period, accurate fast-forwarding and the sampling controller,
 * :mod:`repro.exp` — the experiment orchestration layer: hashable
-  experiment specs, serial/process-pool/distributed-async execution
+  experiment specs, the serial and the distributed async-worker execution
   backends and the persistent sharded result store every evaluation
   runs on,
 * :mod:`repro.analysis` — IPC-variation analysis, accuracy/speedup metrics,
@@ -48,7 +48,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.config": ["TaskPointConfig", "periodic_config", "lazy_config"],
     "repro.core.controller": ["TaskPointController"],
     "repro.exp.spec": ["ExperimentSpec", "ExperimentResult", "ExperimentFailure"],
-    "repro.exp.backends": ["SerialBackend", "ProcessPoolBackend", "run_experiments"],
+    "repro.exp.backends": ["SerialBackend", "run_experiments"],
     "repro.exp.distributed": ["AsyncWorkerBackend"],
     "repro.exp.store": ["ResultStore"],
     "repro.sim.simulator": ["TaskSimSimulator", "simulate"],

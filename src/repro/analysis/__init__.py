@@ -46,5 +46,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "render_accuracy_table",
         "render_variation_report",
     ],
-    "repro.analysis.export": ["export_accuracy", "export_sweep", "export_variation"],
 })

@@ -7,7 +7,7 @@ count; its performance metric is the simulation speedup of the sampled run
 over the detailed run.  This module expresses those experiment pairs as
 :class:`~repro.exp.spec.ExperimentSpec` grids submitted to the experiment
 orchestrator (:func:`repro.exp.run_experiments`), which deduplicates the
-shared detailed baselines, optionally runs the grid on a process pool and
+shared detailed baselines, optionally runs the grid on async workers and
 caches every result persistently.
 """
 
@@ -280,7 +280,7 @@ def evaluate_grid(
     scheduler / scheduler_seed:
         Dynamic scheduling policy of the simulated runtime.
     backend:
-        Execution backend (e.g. ``ProcessPoolBackend(max_workers=4)``);
+        Execution backend (e.g. ``AsyncWorkerBackend(hosts=4)``);
         defaults to serial in-process execution.
     store:
         Optional result store; a warm store re-runs the grid without a

@@ -10,8 +10,8 @@ Every sweep builds one flat list of experiment specs — all parameter values ×
 benchmarks × thread counts — and submits it to the experiment orchestrator in
 a single batch.  The detailed baselines are shared between all parameter
 values (they do not depend on W, H or P), so the orchestrator's content-key
-deduplication simulates each baseline exactly once per sweep, and a process
-pool parallelises the whole sweep at spec granularity.
+deduplication simulates each baseline exactly once per sweep, and the async
+workers parallelise the whole sweep at spec granularity.
 """
 
 from __future__ import annotations

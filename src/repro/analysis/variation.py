@@ -161,9 +161,9 @@ def variation_grid(
     """Variation reports for a set of benchmarks, keyed by benchmark name.
 
     The detailed runs the analysis needs are expressed as experiment specs
-    and submitted to the orchestrator, so they parallelise across a process
-    pool, hit the persistent result store, and are shared with any accuracy
-    grid that uses the same baselines.
+    and submitted to the orchestrator, so they parallelise across async
+    workers, hit the persistent result store, and are shared with any
+    accuracy grid that uses the same baselines.
     """
     specs = [
         ExperimentSpec(

@@ -81,11 +81,6 @@ class CacheHierarchy:
         for cache in self.private_caches:
             cache.invalidate(address)
 
-    def flush_private(self) -> None:
-        """Drop all private cache contents (e.g. at simulation reset)."""
-        for cache in self.private_caches:
-            cache.flush()
-
     def occupancy(self) -> float:
         """Mean occupancy across the private levels, in [0, 1]."""
         if not self.private_caches:

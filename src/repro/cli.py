@@ -23,17 +23,20 @@ The CLI exposes the most common workflows without writing any Python:
 
 The experiment-driven commands (``compare``, ``grid``, ``sweep``) accept
 ``--jobs N`` to shard their experiments over N worker processes,
-``--backend {auto,serial,pool,async}`` to pick the execution backend
-explicitly (``auto`` is a process pool when ``--jobs`` > 1 and serial
-otherwise; ``async`` is the distributed asyncio supervisor over
-``repro.exp.worker`` subprocesses, with heartbeats and retry on worker
-death, where ``--jobs N`` means the host list ``local:N``),
+``--backend {auto,serial,async}`` to pick the execution backend
+explicitly (``auto`` is ``async`` when ``--jobs`` > 1 and serial otherwise;
+``async`` is the distributed asyncio supervisor over ``repro.exp.worker``
+subprocesses, with heartbeats and retry on worker death, where ``--jobs N``
+means the host list ``local:N``),
 ``--hosts host1:4,host2:8`` to shard a grid over async workers on many hosts
 (local subprocesses, or started through ``ssh``),
 ``--batch {N,adaptive[:N]}`` to pack several specs into one dispatch frame
 (amortising per-spec round-trips for sub-second experiments), and
 ``--cache-dir DIR`` to persist every result on disk, keyed by experiment
 content hash — re-running an unchanged grid is then a pure cache hit.
+Each result is stored as soon as it exists, on every backend, so a grid
+interrupted with Ctrl-C keeps what it finished and a re-run computes only
+the rest.
 ``$REPRO_CACHE_DIR`` provides a default cache directory.  The directory also
 caches the generated traces (``DIR/traces``), so a later call on the same
 store — another sampling engine over the same benchmarks, say — loads
@@ -224,12 +227,12 @@ def _backend_and_store(args: argparse.Namespace):
         raise ValueError("--hosts requires --backend async (or auto)")
     if args.jobs is not None and (args.hosts or args.backend == "serial"):
         raise ValueError(
-            "--jobs requires --backend auto, pool or async "
+            "--jobs requires --backend auto or async "
             "(with --hosts the budgets live in the host list)"
         )
     backend = make_named_backend(
-        args.backend, workers=args.jobs or 1, store=store,
-        hosts=args.hosts, batch=args.batch,
+        args.backend, workers=args.jobs or 1, hosts=args.hosts,
+        batch=args.batch,
     )
     return backend, store
 
@@ -305,13 +308,13 @@ def _add_mode_alias(parser: argparse.ArgumentParser) -> None:
 
 def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_bounded_int("--jobs", 1), default=None,
-                        help="parallel worker processes of the auto, pool or "
-                             "async backend; for async, the host list "
-                             "local:N (default 1)")
+                        help="parallel worker processes of the auto or async "
+                             "backend: the host list local:N (default 1)")
     parser.add_argument("--backend", choices=list(BACKEND_NAMES), default="auto",
-                        help="execution backend (default: auto — a process "
-                             "pool when --jobs > 1, serial otherwise; 'async' "
-                             "is the distributed asyncio worker backend)")
+                        help="execution backend (default: auto — async "
+                             "workers when --jobs > 1, serial otherwise; "
+                             "'async' is the distributed asyncio worker "
+                             "backend)")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent experiment result store, which "
                              "also caches the generated traces in DIR/traces "
@@ -325,7 +328,7 @@ def _add_orchestrator_arguments(parser: argparse.ArgumentParser) -> None:
                         help="specs per dispatch: N, 'adaptive' or "
                              "'adaptive:N' (async sends that many "
                              "specs per run_batch frame, amortising per-spec "
-                             "round-trips; pool maps it onto chunksize; "
+                             "round-trips; serial ignores it; "
                              "default: one spec at a time)")
     parser.add_argument("--profile", default=None, metavar="FILE",
                         help="run the simulation phase under cProfile and "
@@ -728,8 +731,7 @@ async def _serve_async(args: argparse.Namespace) -> int:
         else None
     )
     backend = make_named_backend(
-        "async", workers=args.workers, store=None, hosts=args.hosts,
-        batch=args.batch,
+        "async", workers=args.workers, hosts=args.hosts, batch=args.batch,
     )
     service = SimulationService(
         backend,
@@ -885,8 +887,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # The async backend shuts its workers down gracefully on ^C, and a
-        # cache-dir store already holds every completed experiment.
+        # Every backend stores each result as it finishes, so a cache-dir
+        # store already holds every completed experiment; the async backend
+        # has also shut its workers down.
         print("interrupted", file=sys.stderr)
         return 130
 

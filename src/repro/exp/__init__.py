@@ -10,11 +10,13 @@ describes, schedules, executes and caches those experiments:
   JSON-serialisable experiment descriptor with a stable content key,
   :class:`ExperimentResult`, its serialisable outcome, and
   :class:`ExperimentFailure`, the serialisable record of a spec that raised,
-* :mod:`repro.exp.backends` — pluggable execution backends
-  (:class:`SerialBackend`, :class:`ProcessPoolBackend`) and the
+* :mod:`repro.exp.backends` — :class:`SerialBackend`, the
   :func:`run_experiments` driver with automatic baseline deduplication and
-  per-spec failure isolation,
-* :mod:`repro.exp.distributed` — :class:`AsyncWorkerBackend`, an asyncio
+  per-spec failure isolation, and :func:`write_outcome`, the one function
+  that stores an outcome: every backend reports each outcome to a hook as
+  soon as it exists, so an interrupted run keeps every finished spec,
+* :mod:`repro.exp.distributed` — :class:`AsyncWorkerBackend`, the one
+  parallel backend (``--jobs N`` runs it on ``local:N``): an asyncio
   supervisor dispatching specs to ``repro.exp.worker`` subprocesses over a
   length-prefixed JSON frame protocol (:mod:`repro.exp.protocol`), with
   heartbeats, bounded retry/requeue on worker death, graceful cancellation
@@ -60,7 +62,7 @@ from repro._lazy import lazy_exports
 #: Backend names accepted by :func:`make_named_backend` and the CLI.  Defined
 #: here, not in :mod:`repro.exp.backends`, so the CLI parser can read them
 #: without loading the simulation stack.
-BACKEND_NAMES = ("auto", "serial", "pool", "async")
+BACKEND_NAMES = ("auto", "serial", "async")
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.exp.spec": ["ExperimentSpec", "ExperimentResult", "ExperimentFailure"],
@@ -68,10 +70,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ExperimentExecutionError",
         "ExecutionBackend",
         "SerialBackend",
-        "ProcessPoolBackend",
         "parse_batch",
         "make_named_backend",
         "run_experiments",
+        "write_outcome",
     ],
     "repro.exp.distributed": ["AsyncWorkerBackend", "AdaptiveBatchSizer"],
     "repro.exp.hosts": [

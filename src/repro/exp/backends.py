@@ -1,40 +1,46 @@
-"""Pluggable execution backends and the ``run_experiments`` driver.
+"""Execution backends, the one result writer and the ``run_experiments`` driver.
 
-A backend executes a list of *unique* :class:`ExperimentSpec` objects and
-returns their results in the same order.  :func:`run_experiments` is the
-entry point every consumer goes through: it deduplicates the submitted specs
-by content key (so the detailed baselines a grid shares are simulated exactly
-once no matter how many sampled experiments reference them), satisfies what
-it can from an optional result store, dispatches only the misses to the
-backend, persists the fresh results and returns them in submission order.
+A backend executes a list of :class:`ExperimentSpec` objects and returns
+their outcomes in the same order.  :func:`run_experiments` is the entry point
+every consumer goes through: it deduplicates the submitted specs by content
+key (so the detailed baselines a grid shares are simulated exactly once no
+matter how many sampled experiments reference them), satisfies what it can
+from an optional result store, dispatches only the misses to the backend and
+returns the results in submission order.
+
+Every backend's ``run_outcomes(specs, on_outcome=None)`` calls
+``on_outcome(spec, outcome)`` once per spec, as soon as that outcome exists.
+``run_experiments`` passes :func:`write_outcome` bound to its store as that
+hook, so each finished spec is stored while the run goes on, and an
+interrupted run (Ctrl-C) keeps every spec it finished, on every backend.
+:func:`write_outcome` is the one function that moves an outcome into a store;
+the service daemon calls it too.
 
 Failure isolation: a spec whose workload raises does not poison its batch.
 Every backend runs the remaining specs to completion and reports the broken
-one as an :class:`~repro.exp.spec.ExperimentFailure`; ``run_experiments``
-records failures in the store (as ``<key>.error.json`` diagnostics) and then
-either raises one aggregated :class:`ExperimentExecutionError` (default) or,
-with ``on_error="record"``, returns ``None`` at the failed positions.
+one as an :class:`~repro.exp.spec.ExperimentFailure`; the store records it
+as a ``<key>.error.json`` diagnostic, and ``run_experiments`` then either
+raises one aggregated :class:`ExperimentExecutionError` (default) or, with
+``on_error="record"``, returns ``None`` at the failed positions.
 
-Three backends ship with the repository:
+Two backends ship with the repository:
 
 * :class:`SerialBackend` — in-process, one spec after another,
-* :class:`ProcessPoolBackend` — ``concurrent.futures`` process pool; where
-  it forks (Linux) its workers skip the interpreter start and imports a
-  spawned worker pays, which makes it the fastest same-host choice for
-  short runs,
 * :class:`~repro.exp.distributed.AsyncWorkerBackend` — asyncio supervisor
   over worker subprocesses speaking the length-prefixed JSON protocol, with
   heartbeats, retry/requeue on worker death and graceful cancellation; its
   workers run on one or many hosts, started locally or through ``ssh``.
+  ``--jobs N`` runs it on the host list ``local:N``.
 
-All three are result-identical: the same spec grid produces bit-identical
-results (and byte-identical store entries) regardless of the backend, worker
-count or completion order.
+Both are result-identical: the same spec grid produces bit-identical results
+(and byte-identical store entries) regardless of the backend, worker count
+or completion order.
 """
 
 from __future__ import annotations
 
-import os
+import functools
+import sys
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Union
 
 from repro.exp import BACKEND_NAMES
@@ -46,6 +52,10 @@ Store = Union[ResultStore, MemoryResultStore]
 
 #: What a backend produces per spec: a result, or a failure record.
 Outcome = Union[ExperimentResult, ExperimentFailure]
+
+#: The per-outcome hook of ``run_outcomes``: called with each spec and its
+#: outcome as soon as the outcome exists.
+OnOutcome = Callable[[ExperimentSpec, Outcome], None]
 
 #: Batch cap used when ``batch="adaptive"`` names no explicit cap.
 DEFAULT_BATCH_CAP = 16
@@ -104,15 +114,23 @@ class ExperimentExecutionError(RuntimeError):
         )
 
 
-def run_spec_outcome(spec: ExperimentSpec) -> Outcome:
-    """Execute one spec, condensing any exception into a failure record.
+def write_outcome(store: Store, spec: ExperimentSpec, outcome: Outcome) -> None:
+    """Store one outcome: a result once, a failure as a diagnostic.
 
-    Module-level so process-pool workers can pickle it by reference.
+    A result goes through ``put_if_absent``, so writers racing on one key
+    (two supervisors, or a daemon and a grid sharing a store) leave the
+    first entry alone; a failure goes through ``record_failure``.  A write
+    that raises is reported on stderr and the run goes on: the caller still
+    holds the outcome, and a missing entry is only computed again next time.
     """
     try:
-        return run_spec(spec)
-    except Exception as error:
-        return ExperimentFailure.from_exception(spec.content_key(), error)
+        if isinstance(outcome, ExperimentFailure):
+            store.record_failure(spec, outcome)
+        else:
+            store.put_if_absent(spec, outcome)
+    except Exception as exc:
+        print(f"repro.exp: store write failed for {spec.label()}: {exc}",
+              file=sys.stderr)
 
 
 def _raise_on_failure(outcomes: Sequence[Outcome]) -> List[ExperimentResult]:
@@ -122,91 +140,37 @@ def _raise_on_failure(outcomes: Sequence[Outcome]) -> List[ExperimentResult]:
     return list(outcomes)
 
 
-def map_unique(
-    specs: Sequence[ExperimentSpec],
-    runner: "Callable[[List[ExperimentSpec]], Sequence[Outcome]]",
-) -> List[Outcome]:
-    """Run ``runner`` over the unique specs, remapped to submission positions.
-
-    The defensive dedup shared by the parallel backends: run_experiments
-    already submits unique specs, but a directly-driven backend must still
-    simulate shared baselines once.
-    """
-    unique: Dict[str, ExperimentSpec] = {}
-    for spec in specs:
-        unique.setdefault(spec.content_key(), spec)
-    outcomes = runner(list(unique.values()))
-    by_key = dict(zip(unique.keys(), outcomes))
-    return [by_key[spec.content_key()] for spec in specs]
-
-
 class ExecutionBackend(Protocol):
-    """Executes unique experiment specs; results in submission order."""
+    """Executes experiment specs, reporting each outcome as soon as it exists."""
 
-    def run(self, specs: Sequence[ExperimentSpec]) -> List[ExperimentResult]:
-        """Execute ``specs`` and return one result per spec, in order."""
+    def run_outcomes(
+        self,
+        specs: Sequence[ExperimentSpec],
+        on_outcome: Optional[OnOutcome] = None,
+    ) -> List[Outcome]:
+        """One outcome per spec, in order; ``on_outcome`` sees each as it ends."""
         ...
 
 
 class SerialBackend:
     """Runs every experiment in the calling process, one after another."""
 
-    def run_outcomes(self, specs: Sequence[ExperimentSpec]) -> List[Outcome]:
+    def run_outcomes(
+        self,
+        specs: Sequence[ExperimentSpec],
+        on_outcome: Optional[OnOutcome] = None,
+    ) -> List[Outcome]:
         """Per-spec outcomes; a raising spec does not stop the batch."""
-        return [run_spec_outcome(spec) for spec in specs]
-
-    def run(self, specs: Sequence[ExperimentSpec]) -> List[ExperimentResult]:
-        return _raise_on_failure(self.run_outcomes(specs))
-
-
-class ProcessPoolBackend:
-    """Shards experiments across worker processes.
-
-    Each spec is one unit of work; ``concurrent.futures`` maps them over the
-    pool and returns results in submission order, so the output is
-    deterministic and identical to :class:`SerialBackend` regardless of the
-    worker count or completion order.  Specs are self-contained (workers
-    regenerate traces from the spec), so nothing but the spec crosses the
-    process boundary on the way in.
-
-    Parameters
-    ----------
-    max_workers:
-        Size of the process pool; defaults to the host's CPU count.
-    chunksize:
-        Number of specs handed to a worker per dispatch; larger chunks
-        amortise IPC for big grids of small experiments.  Per batch the
-        effective chunk is additionally capped at the workers' fair share
-        of the specs, so a large chunksize cannot serialise a small grid
-        onto a fraction of the pool.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None, chunksize: int = 1) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
-        self.max_workers = max_workers
-        self.chunksize = chunksize
-
-    def run_outcomes(self, specs: Sequence[ExperimentSpec]) -> List[Outcome]:
-        """Per-spec outcomes; a raising spec does not poison the pool batch."""
-        if not specs:
-            return []
-
-        def runner(unique_specs: List[ExperimentSpec]) -> List[Outcome]:
-            workers = self.max_workers or os.cpu_count() or 1
-            share = -(-len(unique_specs) // workers)  # ceil division
-            chunksize = max(1, min(self.chunksize, share))
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                return list(
-                    pool.map(run_spec_outcome, unique_specs,
-                             chunksize=chunksize)
-                )
-
-        return map_unique(specs, runner)
+        outcomes: List[Outcome] = []
+        for spec in specs:
+            try:
+                outcome = run_spec(spec)
+            except Exception as error:
+                outcome = ExperimentFailure.from_exception(spec.content_key(), error)
+            if on_outcome is not None:
+                on_outcome(spec, outcome)
+            outcomes.append(outcome)
+        return outcomes
 
     def run(self, specs: Sequence[ExperimentSpec]) -> List[ExperimentResult]:
         return _raise_on_failure(self.run_outcomes(specs))
@@ -215,67 +179,42 @@ class ProcessPoolBackend:
 def make_named_backend(
     name: str,
     workers: Optional[int] = None,
-    store: Optional[Store] = None,
     hosts: Optional[str] = None,
     batch: Union[None, int, str] = None,
 ) -> ExecutionBackend:
-    """Backend selected by name: ``auto``, ``serial``, ``pool`` or ``async``.
+    """Backend selected by name: ``auto``, ``serial`` or ``async``.
 
-    ``auto`` is a pool when ``workers`` > 1 and serial otherwise — unless
-    ``hosts`` is given, which selects ``async``.  ``async`` builds an
+    ``auto`` is ``async`` when ``workers`` > 1 or ``hosts`` is given, and
+    serial otherwise.  ``async`` builds an
     :class:`~repro.exp.distributed.AsyncWorkerBackend` over the ``hosts``
     budget string (``"host1:4,host2:8"``) or, without one, over ``workers``
-    local workers (``local:N``, default 2).  When ``store`` is an on-disk
-    :class:`ResultStore` it is attached so completed experiments are
-    streamed into it as they finish (and survive a cancelled run).
+    local workers (``local:N``, default 2).
 
     ``batch`` (``N``, ``"adaptive"`` or ``"adaptive:N"``) bounds how many
-    specs one dispatch carries.  For ``async`` it is the
-    protocol-level ``run_batch`` frame size (adaptive sizing grows it from 1
-    as specs prove cheap); for ``pool`` the cap maps onto the executor's
-    ``chunksize`` (its native amortisation knob, with no adaptivity); a
-    serial backend executes in-process, where there is no round-trip to
-    amortise, so the knob is accepted and ignored.
+    specs one ``run_batch`` dispatch frame of the async backend carries
+    (adaptive sizing grows it from 1 as specs prove cheap); a serial backend
+    executes in-process, where there is no round-trip to amortise, so the
+    knob is accepted and ignored.
     """
-    batch_cap, batch_adaptive = parse_batch(batch)  # validate for every name
-    if name == "auto" and hosts:
-        name = "async"
-    if name != "async" and hosts:
-        # Silently dropping a host list would run single-host while the
-        # caller (e.g. REPRO_BENCH_BACKEND=pool REPRO_BENCH_HOSTS=...)
-        # believes the grid fanned out across machines.
-        raise ValueError(
-            f"hosts only apply to the async backend (got backend {name!r})"
-        )
+    parse_batch(batch)  # validate for every name
     if name == "auto":
-        if workers is None or workers <= 1:
-            return SerialBackend()
-        return ProcessPoolBackend(max_workers=workers, chunksize=batch_cap)
+        name = "async" if hosts or (workers or 1) > 1 else "serial"
+    if name not in BACKEND_NAMES:
+        raise ValueError(f"unknown backend {name!r} (choose from {BACKEND_NAMES})")
     if name == "serial":
+        if hosts:
+            # Silently dropping a host list would run in-process while the
+            # caller (e.g. REPRO_BENCH_BACKEND=serial REPRO_BENCH_HOSTS=...)
+            # believes the grid fanned out across machines.
+            raise ValueError("hosts only apply to the async backend")
         return SerialBackend()  # in-process: no round-trip, batch is moot
-    if name == "pool":
-        return ProcessPoolBackend(max_workers=workers, chunksize=batch_cap)
-    if name == "async":
-        from repro.exp.distributed import AsyncWorkerBackend
+    from repro.exp.distributed import AsyncWorkerBackend
 
-        # None defaults to 2; anything else (including 0) goes through the
-        # host parser's validation instead of being silently reinterpreted.
-        return AsyncWorkerBackend(
-            hosts or (2 if workers is None else workers),
-            batch=batch,
-            store=store if isinstance(store, ResultStore) else None,
-        )
-    raise ValueError(f"unknown backend {name!r} (choose from {BACKEND_NAMES})")
-
-
-def _backend_outcomes(
-    backend: ExecutionBackend, specs: Sequence[ExperimentSpec]
-) -> List[Outcome]:
-    """Run ``specs``, preferring the failure-isolating ``run_outcomes`` hook."""
-    run_outcomes = getattr(backend, "run_outcomes", None)
-    if run_outcomes is not None:
-        return run_outcomes(specs)
-    return list(backend.run(specs))
+    # None defaults to 2; anything else (including 0) goes through the
+    # host parser's validation instead of being silently reinterpreted.
+    return AsyncWorkerBackend(
+        hosts or (2 if workers is None else workers), batch=batch
+    )
 
 
 def run_experiments(
@@ -294,16 +233,17 @@ def run_experiments(
     backend:
         Execution backend; defaults to :class:`SerialBackend`.
     store:
-        Optional result store consulted before execution and updated after;
-        a warm store turns an unchanged grid into a pure cache hit.  Failed
-        specs are recorded as ``<key>.error.json`` diagnostics (never served
-        as cached results, so a re-run retries them).  An on-disk store's
-        trace cache serves the traces of the executed specs, here and in
-        the backend's worker processes.
+        Optional result store consulted before execution and written by
+        :func:`write_outcome` as each outcome arrives, so an interrupted run
+        keeps what it finished and a warm store turns an unchanged grid into
+        a pure cache hit.  Failed specs are recorded as ``<key>.error.json``
+        diagnostics (never served as cached results, so a re-run retries
+        them).  An on-disk store's trace cache serves the traces of the
+        executed specs, here and in the backend's worker processes.
     on_error:
         ``"raise"`` (default) raises one :class:`ExperimentExecutionError`
         aggregating every failure — after all other specs completed and were
-        persisted.  ``"record"`` returns ``None`` at the failed positions
+        stored.  ``"record"`` returns ``None`` at the failed positions
         instead.
     """
     if on_error not in ("raise", "record"):
@@ -326,27 +266,14 @@ def run_experiments(
     failures: List[ExperimentFailure] = []
     if missing:
         traces = store.traces if isinstance(store, ResultStore) else active_trace_cache()
+        hook = functools.partial(write_outcome, store) if store is not None else None
         with use_trace_cache(traces):
-            outcomes = _backend_outcomes(backend, missing)
-        # A backend with this store attached (e.g. a streaming
-        # AsyncWorkerBackend) already persisted each outcome on completion;
-        # put_if_absent then only pays a validation read instead of
-        # re-serialising and rewriting every entry.
-        streamed = getattr(backend, "store", None) is store and store is not None
+            outcomes = backend.run_outcomes(missing, on_outcome=hook)
         for spec, outcome in zip(missing, outcomes):
-            key = spec.content_key()
             if isinstance(outcome, ExperimentFailure):
                 failures.append(outcome)
-                results[key] = None
-                if store is not None and not streamed:
-                    store.record_failure(spec, outcome)
-            else:
-                results[key] = outcome
-                if store is not None:
-                    if streamed:
-                        store.put_if_absent(spec, outcome)
-                    else:
-                        store.put(spec, outcome)
+                outcome = None
+            results[spec.content_key()] = outcome
 
     if failures and on_error == "raise":
         raise ExperimentExecutionError(failures)

@@ -30,9 +30,10 @@ Fault model
   is stopped or deadlocked (not merely busy) and it is killed, which routes
   into the worker-death path above.
 * **Cancellation** — SIGINT (or cancelling the supervising task) shuts the
-  pool down gracefully: workers are terminated and reaped, no orphan
-  processes remain, and — with a streaming ``store`` attached — every
-  experiment that finished before the interrupt is already persisted.
+  workers down gracefully: they are terminated and reaped, no orphan
+  processes remain, and every experiment that finished before the
+  interrupt has already been handed to the ``on_outcome`` hook (which
+  :func:`~repro.exp.backends.run_experiments` uses to store it).
 
 Batched dispatch
 ----------------
@@ -43,10 +44,11 @@ up to that many jobs from the queue (never blocking to fill a batch) and
 ships them in a single ``run_batch`` frame — every dispatch is one, even a
 single spec; the worker answers each job with its own ``result``/``error``
 frame, in order, as it completes.
-Those per-spec answers double as acknowledgements: when a worker dies
-mid-batch, exactly the unacknowledged jobs are requeued and the acknowledged
-ones keep their outcomes, so nothing runs twice and the result store stays
-byte-identical to a serial run.  ``batch="adaptive"`` starts every batch at
+Those per-spec answers double as acknowledgements: each one reaches the
+``on_outcome`` hook as it arrives, and when a worker dies mid-batch exactly
+the unacknowledged jobs are requeued while the acknowledged ones keep their
+outcomes, so nothing runs twice and the result store stays byte-identical
+to a serial run.  ``batch="adaptive"`` starts every batch at
 one spec and grows toward a cap based on the observed per-spec wall-time
 (:class:`AdaptiveBatchSizer`), so sub-second specs amortise round-trips
 while long specs keep one-spec retry granularity.
@@ -74,10 +76,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.exp import protocol
 from repro.exp.backends import (
     DEFAULT_BATCH_CAP,
+    OnOutcome,
     Outcome,
-    Store,
     _raise_on_failure,
-    map_unique,
     parse_batch,
 )
 from repro.exp.hosts import Hosts, HostSpec, HostState, parse_hosts
@@ -268,12 +269,6 @@ class AsyncWorkerBackend:
         cheap).  Batches are drained from the queue without blocking — a
         slot never waits for a batch to fill — and a worker death requeues
         only the batch's unacknowledged specs.
-    store:
-        Optional result store (on-disk or in-memory) that completed
-        experiments are streamed into as they finish (via
-        ``put_if_absent``, so concurrent supervisors sharing an on-disk
-        store do not rewrite each other's entries).  A cancelled run then
-        loses only the in-flight experiments.
     worker_env:
         Extra environment variables for the worker processes (tests use
         this for ``PYTHONHASHSEED`` and fault injection).
@@ -290,7 +285,7 @@ class AsyncWorkerBackend:
 
     The backend is synchronous to its callers (it owns its event loop via
     ``asyncio.run``), so it drops into :func:`repro.exp.run_experiments`
-    exactly like the serial and pool backends.
+    exactly like the serial backend.
     """
 
     def __init__(
@@ -302,7 +297,6 @@ class AsyncWorkerBackend:
         heartbeat_timeout: Optional[float] = None,
         spawn_retries: int = 2,
         batch: Union[None, int, str] = None,
-        store: Optional[Store] = None,
         worker_env: Optional[Dict[str, str]] = None,
         python: Optional[str] = None,
         ssh_command: Sequence[str] = ("ssh", "-T", "-o", "BatchMode=yes"),
@@ -326,7 +320,6 @@ class AsyncWorkerBackend:
         )
         self.spawn_retries = spawn_retries
         self.batch_cap, self.batch_adaptive = parse_batch(batch)
-        self.store = store
         self.worker_env = dict(worker_env) if worker_env else {}
         self.python = python
         self.ssh_command = tuple(ssh_command)
@@ -361,8 +354,16 @@ class AsyncWorkerBackend:
         """PIDs of the currently live worker processes (for tests/monitoring)."""
         return sorted(self._pids)
 
-    def run_outcomes(self, specs: Sequence[ExperimentSpec]) -> List[Outcome]:
-        """Per-spec outcomes; worker deaths and raising specs do not stall."""
+    def run_outcomes(
+        self,
+        specs: Sequence[ExperimentSpec],
+        on_outcome: Optional[OnOutcome] = None,
+    ) -> List[Outcome]:
+        """Per-spec outcomes; worker deaths and raising specs do not stall.
+
+        ``on_outcome(spec, outcome)`` runs on the event loop as each
+        worker's answer arrives, once per distinct spec.  It must not raise.
+        """
         if self._service_mode:
             raise RuntimeError(
                 "backend is running as a persistent service; "
@@ -370,14 +371,19 @@ class AsyncWorkerBackend:
             )
         if not specs:
             return []
-
-        def runner(unique_specs: List[ExperimentSpec]) -> List[Outcome]:
-            try:
-                return asyncio.run(self._supervise(unique_specs))
-            finally:
-                self._kill_leftovers()
-
-        return map_unique(specs, runner)
+        # run_experiments submits unique specs, but a directly driven
+        # backend must still simulate shared baselines once.
+        unique: Dict[str, ExperimentSpec] = {}
+        for spec in specs:
+            unique.setdefault(spec.content_key(), spec)
+        try:
+            outcomes = asyncio.run(
+                self._supervise(list(unique.values()), on_outcome)
+            )
+        finally:
+            self._kill_leftovers()
+        by_key = dict(zip(unique, outcomes))
+        return [by_key[spec.content_key()] for spec in specs]
 
     def run(self, specs: Sequence[ExperimentSpec]) -> List[ExperimentResult]:
         """Execute ``specs``; raises if any spec ultimately failed."""
@@ -585,10 +591,10 @@ class AsyncWorkerBackend:
 
         The jobs go out as one ``run_batch`` frame.  The worker's per-spec
         ``result``/``error`` frames are the acknowledgements, and each job is
-        ``finish``\\ ed — persisted, when a streaming store is attached —
-        *the moment its answer arrives*, not when the batch completes: a
-        cancellation (SIGINT) mid-batch therefore keeps every acknowledged
-        result, exactly as unbatched dispatch would.  Jobs whose answer
+        ``finish``\\ ed — handed to the ``on_outcome`` hook — *the moment its
+        answer arrives*, not when the batch completes: a cancellation
+        (SIGINT) mid-batch therefore keeps every acknowledged result,
+        exactly as unbatched dispatch would.  Jobs whose answer
         never arrives before the worker dies are returned for the caller to
         requeue, in dispatch order (the first was the one executing).
         """
@@ -781,8 +787,8 @@ class AsyncWorkerBackend:
         a slow filesystem, say) freezes frame reading: no pongs arrive while
         it runs.  When the stall exceeded half a heartbeat interval, restart
         every worker's staleness clock so healthy workers are not killed for
-        the supervisor's own pause.  Used by the streaming ``finish`` here
-        and by the service daemon's.
+        the supervisor's own pause.  Brackets the ``on_outcome`` hook here
+        and the service daemon's store writes.
         """
         if ended - started > self.heartbeat_interval / 2:
             for other in self._workers:
@@ -897,7 +903,11 @@ class AsyncWorkerBackend:
                 worker.reader_task.cancel()  # EOF normally ended it already
         self._workers = [w for w in self._workers if w not in workers]
 
-    async def _supervise(self, specs: Sequence[ExperimentSpec]) -> List[Outcome]:
+    async def _supervise(
+        self,
+        specs: Sequence[ExperimentSpec],
+        on_outcome: Optional[OnOutcome],
+    ) -> List[Outcome]:
         """Run unique ``specs`` to completion; one outcome per spec, in order."""
         loop = asyncio.get_running_loop()
         self._reset()
@@ -922,27 +932,15 @@ class AsyncWorkerBackend:
             outcomes[job.index] = outcome
             remaining -= 1
             self._count("finished_jobs")
-            # Streaming is best-effort durability: no store problem may wedge
-            # the supervisor (done must always be reachable), and the caller
-            # still holds every outcome in memory either way.
-            if self.store is not None:
-                write_started = loop.time()
-                try:
-                    if isinstance(outcome, ExperimentFailure):
-                        self.store.record_failure(job.spec, outcome)
-                    else:
-                        self.store.put_if_absent(job.spec, outcome)
-                except Exception as exc:
-                    print(
-                        f"repro.exp.distributed: store write failed: {exc}",
-                        file=sys.stderr,
-                    )
-                # The synchronous write (shard flock on a contended or slow
-                # filesystem) freezes the event loop; forgive the stall so
-                # healthy workers are not heartbeat-killed for it.
-                self.absolve_stall(write_started, loop.time())
             if remaining == 0:
                 done.set()
+            if on_outcome is not None:
+                # The hook (a store write under a shard flock, say) freezes
+                # the event loop; forgive the stall so healthy workers are
+                # not heartbeat-killed for it.
+                hook_started = loop.time()
+                on_outcome(job.spec, outcome)
+                self.absolve_stall(hook_started, loop.time())
 
         interrupted = False
         shutting_down = False
@@ -1003,12 +1001,12 @@ class AsyncWorkerBackend:
 
         if interrupted:
             raise KeyboardInterrupt
-        return [
-            outcome if outcome is not None else ExperimentFailure(
-                spec_key=job.key,
-                error_type="Unexecuted",
-                message="supervisor exited before this spec ran",
-                attempts=job.attempts,
-            )
-            for job, outcome in zip(jobs, outcomes)
-        ]
+        for job, outcome in zip(jobs, outcomes):
+            if outcome is None:
+                finish(job, ExperimentFailure(
+                    spec_key=job.key,
+                    error_type="Unexecuted",
+                    message="supervisor exited before this spec ran",
+                    attempts=job.attempts,
+                ))
+        return outcomes

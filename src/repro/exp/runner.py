@@ -1,9 +1,9 @@
 """Execution of a single :class:`~repro.exp.spec.ExperimentSpec`.
 
 This module is the one place that turns a spec into simulator calls.  Both
-execution backends (and the worker processes of the process-pool backend)
-funnel through :func:`run_spec`, so serial and parallel execution are
-guaranteed to run byte-identical experiments.
+execution backends (the serial one in-process, the async one in its worker
+processes) funnel through :func:`run_spec`, so serial and parallel execution
+are guaranteed to run byte-identical experiments.
 
 Trace generation is memoised per process: grids typically reuse the same
 (benchmark, scale, seed) trace across many thread counts and sampling
@@ -34,7 +34,7 @@ Below the memo sits an optional on-disk tier, the process's trace cache
 from it, and only a cache miss generates the trace (and writes it back).
 The memo serves one process; the cache serves every process that shares
 the directory — successive ``repro grid`` calls on one result store, the
-workers of a pool or of the service daemon.  :func:`use_trace_cache` sets
+async workers of a grid or of the service daemon.  :func:`use_trace_cache` sets
 it for a scope (``run_experiments`` does so with its store's cache) and
 names its directory in ``REPRO_TRACE_CACHE``, so every worker process
 started inside the scope inherits it with the environment.  Like the memo
@@ -78,7 +78,7 @@ class TraceMemo:
     Keyed by (benchmark, scale, seed); holds at most ``capacity`` traces and
     evicts the least recently used one beyond that.  Unlike the former
     ``functools.lru_cache`` it exposes its hit/miss/eviction counters, which
-    the pool workers ship home in their ``pong`` frames.
+    the async workers ship home in their ``pong`` frames.
     """
 
     def __init__(self, capacity: int = _TRACE_CACHE_SIZE) -> None:

@@ -98,6 +98,25 @@ def _normalised_payload(spec: ExperimentSpec, result: ExperimentResult) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
+def write_atomically(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step (temp file + ``os.replace``).
+
+    A reader sees the old file or the new one, never a partial write, and
+    an interrupted write leaves no temp file behind.  Store entries and the
+    service journal are both written this way.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+
+
 # ----------------------------------------------------------------------
 class DirectoryLayout:
     """The sharded directory layout: ``<ab>/<key>.json``, locked per shard."""
@@ -348,22 +367,6 @@ class ResultStore:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _write_atomically(self, path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
     # ------------------------------------------------------------------
     def get(self, spec: ExperimentSpec) -> Optional[ExperimentResult]:
         """Return the stored result of ``spec``, or ``None`` on a miss.
@@ -408,7 +411,7 @@ class ResultStore:
         key = spec.content_key()
         text = _normalised_payload(spec, result)
         with self.lock(key):
-            self._write_atomically(self._path(spec), text)
+            write_atomically(self._path(spec), text)
             self._failure_path(spec).unlink(missing_ok=True)
         self._note_written(len(text))
 
@@ -443,7 +446,7 @@ class ResultStore:
                 self._failure_path(spec).unlink(missing_ok=True)
                 return False
             text = _normalised_payload(spec, result)
-            self._write_atomically(path, text)
+            write_atomically(path, text)
             self._failure_path(spec).unlink(missing_ok=True)
         self._note_written(len(text))
         return True
@@ -461,7 +464,7 @@ class ResultStore:
         payload = {"spec": spec.to_dict(), "error": failure.to_dict()}
         text = json.dumps(payload, sort_keys=True, indent=1)
         with self.lock(key):
-            self._write_atomically(self._failure_path(spec), text)
+            write_atomically(self._failure_path(spec), text)
 
     def get_failure(self, spec: ExperimentSpec) -> Optional[ExperimentFailure]:
         """Return the recorded failure of ``spec``, or ``None``."""

@@ -3,7 +3,7 @@
 Trace generation is deterministic in (benchmark, scale, seed), yet it is the
 largest cost of a cold sampled run: at scale 0.05 the 19 benchmarks take
 about 1.7 s to generate and 0.06 s to load back from uncompressed ``.npz``.
-Without a cache every ``repro grid`` process, pool worker and service
+Without a cache every ``repro grid`` process, async worker and service
 worker pays the generation again.
 
 A :class:`TraceCache` keeps each generated trace as one uncompressed

@@ -47,16 +47,14 @@ import asyncio
 import contextlib
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exp import protocol
-from repro.exp.backends import Outcome
+from repro.exp.backends import Outcome, write_outcome
 from repro.exp.spec import ExperimentFailure, ExperimentSpec
-from repro.exp.store import ResultStore, _normalised_payload
+from repro.exp.store import ResultStore, _normalised_payload, write_atomically
 from repro.serve.queue import FairShareQueue, ServiceJob
 
 #: Unit states.  ``pending`` covers queued and running (the queue owns that
@@ -217,9 +215,7 @@ class SimulationService:
     Parameters
     ----------
     backend:
-        An :class:`AsyncWorkerBackend` constructed *without*
-        a store — the daemon owns all store writes so the write-ahead
-        ordering holds.
+        The :class:`AsyncWorkerBackend` whose slots run the jobs.
     store:
         Result store for write-ahead persistence, warm serving and restart
         recovery.  Without one the daemon still works but recovers nothing
@@ -240,11 +236,6 @@ class SimulationService:
         default_cap: Optional[int] = None,
         journal: bool = True,
     ) -> None:
-        if getattr(backend, "store", None) is not None:
-            raise ValueError(
-                "service backend must not own a store; "
-                "the daemon performs all store writes"
-            )
         self.backend = backend
         self.store = store
         self.journal = journal and store is not None
@@ -318,7 +309,6 @@ class SimulationService:
         directory = self._journal_dir()
         if directory is None:
             return
-        directory.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(
             {
                 "job": record.job_id,
@@ -329,16 +319,7 @@ class SimulationService:
             },
             sort_keys=True,
         )
-        path = directory / f"{record.job_id}.json"
-        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
+        write_atomically(directory / f"{record.job_id}.json", payload)
 
     def _recover(self) -> None:
         """Re-submit every journalled active job (warm keys resolve instantly)."""
@@ -473,13 +454,7 @@ class SimulationService:
         loop = asyncio.get_running_loop()
         if self.store is not None:
             write_started = loop.time()
-            try:
-                if isinstance(outcome, ExperimentFailure):
-                    self.store.record_failure(job.spec, outcome)
-                else:
-                    self.store.put_if_absent(job.spec, outcome)
-            except Exception as exc:
-                print(f"repro.serve: store write failed: {exc}", file=sys.stderr)
+            write_outcome(self.store, job.spec, outcome)
             self.backend.absolve_stall(write_started, loop.time())
         self.queue.task_done(job)
         self._units.pop(job.key, None)

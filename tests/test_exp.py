@@ -14,17 +14,18 @@ from repro.core.config import TaskPointConfig, lazy_config, periodic_config
 from repro.core.fidelity import FidelityConfig
 from repro.core.stratified import StratifiedConfig
 from repro.exp import (
+    AsyncWorkerBackend,
     ExperimentExecutionError,
     ExperimentFailure,
     ExperimentResult,
     ExperimentSpec,
     MemoryResultStore,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     run_experiments,
     run_spec,
 )
+from repro.serve import store_digest
 from repro.workloads.registry import get_workload
 
 from exp_helpers import deterministic_fields
@@ -46,15 +47,15 @@ class CountingBackend:
         self.executed = 0
         self._serial = SerialBackend()
 
-    def run(self, specs):
+    def run_outcomes(self, specs, on_outcome=None):
         self.executed += len(specs)
-        return self._serial.run(specs)
+        return self._serial.run_outcomes(specs, on_outcome)
 
 
 class FailingBackend:
     """Backend that must never be reached (warm-cache assertions)."""
 
-    def run(self, specs):
+    def run_outcomes(self, specs, on_outcome=None):
         raise AssertionError(f"backend was asked to run {len(specs)} specs")
 
 
@@ -231,16 +232,6 @@ class TestBackendEquivalence:
                 specs.extend([spec, spec.baseline()])
         return specs
 
-    def test_process_pool_matches_serial(self):
-        specs = self.grid()
-        serial = run_experiments(specs, backend=SerialBackend())
-        pooled = run_experiments(specs, backend=ProcessPoolBackend(max_workers=2))
-        assert len(serial) == len(pooled) == len(specs)
-        for left, right in zip(serial, pooled):
-            # Bit-identical cycles, costs and IPC samples regardless of the
-            # backend; only host wall-clock time is allowed to differ.
-            assert deterministic_fields(left) == deterministic_fields(right)
-
     def test_duplicate_specs_executed_once(self):
         spec = small_spec()
         backend = CountingBackend()
@@ -251,28 +242,9 @@ class TestBackendEquivalence:
         assert results[0] == results[2]
         assert results[1] == results[3]
 
-    def test_pool_deduplicates_shared_baselines(self):
-        spec_a = small_spec(config=lazy_config())
-        spec_b = small_spec(config=periodic_config())
-        results = run_experiments(
-            [spec_a, spec_a.baseline(), spec_b, spec_b.baseline()],
-            backend=ProcessPoolBackend(max_workers=2),
-        )
-        assert results[1] == results[3]  # one shared baseline result
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(max_workers=0)
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(chunksize=0)
-
 
 class TestFailureIsolation:
-    """A raising spec is reported per-spec; the rest of the batch finishes.
-
-    Regression for the latent ProcessPoolBackend gap: a spec whose workload
-    raised used to propagate out of ``pool.map`` and poison the whole batch.
-    """
+    """A raising spec is reported per-spec; the rest of the batch finishes."""
 
     def poison(self):
         return small_spec(benchmark="no-such-benchmark")
@@ -283,8 +255,8 @@ class TestFailureIsolation:
 
     @pytest.mark.parametrize("make_backend_under_test", [
         SerialBackend,
-        lambda: ProcessPoolBackend(max_workers=2),
-    ], ids=["serial", "pool"])
+        lambda: AsyncWorkerBackend(hosts=2),
+    ], ids=["serial", "async"])
     def test_remaining_specs_finish(self, make_backend_under_test):
         backend = make_backend_under_test()
         outcomes = backend.run_outcomes(self.batch())
@@ -298,8 +270,8 @@ class TestFailureIsolation:
 
     @pytest.mark.parametrize("make_backend_under_test", [
         SerialBackend,
-        lambda: ProcessPoolBackend(max_workers=2),
-    ], ids=["serial", "pool"])
+        lambda: AsyncWorkerBackend(hosts=2),
+    ], ids=["serial", "async"])
     def test_run_raises_aggregate_after_completion(self, make_backend_under_test):
         with pytest.raises(ExperimentExecutionError) as excinfo:
             make_backend_under_test().run(self.batch())
@@ -310,8 +282,7 @@ class TestFailureIsolation:
         store = ResultStore(tmp_path)
         specs = self.batch()
         results = run_experiments(
-            specs, backend=ProcessPoolBackend(max_workers=2), store=store,
-            on_error="record",
+            specs, backend=SerialBackend(), store=store, on_error="record",
         )
         assert results[1] is None
         assert results[0] is not None and results[2] is not None
@@ -335,6 +306,51 @@ class TestFailureIsolation:
     def test_on_error_validation(self):
         with pytest.raises(ValueError):
             run_experiments([small_spec()], on_error="ignore")
+
+
+class TestInterruptAndResume:
+    """Ctrl-C keeps every finished result; a re-run computes only the rest."""
+
+    def grid(self):
+        specs = []
+        for benchmark in ("swaptions", "vector-operation"):
+            spec = small_spec(benchmark=benchmark)
+            specs += [spec, spec.baseline()]
+        return specs
+
+    def test_serial_run_keeps_the_results_it_finished(self, tmp_path, monkeypatch):
+        import repro.exp.backends as backends
+
+        specs = self.grid()
+        calls = []
+
+        def interrupted_on_third_call(spec):
+            calls.append(spec)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return run_spec(spec)
+
+        monkeypatch.setattr(backends, "run_spec", interrupted_on_third_call)
+        store = ResultStore(tmp_path / "resumed")
+        with pytest.raises(KeyboardInterrupt):
+            run_experiments(specs, backend=SerialBackend(), store=store)
+        assert len(store) == 2
+        assert store.get(specs[0]) is not None and store.get(specs[1]) is not None
+
+        executed = []
+
+        def counting(spec):
+            executed.append(spec)
+            return run_spec(spec)
+
+        monkeypatch.setattr(backends, "run_spec", counting)
+        run_experiments(specs, backend=SerialBackend(), store=store)
+        assert executed == specs[2:]
+
+        monkeypatch.setattr(backends, "run_spec", run_spec)
+        run_experiments(specs, backend=SerialBackend(),
+                        store=ResultStore(tmp_path / "fresh"))
+        assert store_digest(tmp_path / "resumed") == store_digest(tmp_path / "fresh")
 
 
 class TestResultStore:
@@ -482,7 +498,7 @@ class TestResultStore:
 class TestCrossProcessDeterminism:
     """A spec must mean the same experiment in every process.
 
-    The persistent result store and the process-pool backend both rely on
+    The persistent result store and the async worker backend both rely on
     trace generation being deterministic in (benchmark, scale, seed) alone —
     in particular it must not depend on the per-process string-hash
     randomisation (PYTHONHASHSEED).
@@ -666,12 +682,9 @@ class TestFailureDiagnostics:
                 self.executed = 0
                 self._serial = SerialBackend()
 
-            def run_outcomes(self, specs):
+            def run_outcomes(self, specs, on_outcome=None):
                 self.executed += len(specs)
-                return self._serial.run_outcomes(specs)
-
-            def run(self, specs):
-                raise AssertionError("run_outcomes should be preferred")
+                return self._serial.run_outcomes(specs, on_outcome)
 
         # Failures are diagnostics, not cached results: a re-run retries.
         backend = CountingOutcomeBackend()

@@ -10,7 +10,7 @@ The headline suite for ``run_batch`` dispatch.  Covers:
   execution-count probe), and the result store stays byte-identical to a
   serial run,
 * store byte-identity for batch sizes {1, 4, 16, adaptive} across the
-  serial/pool/async backends, async on one host and on two (parametrised +
+  serial and async backends, async on one host and on two (parametrised +
   hypothesis grids),
 * frame compression behaviour around the 512-byte threshold, and
 * the user-facing surfaces: ``make_named_backend(batch=...)``, the CLI
@@ -38,7 +38,6 @@ from repro.exp import (
     AsyncWorkerBackend,
     ExperimentFailure,
     ExperimentSpec,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     make_named_backend,
@@ -189,14 +188,10 @@ class TestMakeNamedBackendBatch:
         assert (backend.batch_cap, backend.batch_adaptive) == (
             DEFAULT_BATCH_CAP, True
         )
-
-    def test_pool_maps_batch_onto_chunksize(self):
-        backend = make_named_backend("pool", workers=2, batch=4)
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.chunksize == 4
+        # --jobs 2 under the default backend name runs async workers.
         backend = make_named_backend("auto", workers=2, batch=8)
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.chunksize == 8
+        assert isinstance(backend, AsyncWorkerBackend)
+        assert (backend.batch_cap, backend.batch_adaptive) == (8, False)
 
     def test_serial_accepts_and_ignores_batch(self):
         assert isinstance(
@@ -205,7 +200,7 @@ class TestMakeNamedBackendBatch:
         assert isinstance(make_named_backend("auto", batch=16), SerialBackend)
 
     def test_invalid_batch_rejected_for_every_name(self):
-        for name in ("serial", "pool", "async"):
+        for name in ("serial", "async"):
             with pytest.raises(ValueError):
                 make_named_backend(name, workers=2, batch="bogus")
         with pytest.raises(ValueError):
@@ -448,7 +443,8 @@ class TestPartialBatchFaultInjection:
 
 BATCHED_SIGINT_DRIVER = textwrap.dedent("""
     import os, pathlib, signal, sys, threading, time
-    from repro.exp import AsyncWorkerBackend, ExperimentSpec, ResultStore
+    from repro.exp import (AsyncWorkerBackend, ExperimentSpec, ResultStore,
+                           run_experiments)
 
     store_dir = sys.argv[1]
     specs = [
@@ -457,7 +453,6 @@ BATCHED_SIGINT_DRIVER = textwrap.dedent("""
     ]
     backend = AsyncWorkerBackend(
         hosts=1, heartbeat_interval=0.5, batch=len(specs),
-        store=ResultStore(store_dir),
     )
 
     def interrupt_once_streaming():
@@ -473,7 +468,7 @@ BATCHED_SIGINT_DRIVER = textwrap.dedent("""
 
     threading.Thread(target=interrupt_once_streaming, daemon=True).start()
     try:
-        backend.run(specs)
+        run_experiments(specs, backend=backend, store=ResultStore(store_dir))
     except KeyboardInterrupt:
         print("INTERRUPTED", flush=True)
         sys.exit(3)
@@ -713,7 +708,6 @@ if HAVE_HYPOTHESIS:
                 specs.append(spec.baseline())
             backends = (
                 make_named_backend("serial", batch=batch),
-                make_named_backend("pool", workers=2, batch=batch),
                 fast_backend(batch=batch),
                 fast_backend(hosts="local0:1,local1:1", batch=batch),
             )

@@ -33,7 +33,6 @@ from repro.exp import (
     AsyncWorkerBackend,
     ExperimentSpec,
     HostSpec,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     make_named_backend,
@@ -207,10 +206,10 @@ class TestHostParsing:
         with pytest.raises(ValueError):
             make_named_backend("multihost")
         # A host list with a backend that runs no hosts is a conflict, not
-        # something to ignore silently (REPRO_BENCH_BACKEND=pool +
-        # REPRO_BENCH_HOSTS=... must not quietly run single-host).
+        # something to ignore silently (REPRO_BENCH_BACKEND=serial +
+        # REPRO_BENCH_HOSTS=... must not quietly run in-process).
         with pytest.raises(ValueError):
-            make_named_backend("pool", hosts="local0:1")
+            make_named_backend("serial", hosts="local0:1")
 
 
 class TestWorkerNegotiation:
@@ -506,7 +505,7 @@ class TestCliMultiHost:
 
         code = main([
             "compare", "swaptions", "--scale", "0.004", "--threads", "2",
-            "--backend", "pool", "--hosts", "local0:1",
+            "--backend", "serial", "--hosts", "local0:1",
         ])
         assert code == 2
         assert "--hosts requires" in capsys.readouterr().err
@@ -616,7 +615,7 @@ if HAVE_HYPOTHESIS:
             suppress_health_check=[HealthCheck.too_slow],
         )
         @given(grid=st.lists(GRID_POINTS, min_size=1, max_size=2, unique=True))
-        def test_random_grids_equivalent_across_all_four_backends(self, grid):
+        def test_random_grids_equivalent_across_all_backends(self, grid):
             specs = []
             for benchmark, threads, config_index in grid:
                 spec = ExperimentSpec(
@@ -627,7 +626,6 @@ if HAVE_HYPOTHESIS:
                 specs.append(spec.baseline())
             backends = (
                 SerialBackend(),
-                ProcessPoolBackend(max_workers=2),
                 AsyncWorkerBackend(hosts=2, heartbeat_interval=0.5),
                 local_backend(),
             )

@@ -85,9 +85,9 @@ def _count_executions(directory, counter_file):
             self.executed = 0
             self._serial = SerialBackend()
 
-        def run_outcomes(self, specs):
+        def run_outcomes(self, specs, on_outcome=None):
             self.executed += len(specs)
-            return self._serial.run_outcomes(specs)
+            return self._serial.run_outcomes(specs, on_outcome)
 
         def run(self, specs):
             self.executed += len(specs)

@@ -3,7 +3,7 @@
 A cached trace must be column-for-column the generated one, so every result
 computed on it is bit-identical; a damaged, foreign or evicted entry must
 degrade to regeneration; and every process that runs a store's specs —
-in-process, pool workers, worker subprocesses, later CLI calls — must share
+in-process, async workers on one host or several, later CLI calls — must share
 the store's ``traces/`` directory.
 """
 
@@ -24,7 +24,6 @@ from repro.core.config import lazy_config
 from repro.exp import (
     AsyncWorkerBackend,
     ExperimentSpec,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     run_experiments,
@@ -305,12 +304,12 @@ class TestStoreIntegration:
         assert store.get(_spec(seed=20)) is None
         assert not store.traces.path("swaptions", SCALE, 20).exists()
 
-    @pytest.mark.parametrize("backend", ["pool", "async"])
-    def test_worker_processes_write_the_stores_cache(self, tmp_path, backend):
+    @pytest.mark.parametrize("hosts", [1, "local0:1,local1:1"],
+                             ids=["async", "hosts"])
+    def test_worker_processes_write_the_stores_cache(self, tmp_path, hosts):
         specs = [_spec(seed=13), _spec(seed=13, sampled=False)]
         store = ResultStore(tmp_path / "store")
-        runner = (ProcessPoolBackend(max_workers=1) if backend == "pool"
-                  else AsyncWorkerBackend(hosts=1))
+        runner = AsyncWorkerBackend(hosts)
         results = run_experiments(specs, backend=runner, store=store)
         # The trace was generated in the worker process, not here.
         assert store.traces.hits == store.traces.misses == 0
