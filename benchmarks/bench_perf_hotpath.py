@@ -67,7 +67,10 @@ from repro.workloads.registry import get_workload
 #: records where that balance lies).  Cholesky appears only
 #: at 8 threads: its wavefront parallelism saturates below 32 workers at
 #: the bench scale, so wider configs would measure scheduler idle time
-#: rather than walk throughput.
+#: rather than walk throughput.  Histogram at 32 threads records the
+#: shared-writer path: every record writes shared data, so it forms no
+#: groups, and each write's coherence invalidation visits the cores the
+#: holder record names.
 HOTPATH_CONFIGS = [
     ("cholesky", "high-performance", 8),
     ("cholesky", "low-power", 8),
@@ -76,6 +79,7 @@ HOTPATH_CONFIGS = [
     ("blackscholes", "high-performance", 32),
     ("blackscholes", "low-power", 64),
     ("blackscholes", "high-performance", 64),
+    ("histogram", "high-performance", 32),
 ]
 
 #: Hard regression floor for the geometric-mean detailed-mode speedup of the

@@ -39,6 +39,25 @@ level over one shared (low-power).  As in
 :meth:`~repro.arch.hierarchy.CacheHierarchy.access`, an access crosses the
 interconnect when it leaves the last private level, or on a full miss when
 no level is shared.
+
+Holder record
+-------------
+A shared-data write drops the written line from every *other* core's
+private levels.  Rather than probe all of them, each executor keeps a
+**holder record** (:attr:`BatchedCoreExecutor.holders`): for every line that
+some shared-data write of the trace targets, a bitmask of the cores that may
+hold it in a private level.  A write visits only the cores whose bit is set
+and then leaves only the writer's bit.  The record is a superset of the true
+holders because every L1 fill of a recorded line sets the filling core's
+bit, and the outer private levels fill only on that same L1 miss; evictions
+leave bits behind, which costs a wasted probe, never a missed one.  The rule
+for any future path that fills a private level (functional warming, say) is
+the same: it must set the holder bits of the lines it fills, or a later
+write will miss a copy.  Invalidation and writeback counters are per cache
+and popping a line leaves the other lines' LRU order alone, so visiting only
+the holders leaves every cycle, statistic and tag store bit-identical.  A
+trace without shared-data writes has an empty record, and the walk then does
+no tracking at all.
 """
 
 from __future__ import annotations
@@ -114,6 +133,9 @@ class ExecutionPlan(NamedTuple):
     #: is a single truth test.  Indexed by record; each record's tuple is
     #: compiled on its first lookup (see :class:`RecordBlocks`).
     record_blocks: "RecordBlocks"
+    #: Sorted, distinct line numbers (``address // line_bytes``) that some
+    #: shared-data write targets: the keys of every executor's holder record.
+    written_lines: np.ndarray
 
 
 class RecordBlocks(dict):
@@ -228,6 +250,15 @@ def build_execution_plan(
     sw_cum = np.concatenate(([0], np.cumsum(shared_write, dtype=np.int64)))
     has_shared_write = (sw_cum[record_offsets[1:]] - sw_cum[record_offsets[:-1]]) > 0
 
+    # The lines shared-data writes target, deduplicated by sort: plain
+    # ``np.unique`` imports ``numpy.ma``, which a cold process would pay for
+    # in start-up time and resident memory.
+    written_lines = np.sort(line_numbers[shared_write])
+    if written_lines.size:
+        written_lines = written_lines[
+            np.concatenate(([True], written_lines[1:] != written_lines[:-1]))
+        ]
+
     # Per-level, per-record set-collision ranks (see ExecutionPlan docstring).
     num_records = record_events.shape[0]
     record_of_event = np.repeat(
@@ -308,6 +339,7 @@ def build_execution_plan(
         has_shared_write_list=has_shared_write.tolist(),
         cycles_floor_list=cycles_floor.tolist(),
         record_blocks=record_blocks,
+        written_lines=written_lines,
     )
     columns.plan_cache[plan_key] = plan
     return plan
@@ -365,6 +397,13 @@ class BatchedCoreExecutor:
         ev_set = plan.level_set_list
         ev_tag = plan.level_tag_list
         self._record_blocks = plan.record_blocks
+        #: The holder record (see the module docstring): written line ->
+        #: bitmask of the cores that may hold it in a private level.  Each
+        #: executor owns its record; the plan it starts from is shared.
+        self.holders: Dict[int, int] = dict.fromkeys(plan.written_lines.tolist(), 0)
+        self._l1_num_sets = caches[0].config.num_sets
+        self._l1_set_list = ev_set[0]
+        self._l1_tag_list = ev_tag[0]
         #: Persistent flat per-(core, level) counter block for
         #: :meth:`execute_many`: ``[core * stride + level * 4 + k]`` with
         #: ``k`` in (hits, misses, evictions, writebacks).  Zeroed slot-wise
@@ -395,20 +434,17 @@ class BatchedCoreExecutor:
                     for k in range(self._num_levels)
                 ]
             )
-        # Invalidation targets of a shared-data write by core c: the private
-        # levels of every *other* core, flattened for the coherence loop.
-        self._invalidate_targets: List[List[tuple]] = []
-        for core_id in range(memory_system.num_cores):
-            targets = []
-            for other_id in range(memory_system.num_cores):
-                if other_id == core_id:
-                    continue
-                view = memory_system.hierarchy(other_id)
-                for level, cache in enumerate(view.private_caches):
-                    targets.append(
-                        (cache._sets, cache.stats, ev_set[level], ev_tag[level])
-                    )
-            self._invalidate_targets.append(targets)
+        # What a shared-data write probes on each holder core: its private
+        # levels, with the per-event set index and tag of each.
+        self._private_targets: List[List[tuple]] = [
+            [
+                (cache._sets, cache.stats, ev_set[level], ev_tag[level])
+                for level, cache in enumerate(
+                    memory_system.hierarchy(core_id).private_caches
+                )
+            ]
+            for core_id in range(memory_system.num_cores)
+        ]
 
     # ------------------------------------------------------------------
     def contention_tables(self, active_cores: int) -> tuple:
@@ -494,9 +530,11 @@ class BatchedCoreExecutor:
         hit/miss counters accumulate in locals and in the flat per-(core,
         level) counter block and are written back once per call (integer
         sums, so the aggregate is identical), and the walk iterates the
-        pre-zipped ``record_blocks`` structure.  The engine sends whole
-        deferred groups through here while the vector kernel is not engaged,
-        and shared-data writers as groups of one.
+        pre-zipped ``record_blocks`` structure.  Every L1 fill of a line in
+        the holder record sets the filling core's bit, and a shared-data
+        write probes only the cores the record names.  The engine sends
+        whole deferred groups through here while the vector kernel is not
+        engaged, and shared-data writers as groups of one.
         """
         memory = self.memory_system
         interconnect = memory.interconnect
@@ -511,6 +549,8 @@ class BatchedCoreExecutor:
         core_levels = self._core_levels
         contention_tables = self.contention_tables
         invalidate_remote = self._invalidate_remote
+        holders = self.holders
+        l1_num_sets = self._l1_num_sets
         acc = self._group_acc
         stride = num_levels * 4
 
@@ -578,6 +618,10 @@ class BatchedCoreExecutor:
                         lines[tag] = victim
                     else:
                         lines[tag] = _Line(dirty=is_write, owner=core_id)
+                    if holders:
+                        line_number = tag * l1_num_sets + l1_set
+                        if line_number in holders:
+                            holders[line_number] |= 1 << core_id
                     level = 1
                     off = base + 4
                     for sets, associativity, set_index, tag_index in outer_levels:
@@ -691,19 +735,36 @@ class BatchedCoreExecutor:
 
     # ------------------------------------------------------------------
     def _invalidate_remote(self, writer_core: int, event: int) -> None:
-        """Write-invalidate coherence for a shared-data write."""
-        for sets, stats, set_index, tag_index in self._invalidate_targets[writer_core]:
-            lines = sets.get(set_index[event])
-            if lines is None:
-                # The set has no working copy; the line can still live in
-                # the level store's planes if the kernel adopted the row.
-                if not sets.resident_count:
-                    continue
-                lines = sets.peek(set_index[event])
+        """Write-invalidate coherence for a shared-data write.
+
+        Probes the private levels of the other cores the holder record
+        names, then leaves only the writer's bit: the writer holds the line
+        in its L1 now, and every other copy is gone.
+        """
+        holders = self.holders
+        line_number = (
+            self._l1_tag_list[event] * self._l1_num_sets + self._l1_set_list[event]
+        )
+        writer_bit = 1 << writer_core
+        others = holders[line_number] & ~writer_bit
+        holders[line_number] = writer_bit
+        private_targets = self._private_targets
+        while others:
+            bit = others & -others
+            others ^= bit
+            for sets, stats, set_index, tag_index in private_targets[bit.bit_length() - 1]:
+                lines = sets.get(set_index[event])
                 if lines is None:
-                    continue
-            line = lines.pop(tag_index[event], None)
-            if line is not None:
-                stats.invalidations += 1
-                if line.dirty:
-                    stats.writebacks += 1
+                    # The set has no working copy; the line can still live
+                    # in the level store's planes if the kernel adopted the
+                    # row.
+                    if not sets.resident_count:
+                        continue
+                    lines = sets.peek(set_index[event])
+                    if lines is None:
+                        continue
+                line = lines.pop(tag_index[event], None)
+                if line is not None:
+                    stats.invalidations += 1
+                    if line.dirty:
+                        stats.writebacks += 1

@@ -29,6 +29,12 @@ invalidations on the array state after the walk.  Before that point the
 scalar walk of :class:`~repro.arch.batch.BatchedCoreExecutor` runs every
 group, and the kernel has allocated nothing.
 
+Both backends keep the executor's holder record (see
+:mod:`repro.arch.batch`): after its L1 walk the kernel sets the filling
+core's bit for every L1 fill of a written line, and a writer's invalidations
+visit only the cores the record names.  Any future path that fills a private
+level must set those bits too.
+
 State representation
 --------------------
 The authoritative tag state lives in the per-level
@@ -98,6 +104,8 @@ class VectorWalkEngine:
         self._record_offsets = batched.columns.record_event_offsets
         self._event_is_write = batched.columns.event_is_write
         self._event_shared = batched.columns.event_shared
+        #: The executor's holder record, shared with the scalar walk.
+        self._holders = batched.holders
 
     def _tables(self, active_cores: int) -> tuple:
         """``(ic_latency, dram_latency, exposure values, exposure flags)``."""
@@ -266,9 +274,11 @@ class VectorWalkEngine:
             rank = max_rank_l1[record]
             if rank > group_max:
                 group_max = rank
+        l1_sets = plan.level_set[0][event_ids]
+        l1_tags = plan.level_tag[0][event_ids]
         hit, evicted, wrote_back = state.walk(
-            cores_of_event * state.num_sets + plan.level_set[0][event_ids],
-            plan.level_tag[0][event_ids],
+            cores_of_event * state.num_sets + l1_sets,
+            l1_tags,
             writes,
             cores_of_event,
             ranks=level_rank[0][event_ids] if group_max else None,
@@ -281,6 +291,17 @@ class VectorWalkEngine:
             # never exposes stall latency: each member's cycle count is its
             # exact static fold, and no interconnect/DRAM traffic occurred.
             return self._finalise_static(members)
+        holders = self._holders
+        if holders:
+            # Every L1 miss filled the line: set the holder bits of the
+            # written lines among them.
+            filled = l1_tags[keep] * state.num_sets + l1_sets[keep]
+            recorded = np.isin(filled, plan.written_lines)
+            if recorded.any():
+                for line, core in zip(
+                    filled[recorded].tolist(), cores_of_event[keep][recorded].tolist()
+                ):
+                    holders[line] |= 1 << core
 
         deep_ids = event_ids[keep]
         deep_member = member_of_event[keep]
@@ -496,7 +517,9 @@ class VectorWalkEngine:
         the coherence actions are applied afterwards; only the relative
         order of invalidations targeting the same line matters, which
         :meth:`_apply_invalidations` preserves by deduplicating to the first
-        occurrence.  Bit-identical to the scalar path.
+        occurrence.  The walk sets the writer's holder bits for its fills
+        before the invalidations read the record.  Bit-identical to the
+        scalar path.
         """
         result = self.execute_group([(index, core_id, active_cores, noise)])
         self._apply_invalidations(index, core_id)
@@ -507,11 +530,13 @@ class VectorWalkEngine:
 
         Replays :meth:`BatchedCoreExecutor._invalidate_remote` for every
         shared-write event of the record: the written line is dropped from
-        each other core's private levels, counting one invalidation (plus a
-        writeback if the line was dirty) per line actually present.  Within
-        one record no other core touches its own caches, so only the first
-        invalidation of each distinct line can find it present — later
-        duplicates are no-ops and are dropped up front.
+        the private levels of each other core the holder record names,
+        counting one invalidation (plus a writeback if the line was dirty)
+        per line actually present, and the record then keeps only the
+        writer's bit.  Within one record no other core touches its own
+        caches, so only the first invalidation of each distinct line can
+        find it present — later duplicates are no-ops and are dropped up
+        front.  The rows of cores that never held a line are not adopted.
         """
         plan = self.plan
         offsets = self._record_offsets
@@ -524,27 +549,42 @@ class VectorWalkEngine:
             return
         events = np.nonzero(shared_writes)[0] + start
         states = self._ensure_states()
-        others = [core for core in range(self._num_cores) if core != core_id]
+        written = (
+            plan.level_tag[0][events] * np.int64(states[0].num_sets)
+            + plan.level_set[0][events]
+        )
+        # One (line, holder) pair per other core that may hold a line.
+        holders = self._holders
+        writer_bit = 1 << core_id
+        pair_lines: List[int] = []
+        pair_cores: List[int] = []
+        for line in dict.fromkeys(written.tolist()):
+            others = holders[line] & ~writer_bit
+            holders[line] = writer_bit
+            while others:
+                bit = others & -others
+                others ^= bit
+                pair_lines.append(line)
+                pair_cores.append(bit.bit_length() - 1)
+        if not pair_lines:
+            return
+        lines = np.array(pair_lines, dtype=np.int64)
+        cores = np.array(pair_cores, dtype=np.int64)
         for level in range(self._num_private):
             state = states[level]
-            sets = plan.level_set[level][events]
-            tags = plan.level_tag[level][events]
-            _, first = np.unique(
-                tags * np.int64(state.num_sets) + sets, return_index=True
-            )
-            unique_sets = sets[first]
-            unique_tags = tags[first]
+            num_sets = state.num_sets
+            rows = cores * num_sets + lines % num_sets
+            state.adopt(rows)
+            match = state.tags[rows] == (lines // num_sets)[:, None]
+            hit = match.any(axis=1)
+            if not hit.any():
+                continue
+            hit_rows = rows[hit]
+            hit_ways = match.argmax(axis=1)[hit]
+            hit_cores = cores[hit]
             acc = self._stat_acc[level]
-            for other in others:
-                rows = unique_sets + other * state.num_sets
-                state.adopt(rows)
-                match = state.tags[rows] == unique_tags[:, None]
-                hit = match.any(axis=1)
-                num_hits = int(hit.sum())
-                if not num_hits:
-                    continue
-                hit_rows = rows[hit]
-                hit_ways = match.argmax(axis=1)[hit]
-                acc[other, 4] += num_hits
-                acc[other, 3] += int(state.dirty[hit_rows, hit_ways].sum())
-                state.tags[hit_rows, hit_ways] = -1
+            acc[:, 4] += np.bincount(hit_cores, minlength=self._num_cores)
+            acc[:, 3] += np.bincount(
+                hit_cores[state.dirty[hit_rows, hit_ways]], minlength=self._num_cores
+            )
+            state.tags[hit_rows, hit_ways] = -1

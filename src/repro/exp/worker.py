@@ -24,7 +24,9 @@ Two threads cooperate:
 
 Stray ``print`` calls anywhere in the simulation stack cannot corrupt the
 frame stream: ``sys.stdout`` is rebound to stderr before any job runs, and
-all frame writes go through one lock-guarded writer.
+all frame writes go through one lock-guarded writer.  SIGINT keeps its
+default action, so a Ctrl-C on the supervisor's process group ends a worker
+without a traceback; the supervisor handles the shutdown.
 
 Fault injection (tests only): the ``REPRO_EXP_WORKER_FAULT`` environment
 variable, formatted ``<key-prefix>:<flag-file>[:<mode>]``, makes the worker
@@ -221,6 +223,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     writer_stream = sys.stdout.buffer
     # Frames own the real stdout; reroute stray prints to stderr.
     sys.stdout = sys.stderr
+    # A Ctrl-C reaches the whole process group, and the supervisor owns the
+    # shutdown: die of it quietly instead of printing a traceback.
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     serve(reader_stream, writer_stream)
     return 0
 

@@ -11,7 +11,8 @@ the first group and never — across every registered workload, both Table II
 architectures, three further cache geometries and all three simulation
 policies, plus the noise-model and shared-writer special paths.  The rule
 itself is pinned too: which configurations engage the kernel, and that a run
-repeats its choice exactly.
+repeats its choice exactly.  So is the invariant of the holder record that
+lets a shared-data write visit only the cores that may hold its line.
 
 The plan-cache tests cover the static-precomputation memoisation: one
 :class:`~repro.arch.batch.ExecutionPlan` per (trace columns, model
@@ -351,6 +352,71 @@ def test_mid_run_switch_matches_oracle(workload, threads):
     coverage = _assert_equivalent(trace, "highperf", "detailed", threads=threads,
                                   rules={"switch": (8, 0)})
     assert coverage["switch"]["scalar_instances"] > 0
+
+
+# ---------------------------------------------------------------------------
+# The holder record: a superset of the cores holding each written line.
+# ---------------------------------------------------------------------------
+def _assert_holder_record_covers_private_copies(engine) -> int:
+    """Every written line in a private tag store has its core's bit set.
+
+    Returns how many such copies were checked.
+    """
+    holders = engine.batched.holders
+    assert list(holders) == engine.batched.plan.written_lines.tolist()
+    memory = engine.memory_system
+    checked = 0
+    for core_id in range(engine.num_threads):
+        for cache in memory.hierarchy(core_id).private_caches:
+            num_sets = cache.config.num_sets
+            for set_index, lines in cache._sets.items():
+                for tag in lines:
+                    bits = holders.get(tag * num_sets + set_index)
+                    if bits is None:
+                        continue
+                    assert bits >> core_id & 1, (core_id, cache.name, set_index, tag)
+                    checked += 1
+    return checked
+
+
+_HOLDER_TRACES = {
+    "histogram": lambda: get_workload("histogram").generate(scale=SCALE, seed=SEED),
+    "kmeans": lambda: get_workload("kmeans").generate(scale=SCALE, seed=SEED),
+    "canneal": lambda: get_workload("canneal").generate(scale=SCALE, seed=SEED),
+    "eviction-storm": _eviction_storm_trace,
+}
+
+
+@pytest.mark.parametrize("rule", sorted(KERNEL_EXTREMES))
+@pytest.mark.parametrize("arch_name", sorted(_ARCHITECTURES))
+@pytest.mark.parametrize("workload", sorted(_HOLDER_TRACES))
+def test_holder_record_covers_every_private_copy(workload, arch_name, rule):
+    trace = _HOLDER_TRACES[workload]()
+    with kernel_rule(*KERNEL_EXTREMES[rule]):
+        engine, _ = _run(trace, arch_name, "detailed", threads=32)
+    assert engine.batched.holders, f"{workload} no longer writes shared data"
+    checked = _assert_holder_record_covers_private_copies(engine)
+    # The storm's set conflicts may evict every written line by the end.
+    assert checked > 0 or workload == "eviction-storm"
+    if rule == "scalar":
+        assert engine.vector_stats["vector_instances"] == 0
+
+
+def test_holder_record_survives_the_mid_run_switch():
+    trace = _HOLDER_TRACES["kmeans"]()
+    with kernel_rule(8, 0):
+        engine, _ = _run(trace, "highperf", "detailed", threads=32)
+    stats = engine.vector_stats
+    assert stats["scalar_instances"] and stats["vector_instances"]
+    assert _assert_holder_record_covers_private_copies(engine) > 0
+
+
+def test_holder_record_is_empty_without_shared_writes():
+    trace = get_workload("blackscholes").generate(scale=SCALE, seed=SEED)
+    engine, _ = _run(trace, "highperf", "detailed")
+    assert not (trace.columns.event_is_write & trace.columns.event_shared).any()
+    assert engine.batched.plan.written_lines.size == 0
+    assert engine.batched.holders == {}
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,7 @@ class TestGridInterruptAndResume:
         errors = (tmp_path / "stderr").read_text(errors="replace")
         assert returncode in (130, -signal.SIGINT), errors[-2000:]
         assert group_empty, "a process of the grid outlived it"
+        assert "Traceback" not in errors
         kept = len(ResultStore(interrupted))
         assert kept >= 1
 

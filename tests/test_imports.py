@@ -108,6 +108,19 @@ class TestImportBudgets:
             "repro.exp.hosts", "repro.exp.worker", "repro.exp.protocol",
         )) == []
 
+    def test_grid_loads_no_numpy_ma(self, tmp_path):
+        # Plain ``np.unique`` imports numpy.ma, which costs every cold grid
+        # process start-up time and resident memory; histogram and canneal
+        # write shared data, so their plans record written lines.
+        completed, modules = run_importtime([
+            "-m", "repro", "grid", "--benchmarks", "histogram,canneal",
+            "--threads", "4", "--scale", "0.004", "--backend", "serial",
+            "--cache-dir", str(tmp_path),
+        ])
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert "repro.arch.batch" in modules  # the probe sees what ran
+        assert loaded(modules, ("numpy.ma",)) == []
+
     @pytest.mark.parametrize("command", [
         ["status"], ["status", "job"], ["status", "--stats"],
         ["watch", "job"], ["cancel", "job"],
