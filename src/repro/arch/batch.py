@@ -70,6 +70,7 @@ from repro.arch.cache import _Line
 from repro.arch.config import ArchitectureConfig
 from repro.arch.hierarchy import MemorySystem
 from repro.arch.rob import RobModel
+from repro.arch.tagstore import sorted_unique
 from repro.trace.columns import TraceColumns
 
 
@@ -250,14 +251,8 @@ def build_execution_plan(
     sw_cum = np.concatenate(([0], np.cumsum(shared_write, dtype=np.int64)))
     has_shared_write = (sw_cum[record_offsets[1:]] - sw_cum[record_offsets[:-1]]) > 0
 
-    # The lines shared-data writes target, deduplicated by sort: plain
-    # ``np.unique`` imports ``numpy.ma``, which a cold process would pay for
-    # in start-up time and resident memory.
-    written_lines = np.sort(line_numbers[shared_write])
-    if written_lines.size:
-        written_lines = written_lines[
-            np.concatenate(([True], written_lines[1:] != written_lines[:-1]))
-        ]
+    # The lines shared-data writes target.
+    written_lines = sorted_unique(line_numbers[shared_write])
 
     # Per-level, per-record set-collision ranks (see ExecutionPlan docstring).
     num_records = record_events.shape[0]

@@ -54,6 +54,18 @@ import numpy as np
 _NO_OWNER = -2
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending.
+
+    Deduplicates by sort: plain ``np.unique`` imports ``numpy.ma``, which a
+    cold process would pay for in start-up time and resident memory.
+    """
+    values = np.sort(values)
+    if values.size:
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return values
+
+
 @dataclass
 class _Line:
     """State of one cached line."""
@@ -198,7 +210,7 @@ class LevelTagStore:
         fresh_mask = ~resident[rows]
         if not fresh_mask.any():
             return
-        fresh = np.unique(rows[fresh_mask])
+        fresh = sorted_unique(rows[fresh_mask])
         tags = self.tags
         dirty = self.dirty
         owner = self.owner

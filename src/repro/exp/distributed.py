@@ -336,6 +336,8 @@ class AsyncWorkerBackend:
         self.stats: Dict[str, int] = {}
         self._pids: set = set()
         self._workers: List[_Worker] = []
+        #: Workers let go during the run whose exit is not yet awaited.
+        self._released: List[_Worker] = []
         self._hosts = [
             HostState(spec, self.spawn_retries) for spec in self.host_specs
         ]
@@ -490,10 +492,20 @@ class AsyncWorkerBackend:
         return worker
 
     def _release_worker(self, worker: _Worker) -> None:
+        """Let go of a worker whose stream closed (death, kill, retirement).
+
+        Its process is awaited at shutdown (:meth:`_shutdown_workers`).
+        Workers already reaped by then are dropped here, so a long-lived
+        service does not accumulate them.
+        """
         worker.alive = False
         self._pids.discard(worker.pid)
         if worker in self._workers:
             self._workers.remove(worker)
+        self._released = [
+            other for other in self._released if other.proc.returncode is None
+        ]
+        self._released.append(worker)
 
     async def _read_worker(self, worker: _Worker) -> None:
         """Parse frames from one worker until its stream closes."""
@@ -871,7 +883,7 @@ class AsyncWorkerBackend:
         return slots
 
     async def _shutdown_workers(self) -> None:
-        """Terminate and reap every live worker; tolerate cancellation.
+        """Terminate and reap every worker; tolerate cancellation.
 
         The reader tasks are deliberately left running until each worker is
         reaped: a worker holding a deep batch may have many unread result
@@ -880,6 +892,11 @@ class AsyncWorkerBackend:
         process's ``wait()`` can never resolve.  The readers drain those
         frames (harmlessly: the futures are already settled) and see the
         EOF that lets the transport close.
+
+        Workers released during the run (dead, heartbeat-killed or retired)
+        are awaited too.  Otherwise ``asyncio.run`` can close the loop
+        before the child watcher reports their exit, and the garbage
+        collector then closes their transports on a closed loop.
         """
         workers = list(self._workers)
         for worker in workers:
@@ -888,20 +905,28 @@ class AsyncWorkerBackend:
                 worker.monitor_task.cancel()
             worker.close_gracefully()
         for worker in workers:
-            try:
-                await asyncio.wait_for(worker.wait(), timeout=2.0)
-            except BaseException:
-                worker.kill()
-                try:
-                    # Bounded: a SIGKILLed worker's EOF arrives promptly,
-                    # but an unreachable transport must not wedge shutdown.
-                    await asyncio.wait_for(worker.wait(), timeout=5.0)
-                except BaseException:
-                    pass
+            await self._reap(worker)
             self._pids.discard(worker.pid)
             if worker.reader_task is not None:
                 worker.reader_task.cancel()  # EOF normally ended it already
         self._workers = [w for w in self._workers if w not in workers]
+        released, self._released = self._released, []
+        for worker in released:
+            await self._reap(worker)
+
+    @staticmethod
+    async def _reap(worker: _Worker) -> None:
+        """Await ``worker``'s exit, killing it if it takes over 2 s."""
+        try:
+            await asyncio.wait_for(worker.wait(), timeout=2.0)
+        except BaseException:
+            worker.kill()
+            try:
+                # Bounded: a SIGKILLed worker's EOF arrives promptly,
+                # but an unreachable transport must not wedge shutdown.
+                await asyncio.wait_for(worker.wait(), timeout=5.0)
+            except BaseException:
+                pass
 
     async def _supervise(
         self,

@@ -109,8 +109,8 @@ class TaskInstance:
     def record(self) -> TaskTraceRecord:
         """Trace record of the instance (materialised lazily from columns).
 
-        Goes through the trace so an already-materialised record list is
-        reused instead of rebuilding the view from the columns.
+        Goes through the trace, which materialises every record view in one
+        pass on first access and reuses that list afterwards.
         """
         if self._record is None:
             self._record = self._trace[self._instance_id]  # type: ignore[index]

@@ -16,17 +16,15 @@ memory events is stored as a small set of NumPy arrays instead of a list of
   ``event_is_write``, ``event_weight``, ``event_shared``): the weighted
   memory events of every block.
 
-The columns are the source of truth carried by
-:class:`~repro.trace.trace.ApplicationTrace`; ``TaskTraceRecord`` views are
-materialised lazily for compatibility with record-oriented code and
-serialisation.  Everything downstream that is performance critical — the
+The columns are the one form of a trace that code writes, stores and
+checks.  :class:`ColumnBuilder` is the way in: workload generators append
+instances to it, and :meth:`TraceColumns.from_records` feeds it a hand-built
+record list.  :meth:`TraceColumns.to_records` is the way out: it
+materialises every ``TaskTraceRecord`` view in one pass, for the per-record
+oracle.  :meth:`TraceColumns.validate` checks every trace, generated, loaded
+or hand-built.  Everything downstream that is performance critical — the
 batched detailed-cost evaluation in :mod:`repro.arch.batch`, dependency
-tracking, trace statistics, validation — operates directly on the arrays.
-
-Two construction paths exist: :meth:`TraceColumns.from_records` converts an
-existing record list (compatibility, JSON deserialisation), and
-:class:`ColumnBuilder` lets workload generators emit straight into the
-columns without ever allocating record objects.
+tracking, trace statistics — operates directly on the arrays.
 """
 
 from __future__ import annotations
@@ -41,6 +39,10 @@ from repro.trace.records import (
     TaskTraceRecord,
     split_into_blocks,
 )
+
+
+class TraceValidationError(ValueError):
+    """Raised when an application trace violates a structural invariant."""
 
 
 class TaskTypeTable:
@@ -60,10 +62,6 @@ class TaskTypeTable:
             self._ids[name] = type_id
             self._names.append(name)
         return type_id
-
-    def name(self, type_id: int) -> str:
-        """Return the name of ``type_id``."""
-        return self._names[type_id]
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -101,8 +99,8 @@ class TraceColumns:
     ``event_offsets[b]:event_offsets[b+1]``.
     """
 
-    __slots__ = (
-        "types",
+    #: The array attributes, in storage order.
+    ARRAYS = (
         "task_type_id",
         "instructions",
         "creation_order",
@@ -115,9 +113,9 @@ class TraceColumns:
         "event_is_write",
         "event_weight",
         "event_shared",
-        "_record_event_offsets",
-        "plan_cache",
     )
+
+    __slots__ = ("types", *ARRAYS, "_record_event_offsets", "plan_cache")
 
     def __init__(
         self,
@@ -260,20 +258,18 @@ class TraceColumns:
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
-    def check_consistency(self) -> None:
-        """Validate the integrity of the arrays themselves (untrusted input).
+    def validate(self) -> None:
+        """Check that the columns form a well-formed trace.
 
-        :meth:`validate` checks the *semantic* invariants of a well-formed
-        column bundle; this method checks that the bundle is well-formed in
-        the first place — offset arrays of the right length, monotone and
-        spanning their body arrays, parallel event arrays of equal length,
-        type ids inside the interned table, and value-range constraints
-        record construction would enforce.  Deserialisation of columnar
-        files calls it so a corrupt file raises
-        :class:`~repro.trace.trace.TraceValidationError` instead of loading
-        as a silently different trace.
+        Array integrity first: offset arrays of the right length, monotone
+        and spanning their body arrays; parallel arrays of equal length;
+        type ids inside the interned table; no negative instruction count
+        or address, no event weight below 1.  Then the semantic invariants,
+        vectorised: every dependency points to an earlier instance (so the
+        task graph is acyclic), and a record's blocks sum to its instruction
+        count.  Instance-id density is implicit: a record's id *is* its
+        position in the columns.  Raises :class:`TraceValidationError`.
         """
-        from repro.trace.trace import TraceValidationError
 
         def fail(message: str) -> None:
             raise TraceValidationError(f"inconsistent trace columns: {message}")
@@ -313,20 +309,9 @@ class TraceColumns:
             if int(self.event_weight.min()) < 1:
                 fail("event weight below 1")
 
-    def validate(self) -> None:
-        """Check structural invariants, vectorised over the columns.
-
-        Raises :class:`~repro.trace.trace.TraceValidationError` (imported
-        lazily to avoid a module cycle) when a dependency does not point to
-        an earlier instance.  Instance-id density is guaranteed by
-        construction: a record's id *is* its position in the columns.
-        """
-        from repro.trace.trace import TraceValidationError
-
         if self.dep_targets.size:
             owner = np.repeat(
-                np.arange(self.num_records, dtype=np.int64),
-                self.dependency_counts(),
+                np.arange(n, dtype=np.int64), self.dependency_counts()
             )
             bad = (self.dep_targets < 0) | (self.dep_targets >= owner)
             if bad.any():
@@ -353,46 +338,8 @@ class TraceColumns:
     # ------------------------------------------------------------------
     # Record views
     # ------------------------------------------------------------------
-    def record(self, index: int) -> TaskTraceRecord:
-        """Materialise the :class:`TaskTraceRecord` view of record ``index``."""
-        if index < 0:
-            index += self.num_records
-        if not 0 <= index < self.num_records:
-            raise IndexError(f"record index {index} out of range")
-        blocks: List[ExecutionBlock] = []
-        for block in range(int(self.block_offsets[index]), int(self.block_offsets[index + 1])):
-            start, stop = int(self.event_offsets[block]), int(self.event_offsets[block + 1])
-            events = tuple(
-                MemoryEvent(
-                    address=int(self.event_address[position]),
-                    is_write=bool(self.event_is_write[position]),
-                    weight=int(self.event_weight[position]),
-                    shared=bool(self.event_shared[position]),
-                )
-                for position in range(start, stop)
-            )
-            blocks.append(
-                ExecutionBlock(
-                    instructions=int(self.block_instructions[block]),
-                    memory_events=events,
-                )
-            )
-        return TaskTraceRecord(
-            instance_id=index,
-            task_type=self.types.name(int(self.task_type_id[index])),
-            instructions=int(self.instructions[index]),
-            blocks=blocks,
-            depends_on=tuple(
-                int(dep)
-                for dep in self.dep_targets[
-                    int(self.dep_offsets[index]) : int(self.dep_offsets[index + 1])
-                ]
-            ),
-            creation_order=int(self.creation_order[index]),
-        )
-
     def to_records(self) -> List[TaskTraceRecord]:
-        """Materialise every record view (bulk path, Python ints throughout)."""
+        """Materialise every record view in one pass (Python ints throughout)."""
         type_names = self.types.names
         type_ids = self.task_type_id.tolist()
         instructions = self.instructions.tolist()
@@ -402,50 +349,50 @@ class TraceColumns:
         block_offsets = self.block_offsets.tolist()
         block_instr = self.block_instructions.tolist()
         event_offsets = self.event_offsets.tolist()
-        address = self.event_address.tolist()
-        is_write = self.event_is_write.tolist()
-        weight = self.event_weight.tolist()
-        shared = self.event_shared.tolist()
-        records: List[TaskTraceRecord] = []
-        for index in range(self.num_records):
-            blocks: List[ExecutionBlock] = []
-            for block in range(block_offsets[index], block_offsets[index + 1]):
-                events = tuple(
-                    MemoryEvent(
-                        address=address[position],
-                        is_write=is_write[position],
-                        weight=weight[position],
-                        shared=shared[position],
-                    )
-                    for position in range(event_offsets[block], event_offsets[block + 1])
-                )
-                blocks.append(
+        # The columns are validated, so the rows skip MemoryEvent's checks.
+        events = list(map(MemoryEvent._make, zip(
+            self.event_address.tolist(),
+            self.event_is_write.tolist(),
+            self.event_weight.tolist(),
+            self.event_shared.tolist(),
+        )))
+        return [
+            TaskTraceRecord(
+                instance_id=index,
+                task_type=type_names[type_ids[index]],
+                instructions=instructions[index],
+                blocks=[
                     ExecutionBlock(
-                        instructions=block_instr[block], memory_events=events
+                        instructions=block_instr[block],
+                        memory_events=tuple(
+                            events[event_offsets[block]:event_offsets[block + 1]]
+                        ),
                     )
-                )
-            records.append(
-                TaskTraceRecord(
-                    instance_id=index,
-                    task_type=type_names[type_ids[index]],
-                    instructions=instructions[index],
-                    blocks=blocks,
-                    depends_on=tuple(
-                        dep_targets[dep_offsets[index] : dep_offsets[index + 1]]
-                    ),
-                    creation_order=creation[index],
-                )
+                    for block in range(block_offsets[index], block_offsets[index + 1])
+                ],
+                depends_on=tuple(dep_targets[dep_offsets[index]:dep_offsets[index + 1]]),
+                creation_order=creation[index],
             )
-        return records
+            for index in range(self.num_records)
+        ]
 
     # ------------------------------------------------------------------
     # Conversion
     # ------------------------------------------------------------------
     @classmethod
     def from_records(cls, records: Sequence[TaskTraceRecord]) -> "TraceColumns":
-        """Build columns from an existing record list (compatibility path)."""
+        """Build columns from a hand-built record list.
+
+        ``records[i]`` must have ``instance_id == i``; the other invariants
+        are left to :meth:`validate`.
+        """
         builder = ColumnBuilder()
-        for record in records:
+        for position, record in enumerate(records):
+            if record.instance_id != position:
+                raise TraceValidationError(
+                    f"record at position {position} has instance_id"
+                    f" {record.instance_id}"
+                )
             builder.add_prepared(
                 task_type=record.task_type,
                 instructions=record.instructions,
@@ -464,20 +411,7 @@ class TraceColumns:
             return NotImplemented
         return self.types == other.types and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in (
-                "task_type_id",
-                "instructions",
-                "creation_order",
-                "dep_offsets",
-                "dep_targets",
-                "block_offsets",
-                "block_instructions",
-                "event_offsets",
-                "event_address",
-                "event_is_write",
-                "event_weight",
-                "event_shared",
-            )
+            for name in self.ARRAYS
         )
 
 
@@ -550,14 +484,18 @@ class ColumnBuilder:
         )
         self._dep_targets.extend(int(dep) for dep in depends_on)
         self._dep_offsets.append(len(self._dep_targets))
+        event_address = self._event_address
+        event_is_write = self._event_is_write
+        event_weight = self._event_weight
+        event_shared = self._event_shared
         for block_instructions, events in blocks:
             self._block_instructions.append(block_instructions)
-            for event in events:
-                self._event_address.append(event.address)
-                self._event_is_write.append(event.is_write)
-                self._event_weight.append(event.weight)
-                self._event_shared.append(event.shared)
-            self._event_offsets.append(len(self._event_address))
+            for address, is_write, weight, shared in events:
+                event_address.append(address)
+                event_is_write.append(is_write)
+                event_weight.append(weight)
+                event_shared.append(shared)
+            self._event_offsets.append(len(event_address))
         self._block_offsets.append(len(self._block_instructions))
         return instance_id
 

@@ -5,36 +5,35 @@ Workload generators describe their task graph instance by instance; the
 dependency bookkeeping and finally produces a validated
 :class:`~repro.trace.trace.ApplicationTrace`.
 
-Since the columnar-backbone refactor the builder emits directly into a
-:class:`~repro.trace.columns.ColumnBuilder` — no ``TaskTraceRecord`` objects
-are allocated during generation; record views are materialised from the
-columns only when record-oriented code asks for them.
+The builder emits directly into a :class:`~repro.trace.columns.ColumnBuilder`:
+no ``TaskTraceRecord`` objects are allocated during generation, and each
+:class:`~repro.trace.records.MemoryEvent` is a tuple that becomes one row of
+the event columns.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional, Sequence
 
 from repro.trace.columns import ColumnBuilder
 from repro.trace.patterns import AddressSpaceAllocator
-from repro.trace.records import MemoryEvent, TaskTraceRecord
+from repro.trace.records import MemoryEvent
 from repro.trace.trace import ApplicationTrace
 
 
 class TraceBuilder:
     """Builds an :class:`ApplicationTrace` one task instance at a time.
 
-    The builder also owns an :class:`AddressSpaceAllocator` and a seeded
-    :class:`random.Random` so workload generators have a single source of
-    determinism: two builders created with the same name and seed produce
-    byte-identical traces.
+    The builder owns the :class:`AddressSpaceAllocator` of the trace, so two
+    builders fed the same calls lay out the same addresses.  Randomness is
+    the caller's: :meth:`repro.workloads.base.Workload.generate` hands each
+    workload a :class:`random.Random` seeded from its name and ``seed``;
+    ``seed`` here is only recorded in the trace metadata.
     """
 
     def __init__(self, name: str, seed: int = 0) -> None:
         self.name = name
         self.seed = seed
-        self.rng = random.Random(seed)
         self.allocator = AddressSpaceAllocator()
         self._columns = ColumnBuilder()
         self._metadata: Dict[str, object] = {"seed": seed}
@@ -87,17 +86,6 @@ class TraceBuilder:
             memory_events=memory_events,
             depends_on=depends_on,
             blocks_hint=blocks,
-        )
-
-    def add_record(self, record: TaskTraceRecord) -> int:
-        """Add a pre-built record, renumbering it to the next instance id."""
-        return self._columns.add_prepared(
-            task_type=record.task_type,
-            instructions=record.instructions,
-            blocks=[
-                (block.instructions, block.memory_events) for block in record.blocks
-            ],
-            depends_on=record.depends_on,
         )
 
     def build(self) -> ApplicationTrace:

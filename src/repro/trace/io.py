@@ -4,28 +4,23 @@ Synthetic traces are cheap to regenerate, but persisting them is useful to
 pin down an exact experiment input (for instance when comparing two simulator
 versions) and mirrors the trace-file workflow of the original TaskSim setup.
 
-Two on-disk formats are supported, selected by file suffix:
-
-* ``.json`` / ``.json.gz`` — the original record-oriented JSON format
-  (format version 1), readable by any tool;
-* ``.npz`` — the columnar format: the NumPy arrays of
-  :class:`~repro.trace.columns.TraceColumns` written with
-  :func:`numpy.savez_compressed` (or uncompressed, ``compress=False`` —
-  about ten times faster to write, the choice of the experiment layer's
-  trace cache).  This is both smaller and much faster to load because no
-  record objects are materialised.
+A trace file is a ``.npz`` archive: the NumPy arrays of
+:class:`~repro.trace.columns.TraceColumns` plus a JSON header (name,
+metadata, task-type names), written with :func:`numpy.savez_compressed` (or
+uncompressed, ``compress=False`` — about ten times faster to write, the
+choice of the experiment layer's trace cache).  Loading materialises no
+record objects.
 
 Trace files are untrusted input (hand-edited, truncated, or produced by
-other tools), so :func:`load_trace` still validates structure — but on the
-vectorised columnar fast path: instance-id density is checked during JSON
-deserialisation (it is implicit in the NPZ layout) and the dependency/block
-invariants run as NumPy array checks instead of the per-record O(n·deps)
-Python loop that construction from records would perform.
+other tools).  A loaded trace goes through the same
+:meth:`~repro.trace.columns.TraceColumns.validate` as every other trace, so
+a corrupt file raises
+:class:`~repro.trace.columns.TraceValidationError` instead of loading as a
+silently different trace.
 """
 
 from __future__ import annotations
 
-import gzip
 import io as _io
 import json
 import os
@@ -36,154 +31,30 @@ from typing import Union
 import numpy as np
 
 from repro.trace.columns import TaskTypeTable, TraceColumns
-from repro.trace.records import ExecutionBlock, MemoryEvent, TaskTraceRecord
-from repro.trace.trace import ApplicationTrace, TraceValidationError
-
-FORMAT_VERSION = 1
+from repro.trace.trace import ApplicationTrace
 
 #: Format marker stored inside the NPZ archive.
 NPZ_FORMAT_VERSION = 1
 
-_COLUMN_KEYS = (
-    "task_type_id",
-    "instructions",
-    "creation_order",
-    "dep_offsets",
-    "dep_targets",
-    "block_offsets",
-    "block_instructions",
-    "event_offsets",
-    "event_address",
-    "event_is_write",
-    "event_weight",
-    "event_shared",
-)
+_COLUMN_KEYS = TraceColumns.ARRAYS
 
 
-def _event_to_dict(event: MemoryEvent) -> dict:
-    return {
-        "a": event.address,
-        "w": int(event.is_write),
-        "n": event.weight,
-        "s": int(event.shared),
-    }
-
-
-def _event_from_dict(data: dict) -> MemoryEvent:
-    return MemoryEvent(
-        address=data["a"],
-        is_write=bool(data["w"]),
-        weight=data["n"],
-        shared=bool(data["s"]),
-    )
-
-
-def _record_to_dict(record: TaskTraceRecord) -> dict:
-    return {
-        "id": record.instance_id,
-        "type": record.task_type,
-        "instructions": record.instructions,
-        "depends_on": list(record.depends_on),
-        "creation_order": record.creation_order,
-        "blocks": [
-            {
-                "instructions": block.instructions,
-                "events": [_event_to_dict(event) for event in block.memory_events],
-            }
-            for block in record.blocks
-        ],
-    }
-
-
-def _record_from_dict(data: dict) -> TaskTraceRecord:
-    blocks = [
-        ExecutionBlock(
-            instructions=block["instructions"],
-            memory_events=tuple(_event_from_dict(event) for event in block["events"]),
-        )
-        for block in data["blocks"]
-    ]
-    return TaskTraceRecord(
-        instance_id=data["id"],
-        task_type=data["type"],
-        instructions=data["instructions"],
-        blocks=blocks,
-        depends_on=tuple(data["depends_on"]),
-        creation_order=data.get("creation_order", data["id"]),
-    )
-
-
-def _is_npz(path: Path) -> bool:
-    return path.suffix == ".npz"
+def _npz_path(path: Union[str, Path]) -> Path:
+    path = Path(path)
+    if path.suffix != ".npz":
+        raise ValueError(f"trace files are .npz archives, got {str(path)!r}")
+    return path
 
 
 def save_trace(
     trace: ApplicationTrace, path: Union[str, Path], compress: bool = True
 ) -> Path:
-    """Write ``trace`` to ``path``; the suffix selects the format.
+    """Write ``trace`` to the ``.npz`` file ``path``; returns the path.
 
-    ``.npz`` writes the compact columnar format (zip-deflated unless
-    ``compress=False``); anything else writes JSON, with a ``.gz`` suffix
-    selecting gzip compression.  Returns the path written.
+    The archive is zip-deflated unless ``compress=False``.  Any other
+    suffix raises :class:`ValueError`.
     """
-    path = Path(path)
-    if _is_npz(path):
-        return _save_npz(trace, path, compress)
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "name": trace.name,
-        "metadata": trace.metadata,
-        "records": [_record_to_dict(record) for record in trace.records],
-    }
-    text = json.dumps(payload)
-    if path.suffix == ".gz":
-        with gzip.open(path, "wt", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        path.write_text(text, encoding="utf-8")
-    return path
-
-
-def load_trace(path: Union[str, Path]) -> ApplicationTrace:
-    """Load a trace previously written by :func:`save_trace`.
-
-    Structural invariants are enforced on the vectorised fast path (see
-    module docstring); a corrupt or reordered file raises
-    :class:`~repro.trace.trace.TraceValidationError` instead of loading as a
-    silently different trace.
-    """
-    path = Path(path)
-    if _is_npz(path):
-        return _load_npz(path)
-    if path.suffix == ".gz":
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    else:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported trace format version: {version}")
-    records = []
-    for position, entry in enumerate(payload["records"]):
-        if entry["id"] != position:
-            raise TraceValidationError(
-                f"record at position {position} has instance_id {entry['id']}"
-            )
-        records.append(_record_from_dict(entry))
-    trace = ApplicationTrace(
-        name=payload["name"],
-        records=records,
-        metadata=payload.get("metadata", {}),
-        validated=True,  # skip the per-record Python loop ...
-    )
-    trace.validate()  # ... but run the vectorised columnar checks.
-    return trace
-
-
-# ----------------------------------------------------------------------
-# Columnar (NPZ) format
-# ----------------------------------------------------------------------
-def _save_npz(trace: ApplicationTrace, path: Path, compress: bool) -> Path:
+    path = _npz_path(path)
     columns = trace.columns
     header = json.dumps(
         {
@@ -213,7 +84,14 @@ def _save_npz(trace: ApplicationTrace, path: Path, compress: bool) -> Path:
     return path
 
 
-def _load_npz(path: Path) -> ApplicationTrace:
+def load_trace(path: Union[str, Path]) -> ApplicationTrace:
+    """Load a trace previously written by :func:`save_trace`.
+
+    The trace is validated like every other (see module docstring).  Any
+    suffix but ``.npz``, or an archive of another format version, raises
+    :class:`ValueError`.
+    """
+    path = _npz_path(path)
     # Opened here, not by np.load: np.load leaks its own handle when the
     # file is not a readable archive.
     with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
@@ -225,9 +103,6 @@ def _load_npz(path: Path) -> ApplicationTrace:
             types=TaskTypeTable(header["task_types"]),
             **{key: archive[key] for key in _COLUMN_KEYS},
         )
-    # The file is untrusted input: check array integrity first, then let the
-    # trace constructor run the (vectorised) semantic validation.
-    columns.check_consistency()
     return ApplicationTrace(
         name=header["name"],
         columns=columns,

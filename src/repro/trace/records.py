@@ -15,17 +15,33 @@ makes full detailed simulation of tens of thousands of task instances
 tractable in pure Python while preserving the properties TaskPoint's
 evaluation depends on: per-instance IPC that reacts to cache state, shared
 resource contention and input-dependent working sets.
+
+A trace is stored as columns (:mod:`repro.trace.columns`).  A
+:class:`MemoryEvent` is one row of its event columns.  :class:`ExecutionBlock`
+and :class:`TaskTraceRecord` are per-instance views of the columns: the
+per-record oracle (:class:`~repro.sim.reference.ReferenceEngine`) replays
+them, and small hand-built traces are written in them.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class MemoryEvent:
+class MemoryEvent(
+    namedtuple(
+        "MemoryEvent",
+        ("address", "is_write", "weight", "shared"),
+        defaults=(False, 1, False),
+    )
+):
     """A single weighted memory access of a task instance.
+
+    An event is a 4-tuple ``(address, is_write, weight, shared)``: one row of
+    the event columns of :class:`~repro.trace.columns.TraceColumns`, which
+    the column builder reads by tuple unpacking.
 
     Parameters
     ----------
@@ -44,16 +60,17 @@ class MemoryEvent:
         (and therefore subject to invalidation by writers on other cores).
     """
 
-    address: int
-    is_write: bool = False
-    weight: int = 1
-    shared: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ValueError(f"address must be non-negative, got {self.address}")
-        if self.weight < 1:
-            raise ValueError(f"weight must be >= 1, got {self.weight}")
+    def __new__(
+        cls, address: int, is_write: bool = False, weight: int = 1,
+        shared: bool = False,
+    ) -> "MemoryEvent":
+        if address < 0:
+            raise ValueError(f"address must be non-negative, got {address}")
+        if weight < 1:
+            raise ValueError(f"weight must be >= 1, got {weight}")
+        return tuple.__new__(cls, (address, is_write, weight, shared))
 
 
 @dataclass(frozen=True)

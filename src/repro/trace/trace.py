@@ -6,11 +6,10 @@ order, together with the dependency edges between them.  The trace also keeps
 aggregate statistics used by Table I of the paper (number of task types,
 number of task instances).
 
-Since the columnar-backbone refactor the source of truth is a
-:class:`~repro.trace.columns.TraceColumns` bundle of NumPy arrays;
-``TaskTraceRecord`` views are materialised lazily so record-oriented code
-(serialisation, tests, the legacy per-record detailed model) keeps working
-unchanged.
+The trace is a :class:`~repro.trace.columns.TraceColumns` bundle of NumPy
+arrays, validated once when the trace is constructed.  ``TaskTraceRecord``
+views are materialised from the columns, all in one pass, the first time
+record-oriented code (the per-record oracle, tests) asks for them.
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.trace.columns import ColumnBuilder, TraceColumns
+from repro.trace.columns import TraceColumns, TraceValidationError
 from repro.trace.records import TaskTraceRecord
 
-
-class TraceValidationError(ValueError):
-    """Raised when an application trace violates a structural invariant."""
+__all__ = ["ApplicationTrace", "TraceStatistics", "TraceValidationError"]
 
 
 class TraceStatistics:
@@ -93,17 +90,16 @@ class ApplicationTrace:
     records:
         Task-instance trace records in creation order (``records[i]`` must
         have ``instance_id == i``).  Mutually exclusive with ``columns``;
-        provided records are converted to columns once at construction.
+        the records are converted to columns and not kept.
     metadata:
         Free-form information recorded by the workload generator (problem
         size, scale factor, seed, ...).
     columns:
         Columnar trace data (the native representation).
-    validated:
-        ``True`` skips structural validation — the fast path for traces that
-        were validated when they were first built (deserialisation of cached
-        trace files, experiment replay).  Generator output and hand-built
-        traces keep the full check.
+
+    Every trace, generated, loaded or hand-built, is checked once by
+    :meth:`TraceColumns.validate` here; a malformed one raises
+    :class:`TraceValidationError`.
     """
 
     def __init__(
@@ -112,50 +108,23 @@ class ApplicationTrace:
         records: Optional[Sequence[TaskTraceRecord]] = None,
         metadata: Optional[Dict[str, object]] = None,
         columns: Optional[TraceColumns] = None,
-        validated: bool = False,
     ) -> None:
         if columns is not None and records is not None:
             raise ValueError("pass either records or columns, not both")
         self.name = name
         self.metadata: Dict[str, object] = metadata if metadata is not None else {}
         self._statistics: Optional[TraceStatistics] = None
+        self._records: Optional[List[TaskTraceRecord]] = None
         if columns is None:
-            record_list = list(records) if records is not None else []
-            if not validated:
-                self._validate_records(record_list)
-            self.columns = TraceColumns.from_records(record_list)
-            self._records: Optional[List[TaskTraceRecord]] = record_list
-        else:
-            self.columns = columns
-            self._records = None
-            if not validated:
-                self.columns.validate()
+            columns = TraceColumns.from_records(records or [])
+        columns.validate()
+        self.columns = columns
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
-    @staticmethod
-    def _validate_records(records: Sequence[TaskTraceRecord]) -> None:
-        for index, record in enumerate(records):
-            if record.instance_id != index:
-                raise TraceValidationError(
-                    f"record at position {index} has instance_id {record.instance_id}"
-                )
-            for dependency in record.depends_on:
-                if dependency < 0 or dependency >= index:
-                    raise TraceValidationError(
-                        f"instance {index} depends on {dependency}, which is not an"
-                        " earlier instance"
-                    )
-
     def validate(self) -> None:
-        """Check structural invariants; raise :class:`TraceValidationError`.
-
-        Invariants: instance ids are dense and match their position (implicit
-        in the columnar layout), and dependencies only point to earlier
-        (already created) instances, which guarantees the task graph is
-        acyclic.
-        """
+        """Run :meth:`TraceColumns.validate` again (construction ran it once)."""
         self.columns.validate()
 
     @property
@@ -172,9 +141,7 @@ class ApplicationTrace:
         return iter(self.records)
 
     def __getitem__(self, instance_id: int) -> TaskTraceRecord:
-        if self._records is not None:
-            return self._records[instance_id]
-        return self.columns.record(instance_id)
+        return self.records[instance_id]
 
     @property
     def task_types(self) -> Tuple[str, ...]:
@@ -271,72 +238,3 @@ class ApplicationTrace:
             if level > longest:
                 longest = level
         return longest, max(per_level.values())
-
-
-def merge_traces(name: str, traces: Sequence[ApplicationTrace]) -> ApplicationTrace:
-    """Concatenate several traces into one program with renumbered instances.
-
-    Dependencies within each input trace are preserved; the phases execute
-    back to back because the first instance of each subsequent trace is made
-    to depend on the last instance of the previous one (a lightweight way to
-    model program phases separated by a taskwait).
-    """
-    builder = ColumnBuilder()
-    offset = 0
-    previous_last: Optional[int] = None
-    for trace in traces:
-        columns = trace.columns
-        count = columns.num_records
-        type_names = columns.types.names
-        type_ids = columns.task_type_id.tolist()
-        instructions = columns.instructions.tolist()
-        dep_offsets = columns.dep_offsets.tolist()
-        dep_targets = columns.dep_targets.tolist()
-        block_offsets = columns.block_offsets.tolist()
-        block_instr = columns.block_instructions.tolist()
-        event_offsets = columns.event_offsets.tolist()
-        for index in range(count):
-            depends = tuple(
-                dep + offset
-                for dep in dep_targets[dep_offsets[index] : dep_offsets[index + 1]]
-            )
-            if previous_last is not None and not depends:
-                depends = (previous_last,)
-            blocks = []
-            for block in range(block_offsets[index], block_offsets[index + 1]):
-                start, stop = event_offsets[block], event_offsets[block + 1]
-                blocks.append((block_instr[block], _EventSlice(columns, start, stop)))
-            builder.add_prepared(
-                task_type=type_names[type_ids[index]],
-                instructions=instructions[index],
-                blocks=blocks,
-                depends_on=depends,
-                creation_order=index + offset,
-            )
-        if count:
-            previous_last = count - 1 + offset
-        offset += count
-    return ApplicationTrace(name=name, columns=builder.build())
-
-
-class _EventSlice:
-    """Zero-copy event range used when merging columnar traces."""
-
-    __slots__ = ("_columns", "_start", "_stop")
-
-    def __init__(self, columns: TraceColumns, start: int, stop: int) -> None:
-        self._columns = columns
-        self._start = start
-        self._stop = stop
-
-    def __iter__(self):
-        from repro.trace.records import MemoryEvent
-
-        columns = self._columns
-        for position in range(self._start, self._stop):
-            yield MemoryEvent(
-                address=int(columns.event_address[position]),
-                is_write=bool(columns.event_is_write[position]),
-                weight=int(columns.event_weight[position]),
-                shared=bool(columns.event_shared[position]),
-            )

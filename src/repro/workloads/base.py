@@ -11,13 +11,13 @@ smaller scales shrink the instance count proportionally (never below
 Python.
 
 Generators emit through :class:`~repro.trace.generator.TraceBuilder`
-straight into the columnar trace backbone (:mod:`repro.trace.columns`): no
-``TaskTraceRecord`` objects are allocated during generation, and the
-resulting :class:`~repro.trace.trace.ApplicationTrace` carries NumPy columns
-as its source of truth.  Instruction counts per instance are already scaled down relative to
-the native benchmarks (the sampling methodology is insensitive to the
-absolute magnitude — only the per-type IPC and the relative instance sizes
-matter).
+straight into the trace columns (:mod:`repro.trace.columns`): each
+:class:`~repro.trace.records.MemoryEvent` a helper below returns is a tuple
+that becomes one row of the event columns, and no ``TaskTraceRecord`` is
+allocated during generation.  Instruction counts per instance are already
+scaled down relative to the native benchmarks (the sampling methodology is
+insensitive to the absolute magnitude — only the per-type IPC and the
+relative instance sizes matter).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import List, Optional, Sequence
 
 from repro.trace.generator import TraceBuilder
@@ -202,13 +203,13 @@ class Workload(abc.ABC):
 
     @staticmethod
     def combine(*event_lists: Sequence[MemoryEvent]) -> List[MemoryEvent]:
-        """Interleave several event lists into one, preserving rough order."""
-        combined: List[MemoryEvent] = []
-        lists = [list(events) for events in event_lists if events]
-        while lists:
-            for events in list(lists):
-                if events:
-                    combined.append(events.pop(0))
-                else:
-                    lists.remove(events)
-        return combined
+        """Interleave several event lists into one, preserving rough order.
+
+        Takes one event from each list in turn, skipping exhausted lists.
+        """
+        return [
+            event
+            for row in zip_longest(*event_lists)
+            for event in row
+            if event is not None
+        ]

@@ -195,6 +195,32 @@ class TestFaultInjection:
         for left, right in zip(reference, results):
             assert deterministic_fields(left) == deterministic_fields(right)
 
+    def test_every_spawned_worker_is_reaped(self, tmp_path, monkeypatch):
+        # A worker let go mid-run (here one that died) must be awaited before
+        # the event loop closes; otherwise the garbage collector later closes
+        # its transport on the closed loop ("Event loop is closed").
+        spawned = []
+        spawn = AsyncWorkerBackend._spawn_worker
+
+        async def recording_spawn(self, host):
+            worker = await spawn(self, host)
+            spawned.append(worker)
+            return worker
+
+        monkeypatch.setattr(AsyncWorkerBackend, "_spawn_worker", recording_spawn)
+        specs = small_grid()
+        flag = tmp_path / "died-once"
+        backend = fast_backend(
+            worker_env={FAULT_ENV: f"{specs[-1].content_key()[:16]}:{flag}"},
+        )
+        backend.run_outcomes(specs)
+        assert flag.exists(), "the fault hook never fired"
+        assert backend.stats.get("worker_deaths", 0) == 1
+        assert len(spawned) >= 3  # two slots, and one respawn after the death
+        for worker in spawned:
+            assert worker.proc.returncode is not None, worker.pid
+            assert worker.proc._transport.is_closing(), worker.pid
+
     def test_repeated_death_is_a_bounded_failure(self, tmp_path):
         # With max_retries=0 a single death exhausts the job's budget: the
         # spec is recorded as failed and the rest of the batch completes.

@@ -110,16 +110,33 @@ class TestImportBudgets:
 
     def test_grid_loads_no_numpy_ma(self, tmp_path):
         # Plain ``np.unique`` imports numpy.ma, which costs every cold grid
-        # process start-up time and resident memory; histogram and canneal
-        # write shared data, so their plans record written lines.
-        completed, modules = run_importtime([
-            "-m", "repro", "grid", "--benchmarks", "histogram,canneal",
-            "--threads", "4", "--scale", "0.004", "--backend", "serial",
-            "--cache-dir", str(tmp_path),
-        ])
-        assert completed.returncode == 0, completed.stderr[-2000:]
-        assert "repro.arch.batch" in modules  # the probe sees what ran
-        assert loaded(modules, ("numpy.ma",)) == []
+        # process start-up time and resident memory.  histogram and canneal
+        # write shared data, so their plans record written lines; the
+        # blackscholes baseline at 64 threads runs 490 instances through the
+        # vector kernel, whose tag stores adopt rows.
+        for benchmarks, threads, scale in (
+            ("histogram,canneal", "4", "0.004"),
+            ("blackscholes", "64", "0.02"),
+        ):
+            completed, modules = run_importtime([
+                "-m", "repro", "grid", "--benchmarks", benchmarks,
+                "--threads", threads, "--scale", scale, "--backend", "serial",
+                "--cache-dir", str(tmp_path / benchmarks),
+            ])
+            assert completed.returncode == 0, completed.stderr[-2000:]
+            assert "repro.arch.batch" in modules  # the probe sees what ran
+            assert loaded(modules, ("numpy.ma",)) == [], benchmarks
+        # The second grid checks the kernel only while its baseline engages it.
+        from repro.arch.config import high_performance_config
+        from repro.sim.engine import SimulationEngine
+        from repro.workloads.registry import get_workload
+
+        engine = SimulationEngine(
+            get_workload("blackscholes").generate(scale=0.02, seed=1),
+            high_performance_config(), num_threads=64,
+        )
+        engine.run()
+        assert engine.vector_stats["vector_instances"] > 0
 
     @pytest.mark.parametrize("command", [
         ["status"], ["status", "job"], ["status", "--stats"],

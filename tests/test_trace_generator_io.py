@@ -4,7 +4,7 @@ import pytest
 
 from repro.trace.generator import TraceBuilder
 from repro.trace.io import load_trace, save_trace
-from repro.trace.records import MemoryEvent, make_record
+from repro.trace.records import MemoryEvent
 from repro.workloads.registry import get_workload
 
 
@@ -36,16 +36,6 @@ class TestTraceBuilder:
         assert trace.metadata["seed"] == 42
         assert trace.metadata["problem_size"] == 128
 
-    def test_add_record_renumbers(self):
-        builder = TraceBuilder("test")
-        builder.add_task("a", instructions=5)
-        foreign = make_record(99, "b", 50)
-        new_id = builder.add_record(foreign)
-        assert new_id == 1
-        trace = builder.build()
-        assert trace[1].task_type == "b"
-        assert trace[1].instance_id == 1
-
     def test_same_seed_same_trace(self):
         first = get_workload("n-body").generate(scale=0.003, seed=11)
         second = get_workload("n-body").generate(scale=0.003, seed=11)
@@ -75,8 +65,9 @@ class TestTraceIO:
         return builder.build()
 
     def test_roundtrip_json(self, tmp_path):
+        # The JSON header of the archive carries the name and metadata.
         trace = self._sample_trace()
-        path = save_trace(trace, tmp_path / "trace.json")
+        path = save_trace(trace, tmp_path / "trace.npz")
         loaded = load_trace(path)
         assert loaded.name == trace.name
         assert loaded.metadata["purpose"] == "roundtrip"
@@ -85,22 +76,20 @@ class TestTraceIO:
         assert loaded[0].blocks[0].memory_events[0].is_write is True
         assert loaded[1].depends_on == (0,)
 
-    def test_roundtrip_gzip(self, tmp_path):
-        trace = self._sample_trace()
-        path = save_trace(trace, tmp_path / "trace.json.gz")
-        loaded = load_trace(path)
-        assert len(loaded) == 2
-        assert loaded[1].instructions == 200
-
     def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 99, "name": "x", "records": []}')
-        with pytest.raises(ValueError):
-            load_trace(path)
+        # .npz is the only trace format; an archive's own version is checked
+        # by test_npz_rejects_unknown_version.
+        trace = self._sample_trace()
+        for name in ("trace.json", "trace.json.gz", "trace"):
+            with pytest.raises(ValueError, match="npz"):
+                save_trace(trace, tmp_path / name)
+            (tmp_path / name).write_text('{"format_version": 1, "records": []}')
+            with pytest.raises(ValueError, match="npz"):
+                load_trace(tmp_path / name)
 
     def test_roundtrip_preserves_statistics(self, tmp_path):
         trace = get_workload("reduction").generate(scale=0.004, seed=5)
-        path = save_trace(trace, tmp_path / "reduction.json")
+        path = save_trace(trace, tmp_path / "reduction.npz")
         loaded = load_trace(path)
         assert loaded.statistics() == trace.statistics()
         assert loaded.critical_path_length() == trace.critical_path_length()

@@ -31,6 +31,12 @@ class TestMemoryEvent:
         with pytest.raises(AttributeError):
             event.address = 128
 
+    def test_unpacks_as_a_column_row(self):
+        event = MemoryEvent(address=192, is_write=True, weight=3, shared=True)
+        address, is_write, weight, shared = event
+        assert (address, is_write, weight, shared) == (192, True, 3, True)
+        assert MemoryEvent(64) == (64, False, 1, False)
+
 
 class TestExecutionBlock:
     def test_memory_accesses_sums_weights(self):

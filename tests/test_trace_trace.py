@@ -3,7 +3,7 @@
 import pytest
 
 from repro.trace.records import MemoryEvent, make_record
-from repro.trace.trace import ApplicationTrace, TraceValidationError, merge_traces
+from repro.trace.trace import ApplicationTrace, TraceValidationError
 
 from tests.conftest import build_chain_trace, build_two_type_trace, build_uniform_trace
 
@@ -82,21 +82,3 @@ class TestStatistics:
         trace = build_uniform_trace(num_instances=9)
         assert trace.critical_path_length() == 1
         assert trace.max_parallelism() == 9
-
-
-class TestMergeTraces:
-    def test_merge_renumbers_and_serialises_phases(self):
-        first = build_uniform_trace(num_instances=3, name="a")
-        second = build_uniform_trace(num_instances=2, name="b")
-        merged = merge_traces("merged", [first, second])
-        assert len(merged) == 5
-        # First instance of the second phase depends on the last of the first.
-        assert merged[3].depends_on == (2,)
-        merged.validate()
-
-    def test_merge_preserves_internal_dependencies(self):
-        chain = build_chain_trace(length=3)
-        parallel = build_uniform_trace(num_instances=2)
-        merged = merge_traces("merged", [chain, parallel])
-        assert merged[2].depends_on == (1,)
-        assert merged[3].depends_on == (2,)
