@@ -22,8 +22,9 @@ clears its width and event floors, so the coverage is a property of the
 configuration and is the same on every run; both backends are
 bit-identical.
 
-Environment knobs: ``REPRO_BENCH_SMOKE=1`` shrinks the workload and skips
-the speedup threshold (CI containers are too noisy for timing assertions);
+Environment knobs: ``REPRO_BENCH_SMOKE=1`` shrinks the workload, runs three
+paired repeats per configuration instead of five and skips the speedup
+threshold (CI containers are too noisy for timing assertions);
 ``REPRO_BENCH_SCALE``/``REPRO_BENCH_SEED`` are honoured as everywhere else.
 ``--workloads=a,b`` (or ``REPRO_BENCH_WORKLOADS``) restricts the measured
 configurations to a workload subset for quick iteration; subset runs never
@@ -238,7 +239,9 @@ def test_hotpath_throughput(benchmark, workloads_subset):
     smoke = _smoke()
     scale = bench_scale() if not smoke else min(bench_scale(), 0.02)
     num_threads = 8
-    repeats = 1 if smoke else 5
+    # Three paired repeats even in smoke runs: every per-config speedup the
+    # CI gate reads is then a median, not one noisy sample.
+    repeats = 3 if smoke else 5
     hotpath_configs = HOTPATH_CONFIGS
     if workloads_subset is not None:
         unknown = set(workloads_subset) - {w for w, _, _ in HOTPATH_CONFIGS}

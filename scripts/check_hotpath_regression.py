@@ -20,9 +20,10 @@ Two gates run, both over the same slack:
 
 The slack is deliberately generous (default 0.4): CI runners are shared,
 single-core and noisy, and the smoke measurement runs at a smaller scale
-with one repeat — so absolute throughput is not comparable run-to-run.  The
-*ratio* (batched engine over the per-record baseline on the same host, in
-the same process, interleaved) is far more stable, and a catastrophic
+with three repeats — so absolute throughput is not comparable run-to-run.
+The *ratio* (batched engine over the per-record baseline on the same host,
+in the same process, interleaved; each configuration's speedup is the median
+of its paired ratios) is far more stable, and a catastrophic
 regression — grouped dispatch silently disabled, plan memoisation broken —
 drags it toward 1x, far through any reasonable slack.  Tightening beyond
 ~0.6 trades signal for flakes.

@@ -66,7 +66,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.cache import _Line
 from repro.arch.config import ArchitectureConfig
 from repro.arch.hierarchy import MemorySystem
 from repro.arch.rob import RobModel
@@ -587,15 +586,11 @@ class BatchedCoreExecutor:
                     lines = l1_sets[l1_set]
                     if tag in lines:
                         l1_hits += 1
+                        lines.move_to_end(tag)
                         if is_write:
-                            line = lines[tag]
-                            line.dirty = True
-                            line.owner = core_id
-                            lines.move_to_end(tag)
+                            lines[tag] = True
                             if coherent:
                                 invalidate_remote(core_id, event)
-                        else:
-                            lines.move_to_end(tag)
                         if l1_exposure is not None:
                             exposed_count += 1
                             if l1_exposure > exposed_max:
@@ -604,15 +599,10 @@ class BatchedCoreExecutor:
                         continue
                     l1_misses += 1
                     if len(lines) >= l1_assoc:
-                        _, victim = lines.popitem(last=False)
                         l1_evictions += 1
-                        if victim.dirty:
+                        if lines.popitem(last=False)[1]:
                             l1_writebacks += 1
-                        victim.dirty = is_write
-                        victim.owner = core_id
-                        lines[tag] = victim
-                    else:
-                        lines[tag] = _Line(dirty=is_write, owner=core_id)
+                    lines[tag] = is_write
                     if holders:
                         line_number = tag * l1_num_sets + l1_set
                         if line_number in holders:
@@ -624,26 +614,19 @@ class BatchedCoreExecutor:
                         tag = tag_index[event]
                         if tag in lines:
                             acc[off] += 1
-                            if is_write:
-                                line = lines[tag]
-                                line.dirty = True
-                                line.owner = core_id
                             lines.move_to_end(tag)
+                            if is_write:
+                                lines[tag] = True
                             if level >= num_private:
                                 ic_transfers += 1
                                 ic_total += ic_latency
                             break
                         acc[off + 1] += 1
                         if len(lines) >= associativity:
-                            _, victim = lines.popitem(last=False)
                             acc[off + 2] += 1
-                            if victim.dirty:
+                            if lines.popitem(last=False)[1]:
                                 acc[off + 3] += 1
-                            victim.dirty = is_write
-                            victim.owner = core_id
-                            lines[tag] = victim
-                        else:
-                            lines[tag] = _Line(dirty=is_write, owner=core_id)
+                        lines[tag] = is_write
                         level += 1
                         off += 4
                     else:
@@ -758,8 +741,8 @@ class BatchedCoreExecutor:
                     lines = sets.peek(set_index[event])
                     if lines is None:
                         continue
-                line = lines.pop(tag_index[event], None)
-                if line is not None:
+                dirty = lines.pop(tag_index[event], None)
+                if dirty is not None:
                     stats.invalidations += 1
-                    if line.dirty:
+                    if dirty:
                         stats.writebacks += 1

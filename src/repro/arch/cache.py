@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.arch.config import CacheConfig
-from repro.arch.tagstore import LevelTagStore, _Line, _SetViews
+from repro.arch.tagstore import LevelTagStore, _SetViews
 
-__all__ = ["Cache", "CacheStatistics", "_Line"]
+__all__ = ["Cache", "CacheStatistics"]
 
 
 @dataclass
@@ -86,8 +86,8 @@ class Cache:
         self.config = config
         self.name = name
         self.stats = CacheStatistics()
-        # Set index -> OrderedDict of tag -> _Line in LRU order (ascending
-        # recency).  Sets are allocated lazily on first touch, or
+        # Set index -> OrderedDict of tag -> dirty bit in LRU order
+        # (ascending recency).  Sets are allocated lazily on first touch, or
         # materialised from the level store's planes when the vector kernel
         # holds the row.
         self._sets: _SetViews = (
@@ -106,26 +106,30 @@ class Cache:
         return address - (address % self.config.line_bytes)
 
     # ------------------------------------------------------------------
-    def access(self, address: int, is_write: bool = False, requester: Optional[int] = None) -> bool:
+    def access(self, address: int, is_write: bool = False) -> bool:
         """Access ``address``; return ``True`` on hit, ``False`` on miss.
 
-        A miss allocates the line (possibly evicting the LRU line of the set).
-        ``requester`` identifies the core performing the access; for shared
-        caches it is recorded as the line owner so later invalidation
-        decisions can distinguish local from remote writers.
+        A hit makes the line most recently used, and a write marks it dirty.
+        A miss allocates the line, dirty if the access writes, evicting the
+        set's least recently used line when the set is full (a dirty victim
+        counts a writeback).  Remote-write invalidation is not decided here:
+        the memory system calls :meth:`invalidate` on the other cores'
+        private caches.
         """
         set_index, tag = self._locate(address)
         lines = self._sets[set_index]
         if tag in lines:
             self.stats.hits += 1
-            line = lines.pop(tag)
+            lines.move_to_end(tag)
             if is_write:
-                line.dirty = True
-                line.owner = requester
-            lines[tag] = line
+                lines[tag] = True
             return True
         self.stats.misses += 1
-        self._allocate(set_index, tag, is_write, requester)
+        if len(lines) >= self.config.associativity:
+            self.stats.evictions += 1
+            if lines.popitem(last=False)[1]:
+                self.stats.writebacks += 1
+        lines[tag] = is_write
         return False
 
     def probe(self, address: int) -> bool:
@@ -133,15 +137,6 @@ class Cache:
         set_index, tag = self._locate(address)
         lines = self._sets.peek(set_index)
         return lines is not None and tag in lines
-
-    def _allocate(self, set_index: int, tag: int, is_write: bool, requester: Optional[int]) -> None:
-        lines = self._sets[set_index]
-        if len(lines) >= self.config.associativity:
-            _, victim = lines.popitem(last=False)
-            self.stats.evictions += 1
-            if victim.dirty:
-                self.stats.writebacks += 1
-        lines[tag] = _Line(dirty=is_write, owner=requester)
 
     def invalidate(self, address: int) -> bool:
         """Invalidate the line containing ``address`` if present.
@@ -153,9 +148,8 @@ class Cache:
         set_index, tag = self._locate(address)
         lines = self._sets.peek(set_index)
         if lines is not None and tag in lines:
-            line = lines.pop(tag)
             self.stats.invalidations += 1
-            if line.dirty:
+            if lines.pop(tag):
                 self.stats.writebacks += 1
             return True
         return False

@@ -65,7 +65,7 @@ class CacheHierarchy:
         latency = 0.0
         for index, cache in enumerate(self.caches):
             latency += cache.config.latency_cycles
-            if cache.access(address, is_write=is_write, requester=self.core_id):
+            if cache.access(address, is_write=is_write):
                 return AccessResult(latency=latency, level=cache.name, hit=True)
             if index == len(self.private_caches) - 1 and self.shared_caches:
                 # Crossing from private to shared levels traverses the

@@ -1,22 +1,24 @@
 """Array-native tag stores: one authoritative NumPy store per cache level.
 
-Ownership model
+Residency model
 ---------------
 A :class:`LevelTagStore` is the single source of truth for one cache level's
-tag state across all cores.  Its persistent representation is a set of NumPy
-planes — ``tags``, ``dirty``, ``owner`` and an LRU ``stamp`` per (row, way),
-where a row is ``core * num_sets + set`` for a private level and plain
-``set`` for a shared level — shared by the lockstep walk kernel
-(:mod:`repro.arch.vector`), the scalar grouped walk
+tag state across all cores.  A cached line is a tag and a dirty bit, nothing
+more: every latency, counter and invalidation of the detailed model reads
+only hits, misses, LRU order and dirty bits.  The store's persistent
+representation is a set of NumPy planes — ``tags``, ``dirty`` and an LRU
+``stamp`` per (row, way), where a row is ``core * num_sets + set`` for a
+private level and plain ``set`` for a shared level — shared by the lockstep
+walk kernel (:mod:`repro.arch.vector`), the scalar grouped walk
 (:mod:`repro.arch.batch`) and the coherence/invalidation replay.
 
 The scalar paths do not index the planes per event (CPython NumPy scalar
 access is several times slower than a dict hit); instead each
 :class:`~repro.arch.cache.Cache` holds a :class:`_SetViews` mapping of
-*row working copies*: per-set ``OrderedDict`` views materialised from the
-planes **lazily, on demand** — the "lazy dict export" of the per-record
-oracle, snapshot APIs and post-run readers.  Every row is in exactly one of
-two states:
+*row working copies*: per-set ``OrderedDict`` rows mapping tag -> dirty bit
+in LRU order, materialised from the planes **lazily, on demand** — the
+"lazy dict export" of the per-record oracle, snapshot APIs and post-run
+readers.  Every row is in exactly one of two states:
 
 * **plane-resident** (``store.resident[row]`` is ``True``): the planes hold
   the row's truth and the view mapping has *no* entry for it.  The walk
@@ -44,14 +46,10 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-#: Encoding of ``_Line.owner is None`` in the int64 owner plane.
-_NO_OWNER = -2
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -66,16 +64,10 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass
-class _Line:
-    """State of one cached line."""
-
-    dirty: bool = False
-    owner: Optional[int] = None
-
-
 class _SetViews(dict):
     """Per-cache mapping of set index -> ``OrderedDict`` row working copy.
+
+    A row maps tag -> dirty bit, in LRU order (ascending recency).
 
     Present keys resolve at C dict speed (this is the scalar hot path); a
     missing key materialises the row from the owning store's planes when the
@@ -144,7 +136,6 @@ class LevelTagStore:
         "views",
         "tags",
         "dirty",
-        "owner",
         "stamp",
         "resident",
         "counter",
@@ -158,7 +149,6 @@ class LevelTagStore:
         self.views: List["weakref.ref[_SetViews]"] = []
         self.tags: Optional[np.ndarray] = None
         self.dirty: Optional[np.ndarray] = None
-        self.owner: Optional[np.ndarray] = None
         self.stamp: Optional[np.ndarray] = None
         #: Per-row plane-residency flags; ``None`` until the kernel first
         #: adopts state (scalar-only engines never allocate the planes).
@@ -194,7 +184,6 @@ class LevelTagStore:
         assoc = self.assoc
         self.tags = np.full((rows, assoc), -1, dtype=np.int64)
         self.dirty = np.zeros((rows, assoc), dtype=np.bool_)
-        self.owner = np.full((rows, assoc), _NO_OWNER, dtype=np.int64)
         self.stamp = np.zeros((rows, assoc), dtype=np.int64)
         self.resident = np.zeros(rows, dtype=np.bool_)
 
@@ -213,7 +202,6 @@ class LevelTagStore:
         fresh = sorted_unique(rows[fresh_mask])
         tags = self.tags
         dirty = self.dirty
-        owner = self.owner
         stamp = self.stamp
         num_sets = self.num_sets
         views = self.views
@@ -224,10 +212,9 @@ class LevelTagStore:
             if lines:
                 base = self.counter
                 self.counter = base + len(lines)
-                for way, (tag, line) in enumerate(lines.items()):
+                for way, (tag, line_dirty) in enumerate(lines.items()):
                     tags[row, way] = tag
-                    dirty[row, way] = line.dirty
-                    owner[row, way] = _NO_OWNER if line.owner is None else line.owner
+                    dirty[row, way] = line_dirty
                     stamp[row, way] = base + way
             view.resident_count += 1
         resident[fresh] = True
@@ -252,14 +239,9 @@ class LevelTagStore:
         if valid.any():
             ways = np.nonzero(valid)[0]
             order = ways[np.argsort(self.stamp[row][ways], kind="stable")]
-            owner = self.owner
-            dirty = self.dirty
+            row_dirty = self.dirty[row]
             for way in order.tolist():
-                own = owner[row, way]
-                lines[int(row_tags[way])] = _Line(
-                    dirty=bool(dirty[row, way]),
-                    owner=None if own == _NO_OWNER else int(own),
-                )
+                lines[int(row_tags[way])] = bool(row_dirty[way])
         if self.profile:
             self.export_seconds += perf_counter() - start
         return lines
@@ -301,7 +283,6 @@ class LevelTagStore:
         rows: np.ndarray,
         tags: np.ndarray,
         writes: np.ndarray,
-        cores: np.ndarray,
         stamp_value: int,
         has_writes: bool,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
@@ -309,7 +290,7 @@ class LevelTagStore:
 
         Operates in place on the state planes (distinct rows guarantee the
         scatters never collide).  ``has_writes`` is the caller's stream-wide
-        write flag — when False, the per-step dirty/owner bookkeeping is
+        write flag — when False, the per-step dirty-bit bookkeeping is
         skipped entirely.  Returns ``(hit, eviction, writeback)``; the last
         two are ``None`` when every event hit (the common steady state), so
         callers skip the eviction bookkeeping.
@@ -322,10 +303,7 @@ class LevelTagStore:
         if num_hits == hit.shape[0]:
             self.stamp[rows, way] = stamp_value
             if has_writes and writes.any():
-                write_rows = rows[writes]
-                write_ways = way[writes]
-                self.dirty[write_rows, write_ways] = True
-                self.owner[write_rows, write_ways] = cores[writes]
+                self.dirty[rows[writes], way[writes]] = True
             return hit, None, None
         if num_hits:
             hit_rows = rows[hit]
@@ -334,10 +312,7 @@ class LevelTagStore:
             if has_writes:
                 hit_writes = writes[hit]
                 if hit_writes.any():
-                    write_rows = hit_rows[hit_writes]
-                    write_ways = hit_ways[hit_writes]
-                    self.dirty[write_rows, write_ways] = True
-                    self.owner[write_rows, write_ways] = cores[hit][hit_writes]
+                    self.dirty[hit_rows[hit_writes], hit_ways[hit_writes]] = True
         miss = ~hit
         miss_rows = rows[miss]
         empty = lane_tags[miss] == -1
@@ -351,7 +326,6 @@ class LevelTagStore:
         wb_miss = self.dirty[miss_rows, miss_way] & evicted_miss
         self.tags[miss_rows, miss_way] = tags[miss]
         self.dirty[miss_rows, miss_way] = writes[miss]
-        self.owner[miss_rows, miss_way] = cores[miss]
         self.stamp[miss_rows, miss_way] = stamp_value
         evict_out = np.zeros(hit.shape[0], dtype=np.bool_)
         wb_out = np.zeros(hit.shape[0], dtype=np.bool_)
@@ -364,16 +338,15 @@ class LevelTagStore:
         rows: np.ndarray,
         tags: np.ndarray,
         writes: np.ndarray,
-        cores: np.ndarray,
         ranks: Optional[np.ndarray] = None,
         serialise: bool = False,
         has_writes: bool = True,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Walk one level's event stream in lockstep on the planes.
 
-        ``rows``/``tags``/``writes``/``cores`` describe, in execution order,
-        every event that reaches this level.  Events mapping to distinct
-        rows commute; events sharing a row must be serialised by rank so the
+        ``rows``/``tags``/``writes`` describe, in execution order, every
+        event that reaches this level.  Events mapping to distinct rows
+        commute; events sharing a row must be serialised by rank so the
         per-row access order (and therefore LRU state) matches the scalar
         walk exactly.  At private levels the caller passes the plan's static
         per-record ranks (``ranks``; ``None`` when the whole group is known
@@ -387,10 +360,8 @@ class LevelTagStore:
         base = self.counter
         if ranks is not None:
             if int(ranks.max()):
-                return self._walk_ranked(
-                    rows, tags, writes, cores, ranks, base, has_writes
-                )
-            result = self._step(rows, tags, writes, cores, base, has_writes)
+                return self._walk_ranked(rows, tags, writes, ranks, base, has_writes)
+            result = self._step(rows, tags, writes, base, has_writes)
             self.counter = base + 1
             return result
         if serialise:
@@ -401,7 +372,7 @@ class LevelTagStore:
             distinct[0] = True
             np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=distinct[1:])
             if distinct.all():
-                result = self._step(rows, tags, writes, cores, base, has_writes)
+                result = self._step(rows, tags, writes, base, has_writes)
                 self.counter = base + 1
                 return result
             positions = np.arange(count, dtype=np.int64)
@@ -410,10 +381,8 @@ class LevelTagStore:
             )
             dynamic = np.empty(count, dtype=np.int64)
             dynamic[order] = positions - segment_start
-            return self._walk_ranked(
-                rows, tags, writes, cores, dynamic, base, has_writes
-            )
-        result = self._step(rows, tags, writes, cores, base, has_writes)
+            return self._walk_ranked(rows, tags, writes, dynamic, base, has_writes)
+        result = self._step(rows, tags, writes, base, has_writes)
         self.counter = base + 1
         return result
 
@@ -422,7 +391,6 @@ class LevelTagStore:
         rows: np.ndarray,
         tags: np.ndarray,
         writes: np.ndarray,
-        cores: np.ndarray,
         ranks: np.ndarray,
         base: int,
         has_writes: bool,
@@ -449,7 +417,6 @@ class LevelTagStore:
                 rows[select],
                 tags[select],
                 writes[select],
-                cores[select],
                 base + step_index,
                 has_writes,
             )

@@ -280,7 +280,6 @@ class VectorWalkEngine:
             cores_of_event * state.num_sets + l1_sets,
             l1_tags,
             writes,
-            cores_of_event,
             ranks=level_rank[0][event_ids] if group_max else None,
             has_writes=stream_writes,
         )
@@ -329,7 +328,6 @@ class VectorWalkEngine:
                     alive_core * state.num_sets + plan.level_set[level][alive_ids],
                     plan.level_tag[level][alive_ids],
                     alive_writes,
-                    alive_core,
                     ranks=level_rank[level][alive_ids] if group_max else None,
                     has_writes=stream_writes,
                 )
@@ -342,7 +340,6 @@ class VectorWalkEngine:
                     plan.level_set[level][alive_ids],
                     plan.level_tag[level][alive_ids],
                     alive_writes,
-                    alive_core,
                     serialise=True,
                     has_writes=stream_writes,
                 )

@@ -304,7 +304,8 @@ class TaskPointController(SamplingController):
         """Decide how the simulator should execute ``instance``."""
         task_type = instance.task_type.name
         first_encounter = not self.histories.known(task_type)
-        state = self.histories.state(task_type)
+        # Registers a first-seen type, which _sampling_complete reads.
+        self.histories.state(task_type)
 
         if self.phase is SamplingPhase.SAMPLING:
             if self._sampling_complete():
@@ -333,7 +334,6 @@ class TaskPointController(SamplingController):
         if estimate.used_fallback:
             self.stats.fallback_estimates += 1
         self._fast_forwarded[worker_id] += 1
-        state.record_fast_forward()
         self.stats.fast_forwarded += 1
         return burst_decision(estimate.ipc)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -95,8 +95,6 @@ class TaskTypeState:
     task_type: str
     valid: SampleHistory
     all: SampleHistory
-    detailed_count: int = 0
-    fast_forwarded_count: int = 0
 
     @classmethod
     def create(cls, task_type: str, history_size: int) -> "TaskTypeState":
@@ -126,23 +124,6 @@ class TaskTypeState:
         self.all.add(ipc)
         if valid:
             self.valid.add(ipc)
-        self.detailed_count += 1
-
-    def record_fast_forward(self) -> None:
-        """Record that one instance of this type was fast-forwarded."""
-        self.fast_forwarded_count += 1
-
-    def fast_forward_ipc(self) -> Optional[float]:
-        """IPC to use when fast-forwarding an instance of this type.
-
-        Preference order (paper §III-B): mean of the valid history, then mean
-        of the history of all samples, then ``None`` (impossible to
-        fast-forward — the caller must trigger resampling).
-        """
-        ipc = self.valid.mean()
-        if ipc is not None:
-            return ipc
-        return self.all.mean()
 
 
 class HistoryTable:

@@ -66,6 +66,15 @@ class TestReplacement:
             cache.access(i * 64)
         assert cache.occupancy() <= 1.0
 
+    def test_row_maps_tags_to_dirty_bits_in_lru_order(self):
+        cache = make_cache()  # 16 sets: lines 3, 19 and 35 share set 3
+        read_line, written_line, rewritten_line = 3, 19, 35
+        cache.access(rewritten_line * 64)                 # read miss
+        cache.access(written_line * 64, is_write=True)    # write miss
+        cache.access(read_line * 64)                      # read miss
+        cache.access(rewritten_line * 64, is_write=True)  # write hit
+        assert list(cache._sets[3].items()) == [(1, True), (0, False), (2, True)]
+
 
 class TestInvalidation:
     def test_invalidate_present_line(self):

@@ -93,7 +93,7 @@ def _memory_stats(engine) -> tuple:
 
 
 def _tag_stores(engine) -> tuple:
-    """Final tag-store contents (LRU order, dirty bits, owners) per cache."""
+    """Final tag-store contents (tags, dirty bits, LRU order) per cache."""
     memory = engine.memory_system
     stores = []
     for core_id in range(engine.num_threads):
@@ -105,11 +105,7 @@ def _tag_stores(engine) -> tuple:
                 lines = cache._sets[set_index]
                 if not lines:
                     continue
-                stores.append((
-                    core_id, level, set_index,
-                    tuple((tag, line.dirty, line.owner)
-                          for tag, line in lines.items()),
-                ))
+                stores.append((core_id, level, set_index, tuple(lines.items())))
     return tuple(stores)
 
 
@@ -352,6 +348,29 @@ def test_mid_run_switch_matches_oracle(workload, threads):
     coverage = _assert_equivalent(trace, "highperf", "detailed", threads=threads,
                                   rules={"switch": (8, 0)})
     assert coverage["switch"]["scalar_instances"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Row format: a row the kernel hands back maps tag -> dirty bit.
+# ---------------------------------------------------------------------------
+def test_materialised_rows_map_tags_to_dirty_bits():
+    trace = get_workload("kmeans").generate(scale=SCALE, seed=SEED)
+    with kernel_rule(*KERNEL_EXTREMES["kernel"]):
+        engine = SimulationEngine(trace, high_performance_config(), num_threads=32)
+        engine.run()
+    memory = engine.memory_system
+    assert engine.vector_stats["vector_instances"] > 0
+    assert sum(int(store.resident.sum()) for store in memory.stores) > 0
+    engine.vector.flush_state()
+    assert not any(store.resident.any() for store in memory.stores)
+    caches = memory.shared_caches + [
+        cache for core_id in range(engine.num_threads)
+        for cache in memory.hierarchy(core_id).private_caches
+    ]
+    bits = [dirty for cache in caches for lines in cache._sets.values()
+            for dirty in lines.values()]
+    assert all(type(dirty) is bool for dirty in bits)
+    assert True in bits and False in bits
 
 
 # ---------------------------------------------------------------------------

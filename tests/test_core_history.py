@@ -94,7 +94,6 @@ class TestTaskTypeState:
         state.record_detailed(2.0, valid=True)
         assert state.valid.samples == [2.0]
         assert state.all.samples == [1.0, 2.0]
-        assert state.detailed_count == 2
 
     def test_rare_until_valid_history_full(self):
         state = TaskTypeState.create("gemm", history_size=2)
@@ -104,20 +103,6 @@ class TestTaskTypeState:
         state.record_detailed(1.0, valid=True)
         assert not state.is_rare
         assert state.is_fully_sampled
-
-    def test_fast_forward_ipc_prefers_valid(self):
-        state = TaskTypeState.create("gemm", history_size=2)
-        assert state.fast_forward_ipc() is None
-        state.record_detailed(1.0, valid=False)
-        assert state.fast_forward_ipc() == pytest.approx(1.0)
-        state.record_detailed(3.0, valid=True)
-        assert state.fast_forward_ipc() == pytest.approx(3.0)
-
-    def test_fast_forward_counter(self):
-        state = TaskTypeState.create("gemm", history_size=2)
-        state.record_fast_forward()
-        state.record_fast_forward()
-        assert state.fast_forwarded_count == 2
 
 
 class TestHistoryTable:
@@ -157,6 +142,14 @@ class TestFastForwardEstimator:
         estimate = estimator.estimate(record)
         assert estimate.ipc == pytest.approx(2.0)
         assert estimate.cycles == pytest.approx(500.0)
+        assert estimate.used_fallback is False
+
+    def test_estimate_prefers_valid_history(self):
+        table = HistoryTable(history_size=2)
+        table.state("gemm").record_detailed(1.0, valid=False)
+        table.state("gemm").record_detailed(3.0, valid=True)
+        estimate = FastForwardEstimator(table).estimate(make_record(0, "gemm", 300))
+        assert estimate.ipc == pytest.approx(3.0)
         assert estimate.used_fallback is False
 
     def test_estimate_falls_back_to_all_history(self):
